@@ -133,7 +133,7 @@ def check_so3_equivariance(model: MGTModel, num_rotations: int, seed: int,
     for _ in range(num_structures):
         s = random_structure(gen, 2, 8)
         g = model.build_graph(s)
-        base = model.encode(model.make_inputs(g), training=False)
+        base = model.encode([model.make_inputs(g)], training=False)
         block = base.so3.layer1[1].data
         for _ in range(num_rotations):
             rot = random_rotation(gen)
@@ -144,7 +144,7 @@ def check_so3_equivariance(model: MGTModel, num_rotations: int, seed: int,
                                    "edge ordering changed under pure rotation")
             worst_vec = max(worst_vec,
                             np.max(np.abs(g2.vector - g.vector @ rot.T)))
-            moved = model.encode(model.make_inputs(g2), training=False)
+            moved = model.encode([model.make_inputs(g2)], training=False)
             expected = block @ degree1_rotation(rot).T
             scale = max(np.max(np.abs(expected)), 1e-30)
             worst_rel = max(worst_rel,
@@ -213,7 +213,7 @@ def _loss_functions(model: MGTModel, samples: list[NoisySample],
     def noisy_parts():
         preds_t, preds_e, e1_rows, e2_rows = [], [], [], []
         for inp, sample in zip(noisy_inputs, samples):
-            enc = model.encode(inp, training=True)
+            enc = model.encode([inp], training=True)
             preds_t.append(model.predict_angle_noise(enc))
             preds_e.append(model.predict_distance_noise(enc, inp))
             e1_rows.append(enc.e1)

@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .checks import run_all
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .errors import DataError, NumericError
@@ -211,14 +209,9 @@ def cmd_inspect_router(args) -> int:
         raise ConfigError(["inspect-router needs head=moe; "
                            f"this model uses head={model.cfg.head!r}"])
     records = load_jsonl(_require(cfg.data, "--data"))
-    batch = model.cfg.finetune_batch_size
-    scores = []
-    for lo in range(0, len(records), batch):
-        chunk = records[lo:lo + batch]
-        inputs = [model.inputs_for_structure(r.structure) for r in chunk]
-        out = model.forward(inputs, training=False)
-        scores.append(out.scores)
-    report = report_contributions(model.cfg.task, np.vstack(scores))
+    _, scores = model.predict_batch(
+        model.inputs_for_structure(r.structure) for r in records)
+    report = report_contributions(model.cfg.task, scores)
     report["ids"] = [r.id for r in records]
     _write_or_print(json.dumps(report), cfg.out)
     return EXIT_OK

@@ -187,7 +187,7 @@ def build_graph(
     except the zero-offset self pair. Nodes over `max_neighbors` keep only
     their nearest edges under the deterministic (distance, dst, image) order;
     nodes with no neighbor inside r get their own radius grown by 1.5x until
-    one appears.
+    one appears. Two atoms at the same periodic position raise `GraphError`.
     """
     if r <= 0:
         raise ValueError(f"cutoff radius must be positive, got {r}")
@@ -228,6 +228,12 @@ def build_graph(
     image = np.vstack(imgs)
     vector = np.vstack(vecs)
     distance = np.concatenate(dists)
+    coincident = np.flatnonzero(distance == 0)
+    if len(coincident):
+        e = coincident[0]
+        raise GraphError(
+            f"atoms {src[e]} and {dst[e]} coincide (image offset "
+            f"{image[e].tolist()}): a zero-length edge has no direction")
 
     refs, _ = reference_vectors(s.lattice, image_budget)
     ref_norms = np.linalg.norm(refs, axis=1)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .rng import stream
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor, default_dtype, segment_sum
 
 
 class ParamStore:
@@ -122,6 +122,18 @@ class LayerNorm:
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
         return centered / ((var + self.eps) ** 0.5) * self.gamma + self.beta
+
+
+def mean_pool(h: Tensor, node_graph: np.ndarray) -> Tensor:
+    """Mean of each structure's node rows, (N, d) -> (B, d).
+
+    `node_graph` holds each row's structure index; every structure has at
+    least one row. Summing in row order and then dividing (not multiplying
+    by a reciprocal) gives, for a single structure, the same bits as
+    ``h.mean(axis=0, keepdims=True)``.
+    """
+    counts = np.bincount(node_graph)
+    return segment_sum(h, node_graph, len(counts)) / Tensor(counts[:, None])
 
 
 class ProjectionHead:

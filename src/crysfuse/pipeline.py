@@ -303,16 +303,6 @@ def _restore(store, snap: tuple[dict, dict]) -> None:
         store.buffers[n][...] = arr
 
 
-def _predict_inputs(model: MGTModel, inputs: list[ModelInputs],
-                    chunk: int = 32) -> np.ndarray:
-    """Eval-mode normalized-space predictions for featurized inputs, (B,)."""
-    out = []
-    for lo in range(0, len(inputs), chunk):
-        pred = model.forward(inputs[lo:lo + chunk], training=False).prediction
-        out.append(pred.data.ravel().copy())
-    return np.concatenate(out)
-
-
 @dataclass
 class FinetuneResult:
     normalizer: Normalizer
@@ -424,7 +414,7 @@ def finetune(model: MGTModel, train_records: list[Record],
 
             if val_inputs:
                 val_pred = normalizer.denormalize(
-                    _predict_inputs(model, val_inputs))
+                    model.predict_batch(val_inputs)[0])
                 val_mae = float(np.mean(np.abs(val_pred - val_targets)))
                 entry["val_mae"] = val_mae
                 if result.best_val_mae is None or val_mae < result.best_val_mae:
@@ -461,8 +451,8 @@ def finetune(model: MGTModel, train_records: list[Record],
 def predict_records(model: MGTModel, records: list[Record],
                     normalizer: Normalizer | None) -> list[dict]:
     """Eval-mode predictions in original target units, one row per record."""
-    inputs = [model.inputs_for_structure(r.structure) for r in records]
-    raw = _predict_inputs(model, inputs)
+    raw, _ = model.predict_batch(
+        model.inputs_for_structure(r.structure) for r in records)
     pred = raw if normalizer is None else normalizer.denormalize(raw)
     return [{"id": r.id, "prediction": float(p)} for r, p in zip(records, pred)]
 

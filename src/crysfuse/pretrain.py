@@ -132,7 +132,7 @@ def pretrain_step(model: MGTModel, batch: list[tuple[PeriodicGraph, str]],
         sample = inject_noise(graph, cfg.sigma, noise_gen)
         inputs = model.make_inputs(graph, angles=sample.noisy_angles,
                                    so3_distances=sample.noisy_distances)
-        enc = model.encode(inputs, training=True)
+        enc = model.encode([inputs], training=True)
         p_theta = model.predict_angle_noise(enc)
         p_e = model.predict_distance_noise(enc, inputs)
         if not (np.all(np.isfinite(p_theta.data)) and np.all(np.isfinite(p_e.data))

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .nn import MLP2, BatchNorm, Linear, ParamStore, ProjectionHead
+from .nn import MLP2, BatchNorm, Linear, ParamStore, ProjectionHead, mean_pool
 from .tensor import Tensor, concat, segment_sum
 
 
@@ -46,7 +46,10 @@ class SE3EdgeLayer:
         self.bn_msg = BatchNorm(store, name + ".bn_msg", dim)
 
     def __call__(self, e: Tensor, angle_feats: np.ndarray,
-                 lattice_feats: np.ndarray, training: bool) -> Tensor:
+                 lattice_feats: np.ndarray, edge_graph: np.ndarray,
+                 training: bool) -> Tensor:
+        """`lattice_feats` is (B, 3, lattice_dim), one row block per
+        structure of the pack; `edge_graph` maps each edge to its structure."""
         num_edges = e.shape[0]
         scale = 1.0 / math.sqrt(self.dim)
         q = self.f_q(e)
@@ -56,9 +59,10 @@ class SE3EdgeLayer:
         values = []
         for m in range(3):
             ang = self.f_angle(Tensor(angle_feats[:, m, :]))
-            lat = Tensor(lattice_feats[m:m + 1])
-            k_lat = self.f_k_lat[m](lat).broadcast_to((num_edges, self.dim))
-            v_lat = self.f_v_lat[m](lat).broadcast_to((num_edges, self.dim))
+            # lattice key and value: one row per structure, gathered per edge
+            lat = Tensor(lattice_feats[:, m, :])
+            k_lat = self.f_k_lat[m](lat).take(edge_graph)
+            v_lat = self.f_v_lat[m](lat).take(edge_graph)
             k_m = self.phi_k(concat([ke, k_lat, ang], axis=1))
             v_m = self.phi_v(concat([ve, v_lat, ang], axis=1))
             logits.append(q * k_m * scale)
@@ -127,16 +131,21 @@ class SE3Encoder:
 
     def __call__(self, atom_feats: np.ndarray, edge_rbf: np.ndarray,
                  angle_feats: np.ndarray, lattice_feats: np.ndarray,
-                 src: np.ndarray, dst: np.ndarray, training: bool
+                 src: np.ndarray, dst: np.ndarray, node_graph: np.ndarray,
+                 edge_graph: np.ndarray, training: bool
                  ) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (node embeddings (N, d), edge embeddings (E, d), pooled (1, d))."""
+        """Encode a pack of B structures (a disjoint union; `node_graph` and
+        `edge_graph` give each node's and edge's structure).
+
+        Returns (node embeddings (N, d), edge embeddings (E, d), pooled (B, d)).
+        """
         e = self.edge_proj(Tensor(edge_rbf))
         for layer in self.edge_layers:
-            e = layer(e, angle_feats, lattice_feats, training)
+            e = layer(e, angle_feats, lattice_feats, edge_graph, training)
         h = self.node_proj(Tensor(atom_feats))
         for layer in self.node_layers:
             h = layer(h, e, src, dst, training)
-        pooled = self.head(h.mean(axis=0, keepdims=True))
+        pooled = self.head(mean_pool(h, node_graph))
         return h, e, pooled
 
 

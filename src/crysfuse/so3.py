@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import real_coupling
-from .nn import BatchNorm, Linear, ParamStore, ProjectionHead
+from .nn import BatchNorm, Linear, ParamStore, ProjectionHead, mean_pool
 from .se3 import SE3NodeLayer
 from .tensor import Tensor, segment_sum
 
@@ -80,7 +80,7 @@ class SO3Result:
     layer2_scalars: Tensor      # (N, ch)
     readout: Tensor             # (N, ch)
     nodes: Tensor               # (N, width)
-    pooled: Tensor              # (1, width)
+    pooled: Tensor              # (B, width), one row per structure
 
 
 class SO3Encoder:
@@ -111,7 +111,9 @@ class SO3Encoder:
 
     def __call__(self, atom_feats: np.ndarray, edge_rbf: np.ndarray,
                  sh: list[np.ndarray], src: np.ndarray, dst: np.ndarray,
-                 training: bool) -> SO3Result:
+                 node_graph: np.ndarray, training: bool) -> SO3Result:
+        """Encode a pack of structures; `node_graph` gives each node's
+        structure, and `pooled` has one row per structure."""
         num_nodes = atom_feats.shape[0]
         h0 = self.scalar_proj(Tensor(atom_feats))  # (N, ch)
         blocks = {0: h0.reshape(num_nodes, self.channels, 1)}
@@ -124,6 +126,6 @@ class SO3Encoder:
         e = self.edge_proj(Tensor(edge_rbf))
         for layer in self.node_layers:
             nodes = layer(nodes, e, src, dst, training)
-        pooled = self.head(nodes.mean(axis=0, keepdims=True))
+        pooled = self.head(mean_pool(nodes, node_graph))
         return SO3Result(layer1=layer1, layer2_scalars=h2, readout=readout,
                          nodes=nodes, pooled=pooled)

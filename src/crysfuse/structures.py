@@ -53,6 +53,10 @@ class CrystalStructure:
         for z in species:
             if not 1 <= z <= 118:
                 raise StructureError(f"atomic number {z} outside 1..118")
+        if not np.isfinite(lattice).all():
+            raise StructureError("lattice holds non-finite values")
+        if not np.isfinite(frac).all():
+            raise StructureError("frac_coords holds non-finite values")
         det = float(np.linalg.det(lattice))
         if abs(det) < _DET_TOL:
             raise StructureError("singular lattice")

@@ -7,14 +7,19 @@ closures in reverse; gradients accumulate additively into ``.grad`` until
 explicitly cleared, so a sum of several losses backpropagates as one scalar.
 
 Precision is a process-wide switch (`set_default_dtype`): double for the
-verification suite, single for training throughput.
+verification suite, single for training throughput. Inside `no_grad()` no
+tape is recorded: results keep their values but no parents or closures, so
+the intermediates of an inference pass are freed as soon as they are used.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 _DEFAULT_DTYPE = np.float64
+_GRAD_ENABLED = True
 
 
 def set_default_dtype(name: str):
@@ -30,13 +35,24 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
+@contextmanager
+def no_grad():
+    """Record no autodiff tape inside the block; the previous mode is
+    restored on exit, also when the block raises."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """One pass, and never exponentiates a positive number, so it stays
+    finite at any x."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -83,12 +99,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -130,6 +140,8 @@ class Tensor:
     @staticmethod
     def _result(data, parents: tuple["Tensor", ...], backward):
         out = Tensor(data)
+        if not _GRAD_ENABLED:
+            return out
         needing = tuple(p for p in parents if p.requires_grad or p._prev)
         if needing:
             out.requires_grad = True
@@ -243,14 +255,6 @@ class Tensor:
     def T(self):
         return self.transpose()
 
-    def broadcast_to(self, shape):
-        old = self.data.shape
-
-        def back(g):
-            self._add_grad(_unbroadcast(g, old))
-
-        return Tensor._result(np.broadcast_to(self.data, shape).copy(), (self,), back)
-
     def __getitem__(self, idx):
         shape = self.data.shape
         advanced = _is_advanced(idx)
@@ -321,25 +325,14 @@ class Tensor:
 
         return Tensor._result(np.log(self.data), (self,), back)
 
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def back(g):
-            self._add_grad(g * 0.5 / out_data)
-
-        return Tensor._result(out_data, (self,), back)
-
-    def cos(self):
-        def back(g):
-            self._add_grad(-g * np.sin(self.data))
-
-        return Tensor._result(np.cos(self.data), (self,), back)
-
     def softplus(self):
+        # log(1 + e^x) = max(x, 0) + log1p(e^-|x|). Backward recomputes the
+        # sigmoid rather than keep e^-|x| alive until then.
         def back(g):
             self._add_grad(g * _stable_sigmoid(self.data))
 
-        return Tensor._result(np.logaddexp(0.0, self.data), (self,), back)
+        out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
+        return Tensor._result(out_data, (self,), back)
 
     def sigmoid(self):
         out_data = _stable_sigmoid(self.data)
@@ -382,10 +375,3 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
 
     return Tensor._result(out_data, (values,), back)
 
-
-def l2_norm(x: Tensor, axis: int = -1, eps: float = 0.0) -> Tensor:
-    """Euclidean norm along an axis, built from primitive ops."""
-    sq = (x * x).sum(axis=axis, keepdims=True)
-    if eps:
-        sq = sq + eps
-    return sq ** 0.5

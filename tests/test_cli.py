@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from crysfuse.cli import main
+from crysfuse.config import config_from_dict
 from crysfuse.model import MGTModel
-from crysfuse.pipeline import load_checkpoint
+from crysfuse.pipeline import load_checkpoint, save_checkpoint
 from crysfuse.tensor import set_default_dtype
 
 SMALL = {
@@ -148,6 +149,32 @@ class TestTrainingCommands:
         code = main(["predict", "--data", str(workdir / "toy.jsonl")])
         assert code == 2
         assert "missing --from" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Bad structures end in a data error (exit 3), never a traceback."""
+
+    def predict(self, workdir, row):
+        ck = workdir / "ck"
+        save_checkpoint(MGTModel(config_from_dict(SMALL)), str(ck))
+        data = workdir / "bad.jsonl"
+        data.write_text(_row(0, 3.0) + "\n" + json.dumps(row) + "\n")
+        return main(["predict", "--from", str(ck), "--data", str(data)])
+
+    def test_coincident_atoms(self, workdir, capsys):
+        row = {"id": "dup", "species": [11, 17, 11],
+               "frac_coords": [[0, 0, 0], [0.5, 0.5, 0.5], [0, 0, 0]],
+               "lattice": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]}
+        assert self.predict(workdir, row) == 3
+        assert "atoms 0 and 2 coincide" in capsys.readouterr().err
+
+    def test_nan_coordinate(self, workdir, capsys):
+        row = {"id": "nan", "species": [11, 17],
+               "frac_coords": [[0, 0, 0], [0.5, float("nan"), 0.5]],
+               "lattice": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]}
+        assert self.predict(workdir, row) == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "frac_coords holds non-finite" in err
 
 
 class TestCheckCommand:

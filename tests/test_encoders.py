@@ -15,10 +15,11 @@ from crysfuse.checks import (
     check_se3_invariance,
     check_so3_equivariance,
     random_rotation,
+    random_structure,
 )
 from crysfuse.config import RunConfig
 from crysfuse.featurize import rbf_expand, uniform_rbf
-from crysfuse.model import MGTModel
+from crysfuse.model import PREDICT_CHUNK, MGTModel
 from crysfuse.nn import ParamStore
 from crysfuse.rng import stream
 from crysfuse.se3 import lattice_scalars
@@ -72,7 +73,7 @@ class TestShapes:
 
     def test_encode_shapes(self, model):
         inp = model.inputs_for_structure(NACL)
-        enc = model.encode(inp, training=False)
+        enc = model.encode([inp], training=False)
         n, e = 2, len(inp.graph.src)
         assert enc.se3_nodes.shape == (n, 8)
         assert enc.se3_edges.shape == (e, 8)
@@ -98,7 +99,7 @@ class TestShapes:
 
     def test_denoise_head_shapes(self, model):
         inp = model.inputs_for_structure(NACL)
-        enc = model.encode(inp, training=False)
+        enc = model.encode([inp], training=False)
         e = len(inp.graph.src)
         assert model.predict_angle_noise(enc).shape == (e, 3)
         assert model.predict_distance_noise(enc, inp).shape == (e, 1)
@@ -124,6 +125,50 @@ class TestPerStructureNormalization:
         ab = model.forward([a, b], training=True).prediction.data
         ba = model.forward([b, a], training=True).prediction.data
         assert np.array_equal(ab, ba[::-1])
+
+
+class TestPackedInference:
+    """Packed, tape-free prediction against one structure at a time."""
+
+    @pytest.fixture()
+    def inputs(self, model):
+        gen = stream(9, "packed")
+        cells = [
+            CrystalStructure((26,), [[0.2, 0.3, 0.4]], np.eye(3) * 3.0),
+            # thin: 1.2 A between faces, under half the 3.5 A cutoff
+            CrystalStructure((8, 14), [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]],
+                             np.diag([3.2, 3.6, 1.2])),
+        ]
+        cells += [random_structure(gen, 8, 8) for _ in range(6)]
+        cells += [random_structure(gen, 2, 6) for _ in range(32)]
+        assert len(cells) > PREDICT_CHUNK
+        return [model.inputs_for_structure(s) for s in cells]
+
+    def test_matches_one_at_a_time(self, model, inputs):
+        pred, scores = model.predict_batch(inputs)
+        assert pred.shape == (len(inputs),) and scores.shape == (len(inputs), 2)
+        singles = [model.predict_batch([inp]) for inp in inputs]
+        np.testing.assert_allclose(pred, [p[0] for p, _ in singles],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scores, np.vstack([s for _, s in singles]),
+                                   rtol=1e-12, atol=0)
+
+    def test_reversed_records_reverse_outputs(self, model, inputs):
+        pred, scores = model.predict_batch(inputs)
+        rpred, rscores = model.predict_batch(inputs[::-1])
+        np.testing.assert_allclose(rpred, pred[::-1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rscores, scores[::-1], rtol=1e-12, atol=0)
+
+    def test_pack_of_one_equals_taped_forward(self, model, inputs):
+        for inp in inputs[:3]:
+            out = model.forward([inp], training=False)
+            pred, scores = model.predict_batch([inp])
+            assert np.array_equal(pred, out.prediction.data.ravel())
+            assert np.array_equal(scores, out.scores)
+
+    def test_empty_input(self, model):
+        pred, scores = model.predict_batch([])
+        assert pred.shape == (0,) and scores.shape == (0, 2)
 
 
 class TestSymmetrySpotChecks:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crysfuse.graph import GraphError, build_graph
 from crysfuse.structures import (CrystalStructure, GroupAction, StructureError,
                                  apply_group_action, parse_json_structure,
                                  parse_poscar, serialize_poscar,
@@ -54,6 +55,23 @@ class TestCrystalStructure:
     def test_rejects_count_mismatch(self):
         with pytest.raises(StructureError, match="species"):
             CrystalStructure((1, 2), [[0, 0, 0]], CUBIC)
+
+    @pytest.mark.parametrize("field", ["frac_coords", "lattice"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, field, bad):
+        values = {"frac_coords": np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]),
+                  "lattice": CUBIC.copy()}
+        values[field][1, 1] = bad
+        with pytest.raises(StructureError, match=field):
+            CrystalStructure((11, 17), values["frac_coords"], values["lattice"])
+
+    def test_coincident_atoms_name_both_in_a_graph_error(self):
+        # 1.0 wraps onto 0.0, so atoms 0 and 2 share a periodic position
+        s = CrystalStructure((11, 17, 11),
+                             [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 0.0, 0.0]],
+                             CUBIC)
+        with pytest.raises(GraphError, match="atoms 0 and 2 coincide"):
+            build_graph(s, r=3.5)
 
     def test_arrays_are_read_only(self):
         s = CrystalStructure((1,), [[0.1, 0.2, 0.3]], CUBIC)

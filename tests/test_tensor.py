@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from crysfuse.rng import stream
-from crysfuse.tensor import Tensor, concat, l2_norm, segment_sum
+from crysfuse.tensor import (Tensor, _stable_sigmoid, concat, no_grad,
+                             segment_sum)
 
 H = 1e-6
 
@@ -47,8 +48,6 @@ class TestElementwiseGrads:
     @pytest.mark.parametrize("name,build,positive", [
         ("exp", lambda t: t.exp(), False),
         ("log", lambda t: t.log(), True),
-        ("sqrt", lambda t: t.sqrt(), True),
-        ("cos", lambda t: t.cos(), False),
         ("softplus", lambda t: t.softplus(), False),
         ("sigmoid", lambda t: t.sigmoid(), False),
         ("square", lambda t: t * t, False),
@@ -75,6 +74,74 @@ class TestElementwiseGrads:
         t = Tensor(np.array([700.0]))
         assert np.isfinite(t.softplus().data[0])
         assert abs(t.softplus().data[0] - 700.0) < 1e-9
+
+
+class TestKernelsAtExtremes:
+    """One-pass sigmoid and softplus against reference formulas."""
+
+    X = np.array([-800.0, -40.0, -1e-300, 0.0, 1e-300, 40.0, 800.0])
+
+    @staticmethod
+    def masked_sigmoid(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_sigmoid_bitwise_equals_masked_reference(self):
+        out = _stable_sigmoid(self.X)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, self.masked_sigmoid(self.X))
+        t = Tensor(self.X)
+        assert np.array_equal(t.sigmoid().data, out)
+
+    def test_softplus_within_one_ulp_of_logaddexp(self):
+        out = Tensor(self.X).softplus().data
+        ref = np.logaddexp(0.0, self.X)
+        assert np.all(np.isfinite(out))
+        assert np.all(np.abs(out - ref) <= np.spacing(np.abs(ref)))
+
+    def test_softplus_gradient_is_the_sigmoid(self):
+        t = Tensor(self.X.copy(), requires_grad=True)
+        t.softplus().sum().backward()
+        assert np.all(np.isfinite(t.grad))
+        assert np.array_equal(t.grad, self.masked_sigmoid(self.X))
+
+
+class TestNoGrad:
+
+    @staticmethod
+    def build(x, w):
+        return ((x @ w).softplus() * 2.0).sigmoid().sum(axis=1)
+
+    def test_records_no_tape_and_keeps_values(self):
+        gen = stream(11, "no-grad")
+        x = Tensor(gen.normal(size=(5, 4)))
+        w = Tensor(gen.normal(size=(4, 3)), requires_grad=True)
+        taped = self.build(x, w)
+        with no_grad():
+            untaped = self.build(x, w)
+        assert taped._prev and taped.requires_grad
+        assert untaped._prev == () and untaped._backward is None
+        assert not untaped.requires_grad
+        assert np.array_equal(untaped.data, taped.data)
+
+    def test_mode_restored_after_exception(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the block")
+        assert (w * 2.0)._prev == (w,)
+
+    def test_nesting_restores_outer_mode(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert (w * 2.0)._prev == ()
+        assert (w * 2.0)._prev == (w,)
 
 
 class TestBinaryAndBroadcast:
@@ -117,11 +184,6 @@ class TestShapeOps:
 
     def test_reshape_transpose(self):
         check_op(lambda t: (t.reshape(3, 4).T * 2.0), (4, 3), "reshape")
-
-    def test_broadcast_to(self):
-        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        t.broadcast_to((3, 2)).sum().backward()
-        assert np.allclose(t.grad, [3.0, 3.0])
 
     def test_getitem_basic(self):
         t = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
@@ -175,9 +237,6 @@ class TestReductions:
         (out * Tensor(np.array([[1.0], [10.0], [100.0]]))).sum().backward()
         assert np.allclose(vals.grad, [[1, 1], [100, 100], [1, 1], [10, 10]])
 
-    def test_l2_norm(self):
-        check_op(lambda t: l2_norm(t, axis=1), (4, 3), "l2norm")
-
 
 class TestBackwardSemantics:
 
@@ -197,11 +256,6 @@ class TestBackwardSemantics:
         (t * 3.0).sum().backward()
         t.zero_grad()
         assert t.grad is None
-
-    def test_detach_blocks_flow(self):
-        t = Tensor(np.ones(2), requires_grad=True)
-        (t.detach() * t).sum().backward()
-        assert np.allclose(t.grad, [1.0, 1.0])  # only the live branch
 
     def test_diamond_reuse_sums_paths(self):
         t = Tensor(np.array([3.0]), requires_grad=True)
