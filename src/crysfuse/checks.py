@@ -15,10 +15,10 @@ import numpy as np
 
 from .config import RunConfig
 from .model import MGTModel
-from .pretrain import NoisySample, denoising_losses, inject_noise, nt_xent
+from .pretrain import NoisySample, inject_noise, ssl_losses
 from .rng import stream
 from .structures import CrystalStructure, GroupAction, apply_group_action
-from .tensor import Tensor, concat
+from .tensor import Tensor
 
 # Relative-error denominators are floored here: central differences on a
 # loss of order 1-100 carry ~1e-9 roundoff, so derivatives far below this
@@ -204,45 +204,22 @@ def _grad_probe_config(cfg: RunConfig) -> RunConfig:
 def _loss_functions(model: MGTModel, samples: list[NoisySample],
                     targets: np.ndarray) -> dict:
     """The five training objectives as deterministic closures over parameters."""
-    cfg = model.cfg
     clean_inputs = [model.make_inputs(sample.graph) for sample in samples]
     noisy_inputs = [model.make_inputs(sample.graph, angles=sample.noisy_angles,
                                       so3_distances=sample.noisy_distances)
                     for sample in samples]
 
-    def noisy_parts():
-        preds_t, preds_e, e1_rows, e2_rows = [], [], [], []
-        for inp, sample in zip(noisy_inputs, samples):
-            enc = model.encode([inp], training=True)
-            preds_t.append(model.predict_angle_noise(enc))
-            preds_e.append(model.predict_distance_noise(enc, inp))
-            e1_rows.append(enc.e1)
-            e2_rows.append(enc.e2)
-        l_se3, l_so3 = denoising_losses(preds_t, preds_e, samples)
-        l_c = nt_xent(concat(e1_rows, axis=0), concat(e2_rows, axis=0), cfg.tau)
-        return l_se3, l_so3, l_c
-
-    def loss_se3():
-        return noisy_parts()[0]
-
-    def loss_so3():
-        return noisy_parts()[1]
-
-    def loss_contrast():
-        return noisy_parts()[2]
-
-    def loss_total():
-        l_se3, l_so3, l_c = noisy_parts()
-        return (cfg.lambda_contrast * l_c + cfg.lambda_se3 * l_se3
-                + cfg.lambda_so3 * l_so3)
+    def ssl_term(k):
+        return lambda: ssl_losses(model, noisy_inputs, samples,
+                                  range(len(samples)))[k]
 
     def loss_mse():
         pred = model.forward(clean_inputs, training=True).prediction
         diff = pred - Tensor(targets.reshape(-1, 1))
         return (diff * diff).mean()
 
-    return {"denoise_angles": loss_se3, "denoise_distances": loss_so3,
-            "contrastive": loss_contrast, "combined_ssl": loss_total,
+    return {"denoise_angles": ssl_term(2), "denoise_distances": ssl_term(3),
+            "contrastive": ssl_term(1), "combined_ssl": ssl_term(0),
             "mse": loss_mse}
 
 

@@ -20,8 +20,8 @@ from .graph import GraphError
 from .model import MGTModel
 from .moe import report_contributions
 from .pipeline import (evaluate_records, finetune, load_checkpoint, load_jsonl,
-                       predict_records, save_checkpoint, split_dataset,
-                       transfer_encoder_params)
+                       predict_records, record_inputs, save_checkpoint,
+                       split_dataset, transfer_encoder_params)
 from .pretrain import run_pretraining
 from .structures import StructureError
 
@@ -209,8 +209,7 @@ def cmd_inspect_router(args) -> int:
         raise ConfigError(["inspect-router needs head=moe; "
                            f"this model uses head={model.cfg.head!r}"])
     records = load_jsonl(_require(cfg.data, "--data"))
-    _, scores = model.predict_batch(
-        model.inputs_for_structure(r.structure) for r in records)
+    _, scores = model.predict_batch(record_inputs(model, records))
     report = report_contributions(model.cfg.task, scores)
     report["ids"] = [r.id for r in records]
     _write_or_print(json.dumps(report), cfg.out)

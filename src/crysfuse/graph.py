@@ -253,13 +253,3 @@ def build_graph(
         angles=angles,
         ref_vectors=np.tile(refs, (n, 1, 1)),
     )
-
-
-def invariant_view(gp: PeriodicGraph) -> np.ndarray:
-    """Per-edge scalars (distance, three angles), shape (E, 4), edge order."""
-    return np.column_stack([gp.distance, gp.angles])
-
-
-def equivariant_view(gp: PeriodicGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge (distance (E,), displacement vector (E, 3)), edge order."""
-    return gp.distance, gp.vector

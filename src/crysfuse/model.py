@@ -6,31 +6,23 @@ and radial features, and the fusion head over the two pooled embeddings.
 Per-edge denoising heads for the self-supervised objective hang off the
 final edge/node embeddings.
 
-The encoders run on packs. A pack is the disjoint union of some structures'
-graphs: node and edge arrays concatenated, `src`/`dst` offset, lattice
-features stacked per structure, and each node and edge tagged with its
-structure, so every layer runs once per pack and pooling is a per-structure
-mean. `forward` packs its whole list whenever the batch norms use running
-statistics (eval passes, and every pass after `transfer_encoder_params`):
-a batch norm is then a fixed per-row map, so packing changes only how
-BLAS blocks the matmuls, about 1e-12 relative in the predictions.
-Otherwise each structure is a pack of one, which does exactly the
-arithmetic of a forward over that structure alone: each concatenation
-copies one array, the lattice row gathered to every edge equals its
-broadcast, and pooling sums rows in order and then divides, as `mean`
-does. So per-structure statistics keep their bits. `predict_batch` runs
-eval forwards on packs of up to `PREDICT_CHUNK` structures without
-recording a tape.
-
-Batch statistics (batch norm) are computed per structure — each crystal is
-normalized over its own nodes and edges — so evaluation order never leaks
-between structures. That holds for pretraining and for fine-tuning from
-scratch. Encoders transferred from a pretrained model instead keep the
-pretrained running statistics in every pass, training passes included, and
+Every forward runs both encoders once over a pack: the disjoint union of
+its structures' graphs, with node and edge arrays concatenated, `src`/`dst`
+offset, lattice features stacked per structure, and each node and edge
+tagged with its structure. Pooling is a per-structure mean, and in training
+passes every batch norm standardizes each structure over its own nodes or
+edges (segment statistics over the pack's contiguous rows), folding them
+into the running estimates one structure at a time in pack order. So no
+crystal's statistics leak into another's, and the order of a batch changes
+no structure's output. Eval passes use the running statistics instead. So
+does every pass of encoders transferred by `transfer_encoder_params`, and
 fine-tuning never updates them: per-structure standardization subtracts the
 per-structure mean that a pooled, structure-level target needs, so
 fine-tuning then optimizes the same function that eval-mode prediction
-computes.
+computes. Packing changes only how BLAS blocks the matmuls, about 1e-12
+relative against one structure at a time. `predict_batch` runs eval
+forwards on packs of up to `PREDICT_CHUNK` structures without recording a
+tape.
 """
 
 from __future__ import annotations
@@ -89,6 +81,9 @@ class Pack:
 def pack_inputs(inputs: list[ModelInputs]) -> Pack:
     nodes = [len(inp.atom_feats) for inp in inputs]
     edges = [len(inp.graph.src) for inp in inputs]
+    # batch norm and pooling reduce over each structure's contiguous rows,
+    # and np.add.reduceat misreads an empty segment
+    assert min(nodes) > 0 and min(edges) > 0, "structure without nodes or edges"
     offsets = np.cumsum([0] + nodes[:-1])
     ids = np.arange(len(inputs))
     return Pack(
@@ -112,6 +107,10 @@ class EncodedPack:
     se3_edges: Tensor   # (E, d)
     e1: Tensor          # (B, d)
     so3: SO3Result
+    # the pack's edges, which the distance-noise head reads
+    src: np.ndarray     # (E,)
+    dst: np.ndarray     # (E,)
+    so3_edge_rbf: np.ndarray  # (E, K)
 
     @property
     def e2(self) -> Tensor:
@@ -120,7 +119,6 @@ class EncodedPack:
 
 @dataclass
 class ModelOutputs:
-    encoded: list[EncodedPack]
     e1: Tensor            # (B, d)
     e2: Tensor            # (B, d)
     prediction: Tensor    # (B, 1)
@@ -194,30 +192,26 @@ class MGTModel:
     # -- forward -----------------------------------------------------------
 
     def encode(self, inputs: list[ModelInputs], training: bool) -> EncodedPack:
-        """Run both encoders once over the pack of `inputs`."""
+        """Run both encoders once over the pack of `inputs`; training
+        passes standardize each structure with its own batch statistics."""
         training = training and not self.frozen_encoder_stats
         p = pack_inputs(inputs)
         nodes, edges, e1 = self.se3(
             p.atom_feats, p.se3_edge_rbf, p.se3_angle_rbf, p.lattice_feats,
             p.src, p.dst, p.node_graph, p.edge_graph, training)
         so3 = self.so3(p.atom_feats, p.so3_edge_rbf, p.sh, p.src, p.dst,
-                       p.node_graph, training)
-        return EncodedPack(se3_nodes=nodes, se3_edges=edges, e1=e1, so3=so3)
+                       p.node_graph, p.edge_graph, training)
+        return EncodedPack(se3_nodes=nodes, se3_edges=edges, e1=e1, so3=so3,
+                           src=p.src, dst=p.dst, so3_edge_rbf=p.so3_edge_rbf)
 
     def forward(self, inputs: list[ModelInputs], training: bool,
                 router_override: np.ndarray | None = None) -> ModelOutputs:
-        """One pack of all `inputs` when the batch norms use running
-        statistics, else a pack per structure (module docstring)."""
-        if training and not self.frozen_encoder_stats:
-            packs = [[inp] for inp in inputs]
-        else:
-            packs = [inputs]
-        encoded = [self.encode(pack, training) for pack in packs]
-        e1 = concat([enc.e1 for enc in encoded], axis=0)
-        e2 = concat([enc.e2 for enc in encoded], axis=0)
-        prediction, scores = self.fusion(e1, e2, router_override)
-        return ModelOutputs(encoded=encoded, e1=e1, e2=e2,
-                            prediction=prediction, scores=scores)
+        """Encode `inputs` as one pack and fuse the pooled embeddings into
+        one prediction per structure."""
+        enc = self.encode(inputs, training)
+        prediction, scores = self.fusion(enc.e1, enc.e2, router_override)
+        return ModelOutputs(e1=enc.e1, e2=enc.e2, prediction=prediction,
+                            scores=scores)
 
     def predict_batch(self, inputs: Iterable[ModelInputs]
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -250,11 +244,9 @@ class MGTModel:
         """Per-edge 3-channel angle-noise estimate from final edge embeddings."""
         return self.denoise_se3(enc.se3_edges)
 
-    def predict_distance_noise(self, enc: EncodedPack,
-                               inp: ModelInputs) -> Tensor:
+    def predict_distance_noise(self, enc: EncodedPack) -> Tensor:
         """Per-edge distance-noise estimate from endpoint nodes + radial
-        features, for `enc` the pack of the single structure `inp`."""
-        src, dst = inp.graph.src, inp.graph.dst
-        feats = concat([enc.so3.nodes.take(src), enc.so3.nodes.take(dst),
-                        Tensor(inp.so3_edge_rbf)], axis=1)
+        features, over all edges of the pack."""
+        feats = concat([enc.so3.nodes.take(enc.src), enc.so3.nodes.take(enc.dst),
+                        Tensor(enc.so3_edge_rbf)], axis=1)
         return self.denoise_so3(feats)

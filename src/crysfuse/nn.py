@@ -77,11 +77,16 @@ class MLP2:
 
 
 class BatchNorm:
-    """Normalize each feature over the rows of the current batch.
+    """Normalize each feature over the rows of each group.
 
-    Training mode standardizes with the batch's own (biased) statistics and
-    folds them into the running estimates; eval mode is the fixed affine map
-    built from those estimates.
+    `groups` gives each row's group, the structure it belongs to in a pack:
+    ids 0..G-1 in sorted order, each with at least one row, so every group
+    is a contiguous block of rows. Training mode standardizes each group
+    with its own (biased) statistics, so no group sees another's rows, and
+    folds them into the running estimates one group at a time, as G
+    single-group batches in order would. It is one tape node with the
+    closed-form backward of Ioffe & Szegedy (2015). Eval mode is the fixed
+    affine map built from the running estimates and ignores `groups`.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int,
@@ -93,18 +98,32 @@ class BatchNorm:
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, groups: np.ndarray, training: bool) -> Tensor:
         if training:
-            mu = x.mean(axis=0)
-            centered = x - mu
-            var = (centered * centered).mean(axis=0)
-            out = centered / ((var + self.eps) ** 0.5) * self.gamma + self.beta
+            counts = np.bincount(groups)[:, None].astype(x.data.dtype)
+            starts = np.flatnonzero(np.diff(groups, prepend=-1))
+            mu = np.add.reduceat(x.data, starts, axis=0) / counts
+            centered = x.data - mu[groups]
+            var = np.add.reduceat(centered * centered, starts, axis=0) / counts
+            std = np.sqrt(var + self.eps)
+            xhat = centered / std[groups]
             m = self.momentum
-            self.running_mean *= 1.0 - m
-            self.running_mean += m * mu.data
-            self.running_var *= 1.0 - m
-            self.running_var += m * var.data
-            return out
+            for mu_g, var_g in zip(mu, var):
+                self.running_mean[:] = self.running_mean * (1.0 - m) + m * mu_g
+                self.running_var[:] = self.running_var * (1.0 - m) + m * var_g
+
+            def back(g):
+                self.gamma._add_grad((g * xhat).sum(axis=0))
+                self.beta._add_grad(g.sum(axis=0))
+                d = g * self.gamma.data
+                sum_d = np.add.reduceat(d, starts, axis=0)
+                sum_dx = np.add.reduceat(d * xhat, starts, axis=0)
+                scale = (1.0 / (counts * std))[groups]
+                x._add_grad(scale * (counts[groups] * d - sum_d[groups]
+                                     - xhat * sum_dx[groups]))
+
+            return Tensor._result(xhat * self.gamma.data + self.beta.data,
+                                  (x, self.gamma, self.beta), back)
         scale = 1.0 / np.sqrt(self.running_var + self.eps)
         return (x - Tensor(self.running_mean)) * Tensor(scale) * self.gamma + self.beta
 

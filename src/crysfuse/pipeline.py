@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_from_dict
 from .errors import DataError, NumericError
+from .graph import GraphError
 from .model import MGTModel, ModelInputs
 from .optim import AdamW, lr_schedule
 from .rng import stream
@@ -70,6 +72,18 @@ def load_jsonl(path: str) -> list[Record]:
     if not records:
         raise DataError(f"{path}: empty dataset")
     return records
+
+
+def record_inputs(model: MGTModel, records: Iterable[Record]
+                  ) -> Iterator[ModelInputs]:
+    """Featurize records lazily, in order. A structure, graph or data error
+    is raised again with the same type, its message prefixed by the record's
+    id."""
+    for r in records:
+        try:
+            yield model.inputs_for_structure(r.structure)
+        except (StructureError, GraphError, DataError) as exc:
+            raise type(exc)(f"record {r.id}: {exc}") from None
 
 
 def split_dataset(records: list[Record], seed: int, train_ratio: float,
@@ -260,8 +274,9 @@ def transfer_encoder_params(dst: MGTModel, src: MGTModel) -> list[str]:
     a pretrained backbone is reused under a different head. The encoders'
     batch-norm running statistics travel too, and dst is marked to normalize
     with them in every pass (`MGTModel.frozen_encoder_stats`): training
-    passes no longer standardize per structure, and no training step
-    updates them. Returns the copied names.
+    passes no longer standardize each structure of their pack with its own
+    statistics, and no training step updates them. Returns the copied
+    names.
     """
     copied: list[str] = []
     for name, p in src.store.params.items():
@@ -354,8 +369,9 @@ def finetune(model: MGTModel, train_records: list[Record],
     the frozen pretrained statistics, so each one equals the eval-mode pass
     with the same parameters: the train MAE is the eval-mode MAE on the
     train split, each batch measured just before its update. Without a
-    transfer, training passes standardize per structure and update the
-    running statistics.
+    transfer, each training pass encodes its batch as one pack,
+    standardizes each structure with that structure's own statistics, and
+    folds them into the running estimates one structure at a time.
     """
     cfg = model.cfg
     for r in list(train_records) + list(val_records):
@@ -365,8 +381,8 @@ def finetune(model: MGTModel, train_records: list[Record],
         raise DataError("empty train split")
     normalizer = Normalizer.fit([r.target for r in train_records])
 
-    train_inputs = [model.inputs_for_structure(r.structure) for r in train_records]
-    val_inputs = [model.inputs_for_structure(r.structure) for r in val_records]
+    train_inputs = list(record_inputs(model, train_records))
+    val_inputs = list(record_inputs(model, val_records))
     y_train = normalizer.normalize([r.target for r in train_records])
     val_targets = np.array([r.target for r in val_records], dtype=np.float64)
     ids = [r.id for r in train_records]
@@ -451,8 +467,7 @@ def finetune(model: MGTModel, train_records: list[Record],
 def predict_records(model: MGTModel, records: list[Record],
                     normalizer: Normalizer | None) -> list[dict]:
     """Eval-mode predictions in original target units, one row per record."""
-    raw, _ = model.predict_batch(
-        model.inputs_for_structure(r.structure) for r in records)
+    raw, _ = model.predict_batch(record_inputs(model, records))
     pred = raw if normalizer is None else normalizer.denormalize(raw)
     return [{"id": r.id, "prediction": float(p)} for r, p in zip(records, pred)]
 

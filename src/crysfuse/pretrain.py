@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,37 +120,48 @@ class PretrainParts:
     so3: float
 
 
+def ssl_losses(model: MGTModel, inputs: list[ModelInputs],
+               samples: list[NoisySample], ids: Sequence
+               ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """(total, contrastive, angle-denoising, distance-denoising) losses of a
+    batch, from one training-mode encode of its noisy views `inputs`.
+
+    A non-finite head output or embedding raises `NumericError` naming the
+    first structure (by `ids`) it belongs to; per-structure batch statistics
+    keep one structure's non-finite values out of the others' rows.
+    """
+    cfg = model.cfg
+    enc = model.encode(inputs, training=True)
+    p_theta = model.predict_angle_noise(enc)
+    p_e = model.predict_distance_noise(enc)
+    bounds = np.cumsum([0] + [s.graph.num_edges for s in samples])
+    bad_edge = ~(np.isfinite(p_theta.data).all(axis=1)
+                 & np.isfinite(p_e.data).all(axis=1))
+    bad = (np.logical_or.reduceat(bad_edge, bounds[:-1])
+           | ~np.isfinite(enc.e1.data).all(axis=1)
+           | ~np.isfinite(enc.e2.data).all(axis=1))
+    if bad.any():
+        raise NumericError(
+            f"non-finite pretraining loss at structure {ids[int(np.argmax(bad))]}")
+    edges = list(zip(bounds[:-1], bounds[1:]))
+    loss_se3, loss_so3 = denoising_losses([p_theta[a:b] for a, b in edges],
+                                          [p_e[a:b] for a, b in edges], samples)
+    loss_contrast = nt_xent(enc.e1, enc.e2, cfg.tau)
+    total = (cfg.lambda_contrast * loss_contrast
+             + cfg.lambda_se3 * loss_se3 + cfg.lambda_so3 * loss_so3)
+    return total, loss_contrast, loss_se3, loss_so3
+
+
 def pretrain_step(model: MGTModel, batch: list[tuple[PeriodicGraph, str]],
                   opt: AdamW, noise_gen: np.random.Generator) -> PretrainParts:
     """One optimizer step on the combined objective for one batch."""
-    cfg = model.cfg
-    samples: list[NoisySample] = []
-    preds_theta: list[Tensor] = []
-    preds_e: list[Tensor] = []
-    e1_rows: list[Tensor] = []
-    e2_rows: list[Tensor] = []
-    for graph, sid in batch:
-        sample = inject_noise(graph, cfg.sigma, noise_gen)
-        inputs = model.make_inputs(graph, angles=sample.noisy_angles,
-                                   so3_distances=sample.noisy_distances)
-        enc = model.encode([inputs], training=True)
-        p_theta = model.predict_angle_noise(enc)
-        p_e = model.predict_distance_noise(enc, inputs)
-        if not (np.all(np.isfinite(p_theta.data)) and np.all(np.isfinite(p_e.data))
-                and np.all(np.isfinite(enc.e1.data))
-                and np.all(np.isfinite(enc.e2.data))):
-            raise NumericError(f"non-finite pretraining loss at structure {sid}")
-        samples.append(sample)
-        preds_theta.append(p_theta)
-        preds_e.append(p_e)
-        e1_rows.append(enc.e1)
-        e2_rows.append(enc.e2)
-
-    loss_se3, loss_so3 = denoising_losses(preds_theta, preds_e, samples)
-    loss_contrast = nt_xent(concat(e1_rows, axis=0), concat(e2_rows, axis=0),
-                            cfg.tau)
-    total = (cfg.lambda_contrast * loss_contrast
-             + cfg.lambda_se3 * loss_se3 + cfg.lambda_so3 * loss_so3)
+    samples = [inject_noise(graph, model.cfg.sigma, noise_gen)
+               for graph, _ in batch]
+    inputs = [model.make_inputs(s.graph, angles=s.noisy_angles,
+                                so3_distances=s.noisy_distances)
+              for s in samples]
+    total, loss_contrast, loss_se3, loss_so3 = ssl_losses(
+        model, inputs, samples, [sid for _, sid in batch])
     if not np.isfinite(total.data):
         raise NumericError(
             f"non-finite pretraining loss at structure {batch[0][1]}")

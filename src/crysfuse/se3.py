@@ -50,7 +50,6 @@ class SE3EdgeLayer:
                  training: bool) -> Tensor:
         """`lattice_feats` is (B, 3, lattice_dim), one row block per
         structure of the pack; `edge_graph` maps each edge to its structure."""
-        num_edges = e.shape[0]
         scale = 1.0 / math.sqrt(self.dim)
         q = self.f_q(e)
         ke = self.f_k(e)
@@ -67,11 +66,14 @@ class SE3EdgeLayer:
             v_m = self.phi_v(concat([ve, v_lat, ang], axis=1))
             logits.append(q * k_m * scale)
             values.append(v_m)
-        # one batch-norm over all three channels' gating logits
-        alpha = self.bn_attn(concat(logits, axis=0), training).sigmoid()
-        gated = alpha * concat(values, axis=0)
-        msg = gated.reshape(3, num_edges, self.dim).sum(axis=0)
-        return (e + self.bn_msg(msg, training)).softplus()
+        # One batch norm over all three channels' gating logits. Rows are
+        # edge-major (edge i's three channels at 3i..3i+2), so each
+        # structure's rows stay one contiguous group.
+        alpha = self.bn_attn(concat(logits, axis=1).reshape(-1, self.dim),
+                             np.repeat(edge_graph, 3), training).sigmoid()
+        gated = alpha * concat(values, axis=1).reshape(-1, self.dim)
+        msg = gated.reshape(-1, 3, self.dim).sum(axis=1)
+        return (e + self.bn_msg(msg, edge_graph, training)).softplus()
 
 
 class SE3NodeLayer:
@@ -97,6 +99,7 @@ class SE3NodeLayer:
         self.bn_msg = BatchNorm(store, name + ".bn_msg", dim)
 
     def __call__(self, h: Tensor, e: Tensor, src: np.ndarray, dst: np.ndarray,
+                 node_graph: np.ndarray, edge_graph: np.ndarray,
                  training: bool) -> Tensor:
         num_nodes = h.shape[0]
         scale = 1.0 / math.sqrt(self.dim)
@@ -106,9 +109,9 @@ class SE3NodeLayer:
                                self.f_k_nbr(h).take(dst), fe], axis=1))
         v = self.phi_v(concat([self.f_v_ctr(h).take(src),
                                self.f_v_nbr(h).take(dst), fe], axis=1))
-        alpha = self.bn_attn(q * k * scale, training).sigmoid()
+        alpha = self.bn_attn(q * k * scale, edge_graph, training).sigmoid()
         msg = segment_sum(alpha * v, src, num_nodes)
-        return (h + self.bn_msg(msg, training)).softplus()
+        return (h + self.bn_msg(msg, node_graph, training)).softplus()
 
 
 class SE3Encoder:
@@ -144,7 +147,7 @@ class SE3Encoder:
             e = layer(e, angle_feats, lattice_feats, edge_graph, training)
         h = self.node_proj(Tensor(atom_feats))
         for layer in self.node_layers:
-            h = layer(h, e, src, dst, training)
+            h = layer(h, e, src, dst, node_graph, edge_graph, training)
         pooled = self.head(mean_pool(h, node_graph))
         return h, e, pooled
 

@@ -111,9 +111,11 @@ class SO3Encoder:
 
     def __call__(self, atom_feats: np.ndarray, edge_rbf: np.ndarray,
                  sh: list[np.ndarray], src: np.ndarray, dst: np.ndarray,
-                 node_graph: np.ndarray, training: bool) -> SO3Result:
-        """Encode a pack of structures; `node_graph` gives each node's
-        structure, and `pooled` has one row per structure."""
+                 node_graph: np.ndarray, edge_graph: np.ndarray,
+                 training: bool) -> SO3Result:
+        """Encode a pack of structures; `node_graph` and `edge_graph` give
+        each node's and edge's structure, and `pooled` has one row per
+        structure."""
         num_nodes = atom_feats.shape[0]
         h0 = self.scalar_proj(Tensor(atom_feats))  # (N, ch)
         blocks = {0: h0.reshape(num_nodes, self.channels, 1)}
@@ -121,11 +123,12 @@ class SO3Encoder:
         layer2 = self.tp2(layer1, sh, edge_rbf, src, dst, num_nodes)
         h2 = layer2[0].reshape(num_nodes, self.channels)
         readout = self.f_read(
-            self.bn_read(h2, training).softplus()).softplus() + h0
+            self.bn_read(h2, node_graph, training).softplus()).softplus() + h0
         nodes = self.scalar_lift(readout)
         e = self.edge_proj(Tensor(edge_rbf))
         for layer in self.node_layers:
-            nodes = layer(nodes, e, src, dst, training)
+            nodes = layer(nodes, e, src, dst, node_graph, edge_graph,
+                          training)
         pooled = self.head(mean_pool(nodes, node_graph))
         return SO3Result(layer1=layer1, layer2_scalars=h2, readout=readout,
                          nodes=nodes, pooled=pooled)

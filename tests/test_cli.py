@@ -166,7 +166,8 @@ class TestMalformedInputs:
                "frac_coords": [[0, 0, 0], [0.5, 0.5, 0.5], [0, 0, 0]],
                "lattice": [[3, 0, 0], [0, 3, 0], [0, 0, 3]]}
         assert self.predict(workdir, row) == 3
-        assert "atoms 0 and 2 coincide" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "atoms 0 and 2 coincide" in err and "dup" in err
 
     def test_nan_coordinate(self, workdir, capsys):
         row = {"id": "nan", "species": [11, 17],

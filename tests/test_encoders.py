@@ -102,7 +102,7 @@ class TestShapes:
         enc = model.encode([inp], training=False)
         e = len(inp.graph.src)
         assert model.predict_angle_noise(enc).shape == (e, 3)
-        assert model.predict_distance_noise(enc, inp).shape == (e, 1)
+        assert model.predict_distance_noise(enc).shape == (e, 1)
 
     def test_noisy_input_overrides_land_in_right_views(self, model):
         g = model.build_graph(NACL)
@@ -125,6 +125,28 @@ class TestPerStructureNormalization:
         ab = model.forward([a, b], training=True).prediction.data
         ba = model.forward([b, a], training=True).prediction.data
         assert np.array_equal(ab, ba[::-1])
+
+    @pytest.fixture()
+    def mixed(self, model):
+        gen = stream(4, "mixed")
+        cells = [random_structure(gen, 2, 6) for _ in range(4)]
+        cells.insert(1, CrystalStructure((26,), [[0.2, 0.3, 0.4]],
+                                         np.eye(3) * 3.0))
+        return [model.inputs_for_structure(s) for s in cells]
+
+    def test_packed_training_encode_matches_one_at_a_time(self, mixed):
+        packed_model, single_model = MGTModel(TINY), MGTModel(TINY)
+        packed = packed_model.encode(mixed, training=True)
+        singles = [single_model.encode([inp], training=True) for inp in mixed]
+        for get in (lambda enc: enc.e1, lambda enc: enc.e2,
+                    lambda enc: enc.se3_edges, lambda enc: enc.so3.nodes):
+            np.testing.assert_allclose(
+                get(packed).data, np.concatenate([get(s).data for s in singles]),
+                rtol=1e-12, atol=0)
+        # running statistics: one update per structure, in pack order
+        for name, buf in packed_model.store.buffers.items():
+            np.testing.assert_allclose(buf, single_model.store.buffers[name],
+                                       rtol=1e-12, atol=0, err_msg=name)
 
 
 class TestPackedInference:

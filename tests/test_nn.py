@@ -90,7 +90,7 @@ class TestBatchNorm:
         bn, _ = self.make()
         gen = stream(5, "bn-x")
         x = gen.normal(size=(8, 3)) * 4.0 + 2.0
-        out = bn(Tensor(x), training=True).data
+        out = bn(Tensor(x), np.zeros(len(x), int), training=True).data
         mu = x.mean(axis=0)
         var = x.var(axis=0)  # biased (ddof=0)
         assert np.allclose(out, (x - mu) / np.sqrt(var + 1e-5), atol=1e-12)
@@ -98,7 +98,7 @@ class TestBatchNorm:
     def test_running_stats_update(self):
         bn, _ = self.make()
         x = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 6.0]])
-        bn(Tensor(x), training=True)
+        bn(Tensor(x), np.zeros(len(x), int), training=True)
         mu = x.mean(axis=0)
         var = x.var(axis=0)
         assert np.allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * mu)
@@ -109,15 +109,16 @@ class TestBatchNorm:
         bn.running_mean[:] = [1.0, 2.0, 3.0]
         bn.running_var[:] = [4.0, 4.0, 4.0]
         x = np.array([[5.0, 6.0, 7.0]])
-        out = bn(Tensor(x), training=False).data
+        out = bn(Tensor(x), np.zeros(len(x), int), training=False).data
         assert np.allclose(out, (x - [1, 2, 3]) / np.sqrt(4 + 1e-5), atol=1e-12)
 
     def test_eval_is_batch_size_independent(self):
         bn, _ = self.make()
         gen = stream(5, "bn-eval")
         x = gen.normal(size=(6, 3))
-        full = bn(Tensor(x), training=False).data
-        rows = np.vstack([bn(Tensor(x[i:i + 1]), training=False).data
+        full = bn(Tensor(x), np.zeros(len(x), int), training=False).data
+        rows = np.vstack([bn(Tensor(x[i:i + 1]), np.zeros(1, int),
+                             training=False).data
                           for i in range(6)])
         assert np.array_equal(full, rows)
 
@@ -126,9 +127,56 @@ class TestBatchNorm:
         bn.gamma.data[:] = 2.0
         bn.beta.data[:] = 1.0
         x = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
-        out = bn(Tensor(x), training=True).data
+        out = bn(Tensor(x), np.zeros(len(x), int), training=True).data
         base = (x - 1.0) / np.sqrt(1.0 + 1e-5)
         assert np.allclose(out, 2.0 * base + 1.0, atol=1e-12)
+
+    def test_two_groups_use_their_own_statistics(self):
+        bn, _ = self.make()
+        gen = stream(5, "bn-groups")
+        x = np.vstack([gen.normal(size=(3, 3)) * 4.0 + 2.0,
+                       gen.normal(size=(5, 3)) * 0.5 - 1.0])
+        groups = np.array([0, 0, 0, 1, 1, 1, 1, 1])
+        out = bn(Tensor(x), groups, training=True).data
+        running_mean, running_var = np.zeros(3), np.ones(3)
+        for g in (0, 1):
+            xg = x[groups == g]
+            want = (xg - xg.mean(axis=0)) / np.sqrt(xg.var(axis=0) + 1e-5)
+            assert np.allclose(out[groups == g], want, atol=1e-12)
+            # running statistics replay one single-group batch per group
+            running_mean = 0.9 * running_mean + 0.1 * xg.mean(axis=0)
+            running_var = 0.9 * running_var + 0.1 * xg.var(axis=0)
+        assert np.allclose(bn.running_mean, running_mean, rtol=1e-14, atol=0)
+        assert np.allclose(bn.running_var, running_var, rtol=1e-14, atol=0)
+
+    def test_two_group_backward_matches_central_differences(self):
+        bn, _ = self.make()
+        gen = stream(5, "bn-grad")
+        bn.gamma.data[:] = gen.uniform(0.5, 1.5, 3)
+        bn.beta.data[:] = gen.uniform(-0.5, 0.5, 3)
+        x = Tensor(gen.normal(size=(7, 3)) * 2.0, requires_grad=True)
+        w = Tensor(gen.normal(size=(7, 3)))
+        groups = np.array([0, 0, 0, 0, 1, 1, 1])
+
+        def loss():
+            out = bn(x, groups, training=True)
+            return float((out * out * w).sum().data)
+
+        out = bn(x, groups, training=True)
+        (out * out * w).sum().backward()
+        h = 1e-6
+        for t in (x, bn.gamma, bn.beta):
+            flat = t.data.ravel()
+            fd = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss()
+                flat[i] = orig - h
+                down = loss()
+                flat[i] = orig
+                fd[i] = (up - down) / (2 * h)
+            np.testing.assert_allclose(t.grad.ravel(), fd, rtol=1e-6, atol=1e-8)
 
 
 class TestLayerNorm:

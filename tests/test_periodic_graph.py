@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from crysfuse.graph import (GraphError, build_graph, equivariant_view,
-                            invariant_view, perpendicular_widths,
+from crysfuse.graph import (GraphError, build_graph, perpendicular_widths,
                             reference_vectors)
 from crysfuse.structures import CrystalStructure
 
@@ -35,11 +34,6 @@ class TestSimpleCubicOracle:
         half = round(np.pi / 2, 12)
         for row in self.g.angles:
             assert sorted(np.round(row, 12)) == [0.0, half, half]
-
-    def test_views_have_edge_shapes(self):
-        assert invariant_view(self.g).shape == (6, 4)
-        dist, vec = equivariant_view(self.g)
-        assert dist.shape == (6,) and vec.shape == (6, 3)
 
 
 class TestReferenceVectors:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from crysfuse.config import RunConfig
+from crysfuse.errors import NumericError
 from crysfuse.graph import build_graph
 from crysfuse.model import MGTModel
 from crysfuse.optim import AdamW
@@ -257,6 +258,16 @@ class TestPretrainStep:
         moved = [k for k, p in model.store.params.items()
                  if not np.array_equal(before[k], p.data)]
         assert len(moved) > 0
+
+    def test_numeric_error_names_the_offending_structure(self):
+        model = MGTModel(TINY)
+        nacl, al = self.batch(TINY)
+        g = nacl[0]
+        broken = dataclasses.replace(g, angles=np.full_like(g.angles, np.nan))
+        batch = [nacl, (broken, "broken"), al]
+        opt = AdamW(model.store.params, lr=1e-3)
+        with pytest.raises(NumericError, match="at structure broken$"):
+            pretrain_step(model, batch, opt, stream(0, "noise"))
 
 
 class TestRunPretraining:
