@@ -44,7 +44,7 @@ from .nn import MLP2, ParamStore
 from .se3 import SE3Encoder, lattice_scalars
 from .so3 import SO3Encoder, SO3Result
 from .structures import CrystalStructure
-from .tensor import Tensor, concat, no_grad, set_default_dtype
+from .tensor import Tensor, no_grad, set_default_dtype
 
 PREDICT_CHUNK = 32  # structures per packed inference forward
 
@@ -247,6 +247,6 @@ class MGTModel:
     def predict_distance_noise(self, enc: EncodedPack) -> Tensor:
         """Per-edge distance-noise estimate from endpoint nodes + radial
         features, over all edges of the pack."""
-        feats = concat([enc.so3.nodes.take(enc.src), enc.so3.nodes.take(enc.dst),
-                        Tensor(enc.so3_edge_rbf)], axis=1)
-        return self.denoise_so3(feats)
+        return self.denoise_so3([enc.so3.nodes.take(enc.src),
+                                 enc.so3.nodes.take(enc.dst),
+                                 Tensor(enc.so3_edge_rbf)])

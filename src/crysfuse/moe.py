@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .nn import MLP2, Linear, ParamStore
-from .tensor import Tensor, concat
+from .tensor import Tensor
 
 
 def _softmax_pair(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
@@ -80,7 +80,8 @@ class MoEHead:
 
 
 class ConcatHead:
-    """Fusion-off baseline: concatenate both embeddings, two dense layers."""
+    """Fusion-off baseline: two dense layers over both embeddings side by
+    side (the first takes them as two blocks, never concatenated)."""
 
     def __init__(self, store: ParamStore, name: str, dim: int):
         self.lin1 = Linear(store, name + ".lin1", 2 * dim, dim)
@@ -89,7 +90,7 @@ class ConcatHead:
     def __call__(self, e1: Tensor, e2: Tensor,
                  router_override: np.ndarray | None = None
                  ) -> tuple[Tensor, np.ndarray]:
-        pred = self.lin2(self.lin1(concat([e1, e2], axis=1)).softplus())
+        pred = self.lin2(self.lin1([e1, e2]).softplus())
         scores = np.full((e1.shape[0], 2), np.nan)
         return pred, scores
 

@@ -48,7 +48,12 @@ class ParamStore:
 
 
 class Linear:
-    """x @ W + b with fan-in scaled uniform init."""
+    """x @ W + b with fan-in scaled uniform init, as one tape node.
+
+    `x` may be a list of row-aligned blocks [x_1, ..., x_n] whose widths sum
+    to fan_in. The result is then Σ x_i @ W[rows_i] + b, the map of their
+    column concatenation, without building the concatenation.
+    """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, fan_out: int,
                  bias: bool = True):
@@ -57,22 +62,44 @@ class Linear:
         self.bias = (store.uniform_param(name + ".bias", (fan_out,), bound)
                      if bias else None)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
+    def __call__(self, x: Tensor | list[Tensor]) -> Tensor:
+        blocks = x if isinstance(x, list) else [x]
+        w = self.weight.data
+        bounds = np.cumsum([0] + [b.data.shape[1] for b in blocks])
+        if bounds[-1] != w.shape[0]:
+            raise ValueError(f"input width {bounds[-1]} != fan_in {w.shape[0]}")
+        rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        out = blocks[0].data @ w[rows[0]]
+        for b, r in zip(blocks[1:], rows[1:]):
+            out += b.data @ w[r]
         if self.bias is not None:
-            out = out + self.bias
-        return out
+            out += self.bias.data
+
+        def back(g):
+            gw = np.empty_like(w)
+            for b, r in zip(blocks, rows):
+                np.matmul(b.data.T, g, out=gw[r])
+                if b.requires_grad or b._prev:  # skip constant inputs
+                    b.accumulate_grad(g @ w[r].T)
+            self.weight._add_grad(gw)
+            if self.bias is not None:
+                self.bias._add_grad(g.sum(axis=0))
+
+        parents = tuple(blocks) + ((self.weight,) if self.bias is None
+                                   else (self.weight, self.bias))
+        return Tensor._result(out, parents, back)
 
 
 class MLP2:
-    """Two linear layers with a softplus between them."""
+    """Two linear layers with a softplus between them; `x` may be a list of
+    blocks, as for `Linear`."""
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, hidden: int,
                  fan_out: int):
         self.lin1 = Linear(store, name + ".lin1", fan_in, hidden)
         self.lin2 = Linear(store, name + ".lin2", hidden, fan_out)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor | list[Tensor]) -> Tensor:
         return self.lin2(self.lin1(x).softplus())
 
 
@@ -147,9 +174,7 @@ def mean_pool(h: Tensor, node_graph: np.ndarray) -> Tensor:
     """Mean of each structure's node rows, (N, d) -> (B, d).
 
     `node_graph` holds each row's structure index; every structure has at
-    least one row. Summing in row order and then dividing (not multiplying
-    by a reciprocal) gives, for a single structure, the same bits as
-    ``h.mean(axis=0, keepdims=True)``.
+    least one row.
     """
     counts = np.bincount(node_graph)
     return segment_sum(h, node_graph, len(counts)) / Tensor(counts[:, None])

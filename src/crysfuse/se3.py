@@ -62,8 +62,8 @@ class SE3EdgeLayer:
             lat = Tensor(lattice_feats[:, m, :])
             k_lat = self.f_k_lat[m](lat).take(edge_graph)
             v_lat = self.f_v_lat[m](lat).take(edge_graph)
-            k_m = self.phi_k(concat([ke, k_lat, ang], axis=1))
-            v_m = self.phi_v(concat([ve, v_lat, ang], axis=1))
+            k_m = self.phi_k([ke, k_lat, ang])
+            v_m = self.phi_v([ve, v_lat, ang])
             logits.append(q * k_m * scale)
             values.append(v_m)
         # One batch norm over all three channels' gating logits. Rows are
@@ -105,10 +105,8 @@ class SE3NodeLayer:
         scale = 1.0 / math.sqrt(self.dim)
         q = self.f_q(h).take(src)
         fe = self.f_e(e)
-        k = self.phi_k(concat([self.f_k_ctr(h).take(src),
-                               self.f_k_nbr(h).take(dst), fe], axis=1))
-        v = self.phi_v(concat([self.f_v_ctr(h).take(src),
-                               self.f_v_nbr(h).take(dst), fe], axis=1))
+        k = self.phi_k([self.f_k_ctr(h).take(src), self.f_k_nbr(h).take(dst), fe])
+        v = self.phi_v([self.f_v_ctr(h).take(src), self.f_v_nbr(h).take(dst), fe])
         alpha = self.bn_attn(q * k * scale, edge_graph, training).sigmoid()
         msg = segment_sum(alpha * v, src, num_nodes)
         return (h + self.bn_msg(msg, node_graph, training)).softplus()

@@ -3,8 +3,12 @@
 Small numpy-backed engine in the classic tape style: every operation returns
 a new Tensor whose ``_backward`` closure scatters the output gradient into its
 inputs. ``backward()`` on a scalar topologically sorts the graph and runs the
-closures in reverse; gradients accumulate additively into ``.grad`` until
-explicitly cleared, so a sum of several losses backpropagates as one scalar.
+closures in reverse; gradients accumulate additively into the leaves' ``.grad``
+until explicitly cleared, so a sum of several losses backpropagates as one
+scalar. Backward consumes the graph and frees it as it goes: once a node's
+closure has run, the node drops its gradient, closure and parents, so each
+intermediate is freed as soon as its last consumer has back-propagated. A
+second ``backward()`` through a consumed graph raises ``RuntimeError``.
 
 Precision is a process-wide switch (`set_default_dtype`): double for the
 verification suite, single for training throughput. Inside `no_grad()` no
@@ -68,6 +72,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _segment_rows(values: np.ndarray, ids: np.ndarray,
+                  num_segments: int) -> np.ndarray:
+    """Sum the rows of `values` into `num_segments` buckets by `ids`.
+
+    A stable argsort makes each bucket's rows contiguous, in their original
+    order, and `np.add.reduceat` sums each run; buckets no id names stay zero.
+    numpy adds a run's first row to the pairwise sum of the others, so the
+    last bits can differ from `np.add.at`'s running sum.
+    """
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    out[ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
+def _consumed(g):
+    raise RuntimeError("backward through a graph that backward already consumed")
+
+
 def _is_advanced(idx) -> bool:
     items = idx if isinstance(idx, tuple) else (idx,)
     return any(isinstance(it, (list, np.ndarray)) for it in items)
@@ -100,9 +125,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        """Add `g` to this tensor's gradient.
+
+        The first contribution is kept as it is, a view or a broadcast
+        included, and later ones make a new sum: no gradient is ever written
+        in place, so gradients may share memory with each other.
+        """
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -127,13 +156,17 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.accumulate_grad(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-        # interior nodes are finished with their grads; keep only leaves
-        for node in topo:
-            if node._backward is not None:
-                node.grad = None
+        # Pop so that topo holds no finished node. Each interior node drops
+        # its gradient, closure and parents as its closure runs, so what only
+        # that closure held is freed when it returns. Leaves keep their
+        # gradients.
+        while topo:
+            node = topo.pop()
+            back, grad = node._backward, node.grad
+            if back is None:
+                continue
+            node.grad, node._backward, node._prev = None, _consumed, ()
+            back(grad)
 
     # -- construction of op results -------------------------------------
 
@@ -272,12 +305,10 @@ class Tensor:
     def take(self, indices: np.ndarray):
         """Gather rows along axis 0 (embedding/neighbor lookup)."""
         indices = np.asarray(indices)
-        shape = self.data.shape
+        num_rows = self.data.shape[0]
 
         def back(g):
-            buf = np.zeros(shape, dtype=g.dtype)
-            np.add.at(buf, indices, g)
-            self._add_grad(buf)
+            self._add_grad(_segment_rows(g, indices, num_rows))
 
         return Tensor._result(self.data[indices], (self,), back)
 
@@ -287,11 +318,8 @@ class Tensor:
         shape = self.data.shape
 
         def back(g):
-            if axis is None:
-                self._add_grad(np.broadcast_to(g, shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._add_grad(np.broadcast_to(gg, shape).copy())
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            self._add_grad(np.broadcast_to(gg, shape))
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
@@ -301,11 +329,8 @@ class Tensor:
             [shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
 
         def back(g):
-            if axis is None:
-                self._add_grad(np.broadcast_to(g / count, shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._add_grad(np.broadcast_to(gg / count, shape).copy())
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            self._add_grad(np.broadcast_to(gg / count, shape))
 
         return Tensor._result(self.data.mean(axis=axis, keepdims=keepdims), (self,), back)
 
@@ -367,11 +392,10 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     if len(segment_ids) != values.data.shape[0]:
         raise ValueError(
             f"segment_ids length {len(segment_ids)} != leading dim {values.data.shape[0]}")
-    out_data = np.zeros((num_segments,) + values.data.shape[1:], dtype=values.data.dtype)
-    np.add.at(out_data, segment_ids, values.data)
 
     def back(g):
         values._add_grad(g[segment_ids])
 
-    return Tensor._result(out_data, (values,), back)
+    return Tensor._result(_segment_rows(values.data, segment_ids, num_segments),
+                          (values,), back)
 

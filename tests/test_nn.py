@@ -67,6 +67,70 @@ class TestLinear:
         assert lin.bias is None
         assert "l.bias" not in store.params
 
+    @staticmethod
+    def blocks(gen):
+        return [gen.normal(size=(6, w)) for w in (3, 1, 4)]
+
+    def test_blocks_match_the_concatenated_input(self):
+        lin = Linear(ParamStore(3), "l", 8, 5)
+        parts = self.blocks(stream(3, "blocks"))
+        whole = Tensor(np.concatenate(parts, axis=1), requires_grad=True)
+        split = [Tensor(p, requires_grad=True) for p in parts]
+        w = Tensor(stream(3, "w").normal(size=(6, 5)))
+        (lin(whole) * w).sum().backward()
+        ref_w, ref_b = lin.weight.grad, lin.bias.grad
+        lin.weight.grad = lin.bias.grad = None
+        out = lin(split)
+        (out * w).sum().backward()
+        pairs = [(out.data, lin(whole).data),
+                 (np.concatenate([t.grad for t in split], axis=1), whole.grad),
+                 (lin.weight.grad, ref_w), (lin.bias.grad, ref_b)]
+        for got, expect in pairs:  # relative to the largest entry
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_block_gradients_match_central_differences(self):
+        lin = Linear(ParamStore(4), "l", 8, 5)
+        split = [Tensor(p, requires_grad=True)
+                 for p in self.blocks(stream(4, "blocks"))]
+        w = Tensor(stream(4, "w").normal(size=(6, 5)))
+
+        def loss():
+            out = lin(split)
+            return (out * out * w).sum()
+
+        loss().backward()
+        h = 1e-6
+        for t in split + [lin.weight, lin.bias]:
+            flat = t.data.ravel()
+            fd = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = float(loss().data)
+                flat[i] = orig - h
+                down = float(loss().data)
+                flat[i] = orig
+                fd[i] = (up - down) / (2 * h)
+            np.testing.assert_allclose(t.grad.ravel(), fd, rtol=1e-6, atol=1e-8)
+
+    def test_one_block_list_is_the_plain_call(self):
+        lin = Linear(ParamStore(5), "l", 4, 3)
+        x = stream(5, "x").normal(size=(7, 4))
+        grads = []
+        for arg in (lambda t: t, lambda t: [t]):
+            t = Tensor(x, requires_grad=True)
+            out = lin(arg(t))
+            (out * out).sum().backward()
+            grads.append((out.data, t.grad, lin.weight.grad, lin.bias.grad))
+            lin.weight.grad = lin.bias.grad = None
+        for plain, listed in zip(*grads):
+            assert np.array_equal(plain, listed)
+
+    def test_block_widths_must_sum_to_fan_in(self):
+        lin = Linear(ParamStore(3), "l", 8, 5)
+        with pytest.raises(ValueError, match="fan_in"):
+            lin([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))])
+
 
 class TestMLP2:
 
@@ -78,6 +142,8 @@ class TestMLP2:
         h = np.logaddexp(0.0, h)
         expect = h @ mlp.lin2.weight.data + mlp.lin2.bias.data
         assert np.allclose(mlp(Tensor(x)).data, expect)
+        split = mlp([Tensor(x[:, :1]), Tensor(x[:, 1:])]).data
+        assert np.max(np.abs(split - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestBatchNorm:

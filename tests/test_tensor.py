@@ -1,6 +1,8 @@
 """Autodiff substrate checks: every op's analytic gradient is audited
 against central finite differences on random inputs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,42 @@ class TestBackwardSemantics:
         y.sum().backward()
         assert np.allclose(t.grad, [8.0])
 
+    @staticmethod
+    def graph_nodes(root):
+        nodes, stack, seen = [], [root], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._prev)
+        return nodes
+
+    def test_backward_frees_the_tape(self):
+        gen = stream(11, "free")
+        w = Tensor(gen.normal(size=(4, 3)), requires_grad=True)
+        h = (Tensor(gen.normal(size=(5, 4))) @ w).softplus()
+        loss = (h * h + h).sum()
+        interior = [n for n in self.graph_nodes(loss) if n._prev]
+        assert len(interior) >= 5
+        loss.backward()
+        for node in interior:
+            assert node.grad is None and node._prev == ()
+            # the closure, and the activations it held, are gone
+            assert node._backward.__closure__ is None
+        assert w.grad is not None
+
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        mid = w * 3.0
+        loss = mid.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            (mid * 2.0).sum().backward()
+        assert np.array_equal(w.grad, [3.0, 3.0])
+
     def test_deep_chain_no_recursion_limit(self):
         t = Tensor(np.ones(1), requires_grad=True)
         out = t
@@ -270,6 +308,68 @@ class TestBackwardSemantics:
             out = out + 1.0
         out.sum().backward()
         assert t.grad[0] == 1.0
+
+
+class TestTapeMemory:
+
+    def test_backward_peak_stays_near_the_forward_footprint(self):
+        """Backward frees activations as it goes, so its peak stays near
+        what the forward left alive; keeping every interior gradient and
+        closure to the end would double it."""
+        tracemalloc.start()
+        try:
+            x = Tensor(stream(11, "chain").normal(size=(1000, 64)),
+                       requires_grad=True)
+            out = x
+            for i in range(200):
+                out = out.softplus() if i % 2 else out * 0.5
+            loss = out.sum()
+            del out
+            after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert after_forward > 200 * x.data.nbytes
+        assert peak < 1.25 * after_forward
+
+
+class TestSortedScatter:
+    """`take` gradients and `segment_sum` sums against `np.add.at`: ids
+    unsorted and repeated, segments 4 and 8 empty, values as rows and as
+    SO(3) blocks (E, ch, 2l+1)."""
+
+    NUM = 9
+
+    @staticmethod
+    def case(tail):
+        gen = stream(11, f"scatter-{tail}")
+        ids = gen.choice([0, 1, 2, 3, 5, 6, 7], size=200)
+        return ids, gen.normal(size=(len(ids),) + tail)
+
+    def expected(self, ids, values):
+        out = np.zeros((self.NUM,) + values.shape[1:])
+        np.add.at(out, ids, values)
+        return out
+
+    @staticmethod
+    def assert_close(got, expect):
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert not got[[4, 8]].any()
+
+    @pytest.mark.parametrize("tail", [(6,), (4, 5)])
+    def test_segment_sum_matches_add_at(self, tail):
+        ids, values = self.case(tail)
+        out = segment_sum(Tensor(values), ids, self.NUM)
+        self.assert_close(out.data, self.expected(ids, values))
+
+    @pytest.mark.parametrize("tail", [(6,), (4, 5)])
+    def test_take_gradient_matches_add_at(self, tail):
+        ids, weights = self.case(tail)
+        t = Tensor(np.ones((self.NUM,) + tail), requires_grad=True)
+        (t.take(ids) * Tensor(weights)).sum().backward()
+        self.assert_close(t.grad, self.expected(ids, weights))
 
 
 class TestSmallMlpOracle:
