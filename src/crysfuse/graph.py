@@ -1,11 +1,25 @@
 """Periodic neighbor graph with scalar (distance/angle) and vector edge views.
 
-For every atom the builder enumerates periodic images of all atoms out to a
+For every atom the builder finds the periodic images of all atoms out to a
 cutoff radius and emits directed edges with the integer image offset, the
 cartesian displacement, its length, and the angles against three per-node
 reference vectors (the shortest independent self-image translations of the
 lattice). Scalars feed the invariant encoder; displacement vectors feed the
 equivariant one.
+
+The neighbor search prunes per atom pair before it computes a displacement.
+With fractional coordinates wrapped into [0, 1) and ``df = frac_j - frac_i``,
+the image k of j is at ``v = (df + k) @ lattice``, and the projection of v on
+the unit normal of the faces opposite lattice vector m has length
+``|df_m + k_m| * w_m``, where w are the perpendicular widths. Since
+``|v| >= |df_m + k_m| * w_m`` on every axis, an image within r needs k_m in
+``[ceil(-r/w_m - df_m), floor(r/w_m - df_m)]``. The scan widens these ranges
+by a relative 1e-9, so rounding never drops an edge, clips them to the box
+of ``_scan_bounds``, and computes distances for the surviving (i, j, k) only.
+Survivors are computed from the same offsets and with the same formula as a
+scan of the whole box would use, so the edge set and every bit of every
+edge array equal the unpruned scan's. Sources are taken `_BLOCK` at a time,
+so the scan's temporaries stay O(_BLOCK * N), never O(N^2).
 """
 
 from __future__ import annotations
@@ -22,6 +36,10 @@ DEFAULT_MAX_NEIGHBORS = 25
 DEFAULT_IMAGE_BUDGET = 200_000
 
 _INDEP_TOL = 1e-10
+# relative widening of the per-pair image ranges, far above float rounding
+_SLACK = 1e-9
+# source nodes per scan block
+_BLOCK = 64
 
 
 class GraphError(ValueError):
@@ -109,26 +127,50 @@ def _scan_bounds(r: float, widths: np.ndarray) -> np.ndarray:
     return np.array([math.ceil(r / w) + 1 for w in widths], dtype=np.int64)
 
 
-def _node_candidates(cart, offsets, images, i, r):
-    """Edges from node i: (dst, image, vector, distance) within radius r.
+def _expand(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate ``lo + t`` for t in [0, count) per row: (row index, value)."""
+    row = np.repeat(np.arange(len(count)), count)
+    run_start = np.cumsum(count) - count
+    return row, lo[row] + (np.arange(len(row)) - run_start[row])
 
-    The displacement is (cart_j - cart_i) + offset so that the +k and -k
-    images of a self edge are exact negations — their distances tie bitwise,
-    which keeps the sort and the neighbor cap deterministic under rigid
-    motions of the cell.
+
+def _node_candidates(rows, frac, cart, images, offsets, reach, r, max_neighbors):
+    """Nearest edges (src, dst, image, vector, distance) of the source nodes
+    `rows` (ascending) within radius r, at most `max_neighbors` per source,
+    in the graph's edge order.
+
+    `images` is the box ``_image_grid(bounds)`` and `offsets` its cartesian
+    translations; `reach` is r / widths, widened. Only the (i, j, k) inside
+    each pair's image ranges get a displacement. The displacement is
+    (cart_j - cart_i) + offset, so the +k and -k images of a self edge are
+    exact negations — their distances tie bitwise, which keeps the sort and
+    the neighbor cap deterministic under rigid motions of the cell.
     """
-    disp = (cart - cart[i])[None, :, :] + offsets[:, None, :]  # (M, N, 3)
-    dist = np.linalg.norm(disp, axis=2)
-    mask = dist <= r
-    zero = np.flatnonzero(np.all(images == 0, axis=1))[0]
-    mask[zero, i] = False  # no zero-offset self edge
-    m_idx, j_idx = np.nonzero(mask)
-    return j_idx, images[m_idx], disp[m_idx, j_idx], dist[m_idx, j_idx]
-
-
-def _edge_order(dst, image, dist):
-    """Sort key (distance, dst, k1, k2, k3) ascending."""
-    return np.lexsort((image[:, 2], image[:, 1], image[:, 0], dst, dist))
+    n = len(frac)
+    bounds = images[-1]
+    df = frac[None, :, :] - frac[rows, None, :]  # (B, N, 3)
+    lo = np.maximum(np.ceil(-reach - df), -bounds).astype(np.int64).reshape(-1, 3)
+    hi = np.minimum(np.floor(reach - df), bounds).astype(np.int64).reshape(-1, 3)
+    pair = np.flatnonzero(np.all(hi >= lo, axis=1))
+    src, dst, lo, count = rows[pair // n], pair % n, lo[pair], (hi - lo + 1)[pair]
+    # expand the ranges axis by axis: p is the pair, cell the row of the box
+    p = np.arange(len(pair))
+    cell = np.zeros(len(pair), dtype=np.int64)
+    for m in range(3):
+        row, k = _expand(lo[p, m], count[p, m])
+        p = p[row]
+        cell = cell[row] * (2 * bounds[m] + 1) + (k + bounds[m])
+    vec = (cart[dst] - cart[src])[p] + offsets[cell]
+    dist = np.linalg.norm(vec, axis=-1)
+    # the zero offset is the box's centre row; no zero-offset self edge
+    keep = np.flatnonzero((dist <= r) & ((cell != len(images) // 2) | (src != dst)[p]))
+    # candidates come in (src, dst, k1, k2, k3) order and box rows ascend in
+    # (k1, k2, k3), so a stable sort on (src, distance) gives the edge order
+    order = keep[np.lexsort((dist[keep], src[p[keep]]))]
+    source = src[p[order]]
+    order = order[np.arange(len(order)) - np.searchsorted(source, source) < max_neighbors]
+    return (src[p[order]], dst[p[order]], images[cell[order]], vec[order],
+            dist[order])
 
 
 def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUDGET) -> tuple[np.ndarray, np.ndarray]:
@@ -136,9 +178,11 @@ def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUD
 
     Candidates are ranked by length; among equal lengths the offset with the
     largest (k1, k2, k3) wins, so a cubic cell yields the positive unit axes.
-    Returns (vectors (3, 3) rows, integer offsets (3, 3) rows). The search box
-    grows until it provably contains every translation at most as long as the
-    current third pick.
+    The first candidate is the first pick, the first one not collinear with
+    it the second, and the first one after that off their plane the third.
+    Returns (vectors (3, 3) rows, integer offsets (3, 3) rows). The search
+    box grows until it provably contains every translation at most as long
+    as the current third pick.
     """
     widths = perpendicular_widths(lattice)
     bounds = np.array([1, 1, 1], dtype=np.int64)
@@ -150,22 +194,18 @@ def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUD
         lengths = np.linalg.norm(vecs, axis=1)
         order = np.lexsort((-ks[:, 2], -ks[:, 1], -ks[:, 0], lengths))
 
-        picked: list[int] = []
-        for idx in order:
-            if not picked:
-                picked.append(idx)
-            elif len(picked) == 1:
-                area = np.linalg.norm(np.cross(vecs[picked[0]], vecs[idx]))
-                if area > _INDEP_TOL:
-                    picked.append(idx)
-            else:
-                det = np.linalg.det(np.vstack([vecs[picked[0]], vecs[picked[1]], vecs[idx]]))
-                if abs(det) > _INDEP_TOL:
-                    picked.append(idx)
-                    break
-        if len(picked) < 3:
+        v = vecs[order]
+        area = np.linalg.norm(np.cross(v[0], v[1:]), axis=1)
+        seconds = 1 + np.flatnonzero(area > _INDEP_TOL)
+        if len(seconds):
+            b = seconds[0]
+            frames = np.empty((len(v) - b - 1, 3, 3))
+            frames[:, 0], frames[:, 1], frames[:, 2] = v[0], v[b], v[b + 1:]
+            thirds = b + 1 + np.flatnonzero(np.abs(np.linalg.det(frames)) > _INDEP_TOL)
+        if not len(seconds) or not len(thirds):
             bounds = bounds + 1
             continue
+        picked = order[[0, seconds[0], thirds[0]]]
 
         # box must cover every translation no longer than the third pick
         needed = np.array(
@@ -187,7 +227,13 @@ def build_graph(
     except the zero-offset self pair. Nodes over `max_neighbors` keep only
     their nearest edges under the deterministic (distance, dst, image) order;
     nodes with no neighbor inside r get their own radius grown by 1.5x until
-    one appears. Two atoms at the same periodic position raise `GraphError`.
+    one appears. Two atoms at the same periodic position raise `GraphError`,
+    and so does a scan box of more than `image_budget` images.
+
+    The search computes a displacement only for the images that a pair's
+    per-axis ranges allow (see the module docstring), `_BLOCK` sources at a
+    time, and gives bitwise the edges of a scan over the whole
+    ``_scan_bounds`` box.
     """
     if r <= 0:
         raise ValueError(f"cutoff radius must be positive, got {r}")
@@ -195,39 +241,35 @@ def build_graph(
         raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
 
     n = len(s)
+    frac = s.frac_coords
     cart = s.cart_coords()
     widths = perpendicular_widths(s.lattice)
-    bounds = _scan_bounds(r, widths)
-    _check_budget(bounds, image_budget)
-    images = _image_grid(bounds)
-    offsets = images @ s.lattice
 
-    srcs, dsts, imgs, vecs, dists = [], [], [], [], []
-    for i in range(n):
-        j_idx, img, vec, dist = _node_candidates(cart, offsets, images, i, r)
-        if len(j_idx) == 0:
-            # isolated at this radius: grow the radius for this node only
-            r_i = r
-            while len(j_idx) == 0:
-                r_i *= 1.5
-                b_i = _scan_bounds(r_i, widths)
-                _check_budget(b_i, image_budget)
-                images_i = _image_grid(b_i)
-                offsets_i = images_i @ s.lattice
-                j_idx, img, vec, dist = _node_candidates(
-                    cart, offsets_i, images_i, i, r_i)
-        order = _edge_order(j_idx, img, dist)[:max_neighbors]
-        srcs.append(np.full(len(order), i, dtype=np.int64))
-        dsts.append(j_idx[order].astype(np.int64))
-        imgs.append(img[order].astype(np.int64))
-        vecs.append(vec[order])
-        dists.append(dist[order])
+    def scan(rows, radius):
+        bounds = _scan_bounds(radius, widths)
+        _check_budget(bounds, image_budget)
+        images = _image_grid(bounds)
+        offsets = images @ s.lattice
+        reach = radius / widths * (1 + _SLACK)
+        blocks = [_node_candidates(rows[b:b + _BLOCK], frac, cart, images, offsets,
+                                   reach, radius, max_neighbors)
+                  for b in range(0, len(rows), _BLOCK)]
+        return [np.concatenate(arrays) for arrays in zip(*blocks)]
 
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    image = np.vstack(imgs)
-    vector = np.vstack(vecs)
-    distance = np.concatenate(dists)
+    parts = [scan(np.arange(n), r)]
+    # isolated at this radius: grow the radius for those nodes only
+    pending = np.flatnonzero(np.bincount(parts[0][0], minlength=n) == 0)
+    r_i = r
+    while len(pending):
+        r_i *= 1.5
+        parts.append(scan(pending, r_i))
+        pending = pending[np.bincount(parts[-1][0], minlength=n)[pending] == 0]
+    src, dst, image, vector, distance = (np.concatenate(a) for a in zip(*parts))
+    if len(parts) > 1:
+        order = np.argsort(src, kind="stable")
+        src, dst, image, vector, distance = (
+            src[order], dst[order], image[order], vector[order], distance[order])
+
     coincident = np.flatnonzero(distance == 0)
     if len(coincident):
         e = coincident[0]

@@ -173,16 +173,19 @@ class MGTModel:
         """Featurize one graph; pass perturbed angles/distances to build the
         noisy views used in pretraining (directions are never perturbed)."""
         angles = graph.angles if angles is None else angles
-        so3_dist = graph.distance if so3_distances is None else so3_distances
+        se3_rbf = embed_edges(graph.distance, self.dist_spec)
+        # nothing writes into input features, so clean views share one array
+        so3_rbf = (se3_rbf if so3_distances is None
+                   else embed_edges(so3_distances, self.dist_spec))
         return ModelInputs(
             graph=graph,
             atom_feats=embed_atoms(graph.structure.species, self.atom_table),
-            se3_edge_rbf=embed_edges(graph.distance, self.dist_spec),
+            se3_edge_rbf=se3_rbf,
             se3_angle_rbf=embed_angles(angles, self.angle_spec),
             lattice_feats=lattice_scalars(
                 graph.ref_vectors[0],
                 lambda x: rbf_expand(np.array([x]), self.dist_spec)[0]),
-            so3_edge_rbf=embed_edges(so3_dist, self.dist_spec),
+            so3_edge_rbf=so3_rbf,
             sh=spherical_harmonics(graph.vector, self.cfg.l_max),
         )
 

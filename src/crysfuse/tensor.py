@@ -78,14 +78,17 @@ def _segment_rows(values: np.ndarray, ids: np.ndarray,
 
     A stable argsort makes each bucket's rows contiguous, in their original
     order, and `np.add.reduceat` sums each run; buckets no id names stay zero.
-    numpy adds a run's first row to the pairwise sum of the others, so the
-    last bits can differ from `np.add.at`'s running sum.
+    Ids that are already non-decreasing, as a pack's `src` and node graph
+    ids are, skip the sort: its permutation would be the identity. numpy
+    adds a run's first row to the pairwise sum of the others, so the last
+    bits can differ from `np.add.at`'s running sum.
     """
     out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
+    if np.any(ids[1:] < ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        ids, values = ids[order], values[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    out[ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    out[ids[starts]] = np.add.reduceat(values, starts, axis=0)
     return out
 
 

@@ -21,6 +21,7 @@ from crysfuse.config import RunConfig
 from crysfuse.featurize import rbf_expand, uniform_rbf
 from crysfuse.model import PREDICT_CHUNK, MGTModel
 from crysfuse.nn import ParamStore
+from crysfuse.pretrain import inject_noise
 from crysfuse.rng import stream
 from crysfuse.se3 import lattice_scalars
 from crysfuse.so3 import TensorProductLayer
@@ -114,6 +115,17 @@ class TestShapes:
         assert not np.array_equal(noisy.se3_angle_rbf, clean.se3_angle_rbf)
         assert not np.array_equal(noisy.so3_edge_rbf, clean.so3_edge_rbf)
         assert np.array_equal(noisy.sh[1], clean.sh[1])  # directions untouched
+
+    def test_clean_distance_views_share_one_expansion(self, model):
+        g = model.build_graph(NACL)
+        clean = model.make_inputs(g)
+        assert np.array_equal(clean.so3_edge_rbf, clean.se3_edge_rbf)
+        # pretraining's noisy view still expands its own distances
+        sample = inject_noise(g, 0.05, stream(0, "noise"))
+        noisy = model.make_inputs(g, angles=sample.noisy_angles,
+                                  so3_distances=sample.noisy_distances)
+        assert np.array_equal(noisy.se3_edge_rbf, clean.se3_edge_rbf)
+        assert not np.array_equal(noisy.so3_edge_rbf, clean.so3_edge_rbf)
 
 
 class TestPerStructureNormalization:

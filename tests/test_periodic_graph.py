@@ -1,8 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crysfuse.graph import (GraphError, build_graph, perpendicular_widths,
-                            reference_vectors)
+from crysfuse.graph import (DEFAULT_CUTOFF, DEFAULT_IMAGE_BUDGET,
+                            DEFAULT_MAX_NEIGHBORS, GraphError, _check_budget,
+                            _image_grid, _scan_bounds, build_graph,
+                            perpendicular_widths, reference_vectors)
 from crysfuse.structures import CrystalStructure
 
 
@@ -136,3 +143,261 @@ class TestPerpendicularWidths:
         sheared = np.array([[1.0, 0.0, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
         w = perpendicular_widths(sheared)
         assert w[0] < 1.0 or w[1] < 1.0
+
+
+# -- brute-force oracle: the per-node scan over the whole image box ----------
+
+def oracle_reference_vectors(lattice, image_budget=DEFAULT_IMAGE_BUDGET):
+    """The pick loop: first candidate, first non-collinear, first off-plane."""
+    widths = perpendicular_widths(lattice)
+    bounds = np.array([1, 1, 1], dtype=np.int64)
+    while True:
+        _check_budget(bounds, image_budget)
+        ks = _image_grid(bounds)
+        ks = ks[np.any(ks != 0, axis=1)]
+        vecs = ks @ lattice
+        lengths = np.linalg.norm(vecs, axis=1)
+        order = np.lexsort((-ks[:, 2], -ks[:, 1], -ks[:, 0], lengths))
+        picked = []
+        for idx in order:
+            if not picked:
+                picked.append(idx)
+            elif len(picked) == 1:
+                area = np.linalg.norm(np.cross(vecs[picked[0]], vecs[idx]))
+                if area > 1e-10:
+                    picked.append(idx)
+            else:
+                det = np.linalg.det(np.vstack([vecs[picked[0]], vecs[picked[1]], vecs[idx]]))
+                if abs(det) > 1e-10:
+                    picked.append(idx)
+                    break
+        if len(picked) < 3:
+            bounds = bounds + 1
+            continue
+        needed = np.array(
+            [math.ceil(lengths[picked[2]] / w) for w in widths], dtype=np.int64)
+        if np.all(bounds >= needed):
+            return vecs[picked].copy(), ks[picked].copy()
+        bounds = np.maximum(needed, bounds + 1)
+
+
+def _oracle_node(cart, offsets, images, i, r):
+    disp = (cart - cart[i])[None, :, :] + offsets[:, None, :]  # (M, N, 3)
+    dist = np.linalg.norm(disp, axis=2)
+    mask = dist <= r
+    zero = np.flatnonzero(np.all(images == 0, axis=1))[0]
+    mask[zero, i] = False
+    m_idx, j_idx = np.nonzero(mask)
+    return j_idx, images[m_idx], disp[m_idx, j_idx], dist[m_idx, j_idx]
+
+
+def oracle_graph(s, r=DEFAULT_CUTOFF, max_neighbors=DEFAULT_MAX_NEIGHBORS,
+                 image_budget=DEFAULT_IMAGE_BUDGET):
+    """Every array of `build_graph`, from a scan of the whole image box per
+    node: dict of name -> array, or GraphError."""
+    n = len(s)
+    cart = s.cart_coords()
+    widths = perpendicular_widths(s.lattice)
+    bounds = _scan_bounds(r, widths)
+    _check_budget(bounds, image_budget)
+    images = _image_grid(bounds)
+    offsets = images @ s.lattice
+    srcs, dsts, imgs, vecs, dists = [], [], [], [], []
+    for i in range(n):
+        j_idx, img, vec, dist = _oracle_node(cart, offsets, images, i, r)
+        r_i = r
+        while len(j_idx) == 0:
+            r_i *= 1.5
+            b_i = _scan_bounds(r_i, widths)
+            _check_budget(b_i, image_budget)
+            images_i = _image_grid(b_i)
+            j_idx, img, vec, dist = _oracle_node(
+                cart, images_i @ s.lattice, images_i, i, r_i)
+        order = np.lexsort((img[:, 2], img[:, 1], img[:, 0], j_idx, dist))[:max_neighbors]
+        srcs.append(np.full(len(order), i, dtype=np.int64))
+        dsts.append(j_idx[order].astype(np.int64))
+        imgs.append(img[order].astype(np.int64))
+        vecs.append(vec[order])
+        dists.append(dist[order])
+    g = {"src": np.concatenate(srcs), "dst": np.concatenate(dsts),
+         "image": np.vstack(imgs), "vector": np.vstack(vecs),
+         "distance": np.concatenate(dists)}
+    coincident = np.flatnonzero(g["distance"] == 0)
+    if len(coincident):
+        e = coincident[0]
+        raise GraphError(
+            f"atoms {g['src'][e]} and {g['dst'][e]} coincide (image offset "
+            f"{g['image'][e].tolist()}): a zero-length edge has no direction")
+    refs, _ = oracle_reference_vectors(s.lattice, image_budget)
+    cosines = (g["vector"] @ refs.T) / (
+        g["distance"][:, None] * np.linalg.norm(refs, axis=1)[None, :])
+    g["angles"] = np.arccos(np.clip(np.abs(cosines), 0.0, 1.0))
+    g["ref_vectors"] = np.tile(refs, (n, 1, 1))
+    return g
+
+
+def assert_matches_oracle(s, **kwargs):
+    """`build_graph` equals the oracle bitwise, or both raise one message."""
+    try:
+        want = oracle_graph(s, **kwargs)
+    except GraphError as err:
+        with pytest.raises(GraphError) as got:
+            build_graph(s, **kwargs)
+        assert str(got.value) == str(err)
+        return None
+    g = build_graph(s, **kwargs)
+    for name, expected in want.items():
+        actual = getattr(g, name)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape, name
+        assert actual.tobytes() == expected.tobytes(), name
+    return g
+
+
+def lower_triangular(diag, shear):
+    """A right-handed cell with rows a = (d0, 0, 0), b = (s0, d1, 0),
+    c = (s1, s2, d2)."""
+    return np.array([[diag[0], 0.0, 0.0],
+                     [shear[0], diag[1], 0.0],
+                     [shear[1], shear[2], diag[2]]])
+
+
+class TestOracle:
+
+    @pytest.mark.parametrize("a,r", [(1.0, 1.1), (1.0, 2.5), (2.7, 8.0),
+                                     (4.0, 3.99), (4.0, 4.0)])
+    def test_one_atom_cubic(self, a, r):
+        g = assert_matches_oracle(cubic(a), r=r)
+        assert g.num_edges > 0
+
+    def test_isolated_node_in_a_20_angstrom_cube(self):
+        g = assert_matches_oracle(cubic(20.0), r=8.0)
+        # 8 -> 12 -> 18 -> 27: the six face images at 20 A
+        assert g.num_edges == 6 and np.all(g.distance == 20.0)
+
+    def test_two_far_apart_atoms(self):
+        s = cubic(20.0, (8, 26), ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)))
+        g = assert_matches_oracle(s, r=8.0)
+        assert set(g.src.tolist()) == {0, 1}
+
+    def test_one_isolated_node_among_neighbours(self):
+        # atoms 1 and 2 are 2 A apart; atom 0 is over 8 A from every image,
+        # so its regrown edges go before theirs
+        lattice = np.diag([30.0, 30.0, 30.0])
+        s = CrystalStructure((6, 1, 1), [[0.6, 0.6, 0.6], [0.1, 0.1, 0.1],
+                                         [0.1, 0.1, 0.1 + 2 / 30]], lattice)
+        g = assert_matches_oracle(s, r=8.0)
+        assert np.array_equal(np.unique(g.src), [0, 1, 2])
+
+    @pytest.mark.parametrize("diag", [(1.5, 9.0, 10.0), (3.9, 3.5, 12.0),
+                                      (1.2, 1.1, 1.3)])
+    def test_thin_cells(self, diag):
+        # every listed cell is under r/2 = 4 A wide along at least one axis
+        s = CrystalStructure((14, 8, 8), [[0.0, 0.0, 0.0], [0.3, 0.5, 0.2],
+                                          [0.7, 0.1, 0.9]], np.diag(diag))
+        assert min(perpendicular_widths(s.lattice)) < 4.0
+        assert_matches_oracle(s, r=8.0)
+
+    @pytest.mark.parametrize("shear", [(2.9, -2.5, 3.1), (-4.0, 1.5, -3.8),
+                                       (6.0, 6.0, 6.0)])
+    def test_skewed_triclinic(self, shear):
+        lattice = lower_triangular((4.2, 3.8, 5.1), shear)
+        rng = np.random.default_rng(7)
+        s = CrystalStructure((3, 8, 25, 8), rng.random((4, 3)), lattice)
+        assert_matches_oracle(s, r=6.0)
+
+    @pytest.mark.parametrize("max_neighbors", [1, 6, 7, 10, 18])
+    def test_cap_inside_a_shell_of_tied_distances(self, max_neighbors):
+        # 6 images at 1, then 12 tied at sqrt(2): the cap cuts the shells
+        # where only (dst, k1, k2, k3) decides
+        g = assert_matches_oracle(cubic(1.0), r=1.5, max_neighbors=max_neighbors)
+        assert g.num_edges == max_neighbors
+
+    def test_cap_with_tied_distances_across_atoms(self):
+        s = cubic(2.0, (11, 11, 11, 11), ((0, 0, 0), (0.5, 0.5, 0), (0.5, 0, 0.5),
+                                          (0, 0.5, 0.5)))
+        assert_matches_oracle(s, r=3.0, max_neighbors=8)
+
+    def test_coincident_atom_message(self):
+        s = cubic(3.0, (11, 17, 8), ((0.2, 0.2, 0.2), (0.5, 0.5, 0.5),
+                                     (0.2, 0.2, 0.2)))
+        with pytest.raises(GraphError, match=r"atoms 0 and 2 coincide \(image offset \[0, 0, 0\]\)"):
+            build_graph(s, r=3.0)
+        assert_matches_oracle(s, r=3.0)
+
+    def test_image_budget_message(self):
+        with pytest.raises(GraphError, match="scan of 6859 periodic images is over the cap of 4000"):
+            build_graph(cubic(1.0), r=7.5, image_budget=4000)
+        assert_matches_oracle(cubic(1.0), r=7.5, image_budget=4000)
+
+    def test_regrown_radius_respects_the_budget(self):
+        # the main scan fits, the first regrown radius does not
+        s = cubic(20.0)
+        with pytest.raises(GraphError, match="image budget exceeded"):
+            build_graph(s, r=8.0, image_budget=100)
+        assert_matches_oracle(s, r=8.0, image_budget=100)
+
+
+@st.composite
+def cells(draw):
+    """1-12 atoms in a lower-triangular cell, thin and skewed ones included."""
+    diag = [draw(st.floats(1.0, 10.0)) for _ in range(3)]
+    shear = [draw(st.floats(-6.0, 6.0)) for _ in range(3)]
+    n = draw(st.integers(1, 12))
+    frac = draw(st.lists(st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
+                         min_size=n, max_size=n, unique=True))
+    species = draw(st.lists(st.integers(1, 118), min_size=n, max_size=n))
+    return CrystalStructure(species, np.array(frac), lower_triangular(diag, shear))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(s=cells(), r=st.floats(0.5, 8.0), max_neighbors=st.integers(1, 30))
+def test_scan_matches_oracle_on_random_cells(s, r, max_neighbors):
+    assert_matches_oracle(s, r=r, max_neighbors=max_neighbors, image_budget=20_000)
+
+
+def test_reference_vectors_match_the_pick_loop():
+    """200 seeded lattices: general, skewed and near-collinear ones."""
+    rng = np.random.default_rng(20261018)
+    lattices = []
+    for t in range(200):
+        kind = t % 4
+        if kind == 0:
+            lattice = lower_triangular(rng.uniform(1.0, 10.0, 3), rng.uniform(-3, 3, 3))
+        elif kind == 1:
+            lattice = lower_triangular(rng.uniform(1.0, 4.0, 3), rng.uniform(-9, 9, 3))
+        elif kind == 2:
+            # b and c within a few degrees of a
+            a = rng.normal(size=3)
+            a *= rng.uniform(2.0, 6.0) / np.linalg.norm(a)
+            lattice = np.stack([a, a * rng.uniform(0.5, 2) + rng.normal(scale=0.2, size=3),
+                                a * rng.uniform(0.5, 2) + rng.normal(scale=0.2, size=3)])
+        else:
+            lattice = rng.normal(size=(3, 3)) * rng.uniform(1.0, 8.0)
+        lattices.append(lattice)
+    for lattice in lattices:
+        try:
+            want = oracle_reference_vectors(lattice)
+        except GraphError as err:
+            with pytest.raises(GraphError, match=str(err)):
+                reference_vectors(lattice)
+            continue
+        got = reference_vectors(lattice)
+        for w, g in zip(want, got):
+            assert w.dtype == g.dtype and w.tobytes() == g.tobytes()
+
+
+def test_scan_memory_stays_blocked():
+    """About 2,000 atoms: an unblocked (N, N, 3) float64 pass alone would
+    take 96 MB."""
+    rng = np.random.default_rng(3)
+    n = 2000
+    lattice = lower_triangular((29.0, 28.0, 30.0), (1.5, -2.0, 0.5))
+    s = CrystalStructure(rng.integers(1, 90, n), rng.random((n, 3)), lattice)
+    tracemalloc.start()
+    try:
+        g = build_graph(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == n * DEFAULT_MAX_NEIGHBORS
+    assert peak < 64 * 2**20, peak

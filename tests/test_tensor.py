@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from crysfuse.rng import stream
-from crysfuse.tensor import (Tensor, _stable_sigmoid, concat, no_grad,
-                             segment_sum)
+from crysfuse.tensor import (Tensor, _segment_rows, _stable_sigmoid, concat,
+                             no_grad, segment_sum)
 
 H = 1e-6
 
@@ -370,6 +370,19 @@ class TestSortedScatter:
         t = Tensor(np.ones((self.NUM,) + tail), requires_grad=True)
         (t.take(ids) * Tensor(weights)).sum().backward()
         self.assert_close(t.grad, self.expected(ids, weights))
+
+    @pytest.mark.parametrize("tail", [(6,), (4, 5)])
+    def test_sorted_ids_skip_the_sort_bitwise(self, tail):
+        ids, values = self.case(tail)
+        ids = np.sort(ids)
+        # the argsort path as the sorted fast path replaces it
+        expect = np.zeros((self.NUM,) + tail)
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        expect[ids[order][starts]] = np.add.reduceat(values[order], starts, axis=0)
+        got = _segment_rows(values, ids, self.NUM)
+        assert got.tobytes() == expect.tobytes()
+        assert not got[[4, 8]].any()
 
 
 class TestSmallMlpOracle:
