@@ -53,7 +53,9 @@ def rbf_expand(x: np.ndarray, spec: RbfSpec) -> np.ndarray:
     """Expand values over the basis; output shape = x.shape + (K,)."""
     x = np.asarray(x, dtype=np.float64)
     diff = x[..., None] - spec.centers
-    return np.exp(-spec.gamma * diff * diff)
+    out = -spec.gamma * diff
+    out *= diff
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)

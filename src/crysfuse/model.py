@@ -250,6 +250,6 @@ class MGTModel:
     def predict_distance_noise(self, enc: EncodedPack) -> Tensor:
         """Per-edge distance-noise estimate from endpoint nodes + radial
         features, over all edges of the pack."""
-        return self.denoise_so3([enc.so3.nodes.take(enc.src),
-                                 enc.so3.nodes.take(enc.dst),
+        return self.denoise_so3([(enc.so3.nodes, enc.src),
+                                 (enc.so3.nodes, enc.dst),
                                  Tensor(enc.so3_edge_rbf)])

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .rng import stream
-from .tensor import Tensor, default_dtype, segment_sum
+from .tensor import Tensor, _segment_rows, default_dtype, segment_sum
 
 
 class ParamStore:
@@ -51,8 +51,13 @@ class Linear:
     """x @ W + b with fan-in scaled uniform init, as one tape node.
 
     `x` may be a list of row-aligned blocks [x_1, ..., x_n] whose widths sum
-    to fan_in. The result is then Σ x_i @ W[rows_i] + b, the map of their
-    column concatenation, without building the concatenation.
+    to fan_in. The result is then Σ x_i @ W[cols_i] + b, the map of their
+    column concatenation, without building the concatenation. A block may
+    also be a pair `(x_i, rows)` that stands for `x_i.take(rows)`: its
+    product is taken on x_i's own rows and then gathered,
+    `(x_i @ W[cols_i])[rows]`, and backward sums the gradient onto x_i's rows
+    before its matmuls. So a block gathered from N node rows onto E edges
+    costs N-row matmuls, and the tape keeps x_i rather than its gather.
     """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, fan_out: int,
@@ -62,44 +67,59 @@ class Linear:
         self.bias = (store.uniform_param(name + ".bias", (fan_out,), bound)
                      if bias else None)
 
-    def __call__(self, x: Tensor | list[Tensor]) -> Tensor:
-        blocks = x if isinstance(x, list) else [x]
+    def __call__(self, x: Tensor | list[Tensor | tuple[Tensor, np.ndarray]]
+                 ) -> Tensor:
+        blocks = [b if isinstance(b, tuple) else (b, None)
+                  for b in (x if isinstance(x, list) else [x])]
         w = self.weight.data
-        bounds = np.cumsum([0] + [b.data.shape[1] for b in blocks])
+        bounds = np.cumsum([0] + [t.data.shape[1] for t, _ in blocks])
         if bounds[-1] != w.shape[0]:
             raise ValueError(f"input width {bounds[-1]} != fan_in {w.shape[0]}")
-        rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        out = blocks[0].data @ w[rows[0]]
-        for b, r in zip(blocks[1:], rows[1:]):
-            out += b.data @ w[r]
+        cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # The first block's product becomes the output and the others are
+        # added to it; ungathered ones are written into one reused buffer.
+        # (np.take into a given buffer copies through a temporary when it
+        # checks bounds, so a gather gets a fresh array.)
+        out = scratch = None
+        for (t, rows), c in zip(blocks, cols):
+            if rows is None:
+                prod = np.matmul(t.data, w[c], out=scratch)
+            else:
+                prod = (t.data @ w[c]).take(rows, axis=0)
+            if out is None:
+                out = prod
+            else:
+                out += prod
+                scratch = prod
         if self.bias is not None:
             out += self.bias.data
 
         def back(g):
             gw = np.empty_like(w)
-            for b, r in zip(blocks, rows):
-                np.matmul(b.data.T, g, out=gw[r])
-                if b.requires_grad or b._prev:  # skip constant inputs
-                    b.accumulate_grad(g @ w[r].T)
+            for (t, rows), c in zip(blocks, cols):
+                gt = g if rows is None else _segment_rows(g, rows, len(t.data))
+                np.matmul(t.data.T, gt, out=gw[c])
+                if t.requires_grad or t._prev:  # skip constant inputs
+                    t.accumulate_grad(gt @ w[c].T)
             self.weight._add_grad(gw)
             if self.bias is not None:
                 self.bias._add_grad(g.sum(axis=0))
 
-        parents = tuple(blocks) + ((self.weight,) if self.bias is None
-                                   else (self.weight, self.bias))
+        parents = tuple(t for t, _ in blocks) + (
+            (self.weight,) if self.bias is None else (self.weight, self.bias))
         return Tensor._result(out, parents, back)
 
 
 class MLP2:
     """Two linear layers with a softplus between them; `x` may be a list of
-    blocks, as for `Linear`."""
+    blocks, gathered ones included, as for `Linear`."""
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, hidden: int,
                  fan_out: int):
         self.lin1 = Linear(store, name + ".lin1", fan_in, hidden)
         self.lin2 = Linear(store, name + ".lin2", hidden, fan_out)
 
-    def __call__(self, x: Tensor | list[Tensor]) -> Tensor:
+    def __call__(self, x: Tensor | list) -> Tensor:
         return self.lin2(self.lin1(x).softplus())
 
 

@@ -97,19 +97,37 @@ def nt_xent(z_view1: Tensor, z_view2: Tensor, tau: float) -> Tensor:
     return (log_denom - pos_sim).mean()
 
 
-def denoising_losses(pred_theta: list[Tensor], pred_e: list[Tensor],
+def _summed_squares(diff: Tensor, bounds: np.ndarray) -> Tensor:
+    """Σ_s Σ diff[rows of s]², one tape node over the batch's rows.
+
+    Each structure's rows `bounds[s]:bounds[s + 1]` are summed on their own
+    and the per-structure sums added in order, so the batch's loss is bitwise
+    the in-order sum of its structures' own losses.
+    """
+    sq = diff.data * diff.data
+    total = sum(sq[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:]))
+
+    def back(g):
+        diff._add_grad(2.0 * g * diff.data)
+
+    return Tensor._result(np.asarray(total), (diff,), back)
+
+
+def denoising_losses(pred_theta: Tensor | list[Tensor],
+                     pred_e: Tensor | list[Tensor],
                      samples: list[NoisySample]) -> tuple[Tensor, Tensor]:
-    """Summed squared error of noise predictions over the whole batch."""
-    loss_theta = None
-    loss_e = None
-    for p_t, p_e, sample in zip(pred_theta, pred_e, samples):
-        diff_t = p_t - Tensor(sample.eps_theta)
-        diff_e = p_e - Tensor(sample.eps_e.reshape(-1, 1))
-        term_t = (diff_t * diff_t).sum()
-        term_e = (diff_e * diff_e).sum()
-        loss_theta = term_t if loss_theta is None else loss_theta + term_t
-        loss_e = term_e if loss_e is None else loss_e + term_e
-    return loss_theta, loss_e
+    """Summed squared error of noise predictions over the whole batch.
+
+    `pred_theta` (E, 3) and `pred_e` (E, 1) hold the batch's edges in the
+    order of `samples`, as one tensor each or as one tensor per sample.
+    """
+    if isinstance(pred_theta, list):
+        pred_theta, pred_e = concat(pred_theta), concat(pred_e)
+    bounds = np.cumsum([0] + [s.graph.num_edges for s in samples])
+    eps_theta = np.concatenate([s.eps_theta for s in samples])
+    eps_e = np.concatenate([s.eps_e for s in samples]).reshape(-1, 1)
+    return (_summed_squares(pred_theta - Tensor(eps_theta), bounds),
+            _summed_squares(pred_e - Tensor(eps_e), bounds))
 
 
 @dataclass
@@ -143,9 +161,7 @@ def ssl_losses(model: MGTModel, inputs: list[ModelInputs],
     if bad.any():
         raise NumericError(
             f"non-finite pretraining loss at structure {ids[int(np.argmax(bad))]}")
-    edges = list(zip(bounds[:-1], bounds[1:]))
-    loss_se3, loss_so3 = denoising_losses([p_theta[a:b] for a, b in edges],
-                                          [p_e[a:b] for a, b in edges], samples)
+    loss_se3, loss_so3 = denoising_losses(p_theta, p_e, samples)
     loss_contrast = nt_xent(enc.e1, enc.e2, cfg.tau)
     total = (cfg.lambda_contrast * loss_contrast
              + cfg.lambda_se3 * loss_se3 + cfg.lambda_so3 * loss_so3)

@@ -59,9 +59,10 @@ class SE3EdgeLayer:
         for m in range(3):
             ang = self.f_angle(Tensor(angle_feats[:, m, :]))
             # lattice key and value: one row per structure, gathered per edge
+            # after phi's first matmul
             lat = Tensor(lattice_feats[:, m, :])
-            k_lat = self.f_k_lat[m](lat).take(edge_graph)
-            v_lat = self.f_v_lat[m](lat).take(edge_graph)
+            k_lat = (self.f_k_lat[m](lat), edge_graph)
+            v_lat = (self.f_v_lat[m](lat), edge_graph)
             k_m = self.phi_k([ke, k_lat, ang])
             v_m = self.phi_v([ve, v_lat, ang])
             logits.append(q * k_m * scale)
@@ -105,8 +106,10 @@ class SE3NodeLayer:
         scale = 1.0 / math.sqrt(self.dim)
         q = self.f_q(h).take(src)
         fe = self.f_e(e)
-        k = self.phi_k([self.f_k_ctr(h).take(src), self.f_k_nbr(h).take(dst), fe])
-        v = self.phi_v([self.f_v_ctr(h).take(src), self.f_v_nbr(h).take(dst), fe])
+        # centre and neighbour terms go through phi's first matmul per node,
+        # then are gathered onto the edges
+        k = self.phi_k([(self.f_k_ctr(h), src), (self.f_k_nbr(h), dst), fe])
+        v = self.phi_v([(self.f_v_ctr(h), src), (self.f_v_nbr(h), dst), fe])
         alpha = self.bn_attn(q * k * scale, edge_graph, training).sigmoid()
         msg = segment_sum(alpha * v, src, num_nodes)
         return (h + self.bn_msg(msg, node_graph, training)).softplus()

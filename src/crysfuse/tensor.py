@@ -53,10 +53,28 @@ def no_grad():
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """One pass, and never exponentiates a positive number, so it stays
-    finite at any x."""
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    """e^min(x, 0) / (1 + e^-|x|): never exponentiates a positive number,
+    so it stays finite at any x, and picks nothing per element (a select on
+    mixed signs costs more than the arithmetic). `fmin` maps nan to 0, so a
+    nan reaches the result through the denominator, with the sign that
+    e^-|x| gives it."""
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.fmin(x, 0.0)
+    np.exp(out, out=out)
+    out /= den
+    return out
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) = max(x, 0) + log1p(e^-|x|), in one scratch buffer."""
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(np.maximum(x, 0.0), out, out=out)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -354,13 +372,12 @@ class Tensor:
         return Tensor._result(np.log(self.data), (self,), back)
 
     def softplus(self):
-        # log(1 + e^x) = max(x, 0) + log1p(e^-|x|). Backward recomputes the
-        # sigmoid rather than keep e^-|x| alive until then.
+        # Backward recomputes the sigmoid rather than keep e^-|x| alive
+        # until then.
         def back(g):
             self._add_grad(g * _stable_sigmoid(self.data))
 
-        out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
-        return Tensor._result(out_data, (self,), back)
+        return Tensor._result(_softplus(self.data), (self,), back)
 
     def sigmoid(self):
         out_data = _stable_sigmoid(self.data)

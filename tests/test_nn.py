@@ -88,19 +88,10 @@ class TestLinear:
         for got, expect in pairs:  # relative to the largest entry
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
-    def test_block_gradients_match_central_differences(self):
-        lin = Linear(ParamStore(4), "l", 8, 5)
-        split = [Tensor(p, requires_grad=True)
-                 for p in self.blocks(stream(4, "blocks"))]
-        w = Tensor(stream(4, "w").normal(size=(6, 5)))
-
-        def loss():
-            out = lin(split)
-            return (out * out * w).sum()
-
+    @staticmethod
+    def assert_central_differences(loss, leaves, h=1e-6):
         loss().backward()
-        h = 1e-6
-        for t in split + [lin.weight, lin.bias]:
+        for t in leaves:
             flat = t.data.ravel()
             fd = np.zeros_like(flat)
             for i in range(flat.size):
@@ -112,6 +103,49 @@ class TestLinear:
                 flat[i] = orig
                 fd[i] = (up - down) / (2 * h)
             np.testing.assert_allclose(t.grad.ravel(), fd, rtol=1e-6, atol=1e-8)
+
+    def test_block_gradients_match_central_differences(self):
+        lin = Linear(ParamStore(4), "l", 8, 5)
+        split = [Tensor(p, requires_grad=True)
+                 for p in self.blocks(stream(4, "blocks"))]
+        w = Tensor(stream(4, "w").normal(size=(6, 5)))
+
+        def loss():
+            out = lin(split)
+            return (out * out * w).sum()
+
+        self.assert_central_differences(loss, split + [lin.weight, lin.bias])
+
+    # 6 output rows gathered from 5 source rows: 0 and 4 repeat, 2 is never
+    # named, so its gradient must be exactly zero
+    ROWS = np.array([4, 0, 0, 3, 1, 4])
+
+    def gathered(self, seed):
+        gen = stream(seed, "gathered")
+        source = Tensor(gen.normal(size=(5, 3)), requires_grad=True)
+        rest = [Tensor(gen.normal(size=(6, w)), requires_grad=True)
+                for w in (1, 4)]
+        return source, rest
+
+    @pytest.mark.parametrize("place", [0, 1])
+    def test_gathered_block_matches_the_take(self, place):
+        lin = Linear(ParamStore(6), "l", 8, 5)
+        source, rest = self.gathered(6)
+        got = lin(rest[:place] + [(source, self.ROWS)] + rest[place:]).data
+        want = lin(rest[:place] + [source.take(self.ROWS)] + rest[place:]).data
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_gathered_block_gradients_match_central_differences(self):
+        lin = Linear(ParamStore(7), "l", 8, 5)
+        source, rest = self.gathered(7)
+        w = Tensor(stream(7, "w").normal(size=(6, 5)))
+
+        def loss():
+            out = lin([rest[0], (source, self.ROWS), rest[1]])
+            return (out * out * w).sum()
+
+        self.assert_central_differences(loss, [source, lin.weight, lin.bias])
+        assert np.all(source.grad[2] == 0.0)
 
     def test_one_block_list_is_the_plain_call(self):
         lin = Linear(ParamStore(5), "l", 4, 3)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crysfuse.featurize import rbf_expand, uniform_rbf
 from crysfuse.rng import stream
 from crysfuse.tensor import (Tensor, _segment_rows, _stable_sigmoid, concat,
                              no_grad, segment_sum)
@@ -110,6 +111,46 @@ class TestKernelsAtExtremes:
         t.softplus().sum().backward()
         assert np.all(np.isfinite(t.grad))
         assert np.array_equal(t.grad, self.masked_sigmoid(self.X))
+
+
+class TestKernelsBitwise:
+    """The in-place kernels give the bits of the plain formulas, at random
+    and at extreme inputs (signed zeros, infinities, nan of either sign,
+    subnormals, exp overflow and underflow)."""
+
+    EXTREMES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                         5e-324, -5e-324, 1e-300, -1e-300, 40.0, -40.0,
+                         709.0, -709.0, 746.0, -746.0, 1e308, -1e308])
+
+    def inputs(self):
+        gen = stream(12, "kernels")
+        return [self.EXTREMES, gen.normal(0.0, 10.0, (257, 64)),
+                gen.standard_cauchy(4099)]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_sigmoid(self):
+        for x in self.inputs():
+            ex = np.exp(-np.abs(x))
+            self.assert_same_bits(_stable_sigmoid(x),
+                                  np.where(x >= 0, 1.0, ex) / (1.0 + ex))
+
+    def test_softplus(self):
+        for x in self.inputs():
+            self.assert_same_bits(
+                Tensor(x).softplus().data,
+                np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
+
+    def test_rbf_expand(self):
+        spec = uniform_rbf(0.0, 8.0, 64)
+        for x in self.inputs():
+            diff = x[..., None] - spec.centers
+            with np.errstate(over="ignore"):  # at +-1e308
+                self.assert_same_bits(rbf_expand(x, spec),
+                                      np.exp(-spec.gamma * diff * diff))
 
 
 class TestNoGrad:
