@@ -11,6 +11,8 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
+from .harmonics import L_MAX_SUPPORTED
+
 
 class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
@@ -103,8 +105,10 @@ class RunConfig:
         count("se3_edge_layers", minimum=0)
         count("se3_node_layers", minimum=0)
         count("so3_node_layers", minimum=0)
-        if not isinstance(self.l_max, int) or not 0 <= self.l_max <= 3:
-            errs.append(f"l_max must be an integer in 0..3, got {self.l_max!r}")
+        if (not isinstance(self.l_max, int)
+                or not 0 <= self.l_max <= L_MAX_SUPPORTED):
+            errs.append(f"l_max must be an integer in 0..{L_MAX_SUPPORTED}, "
+                        f"got {self.l_max!r}")
         positive("sigma")
         positive("tau")
         for name in ("lambda_contrast", "lambda_se3", "lambda_so3"):

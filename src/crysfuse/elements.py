@@ -25,9 +25,3 @@ def symbol_of(z: int) -> str:
         raise ValueError(f"atomic number {z} outside 1..{len(SYMBOLS)}")
     return SYMBOLS[z - 1]
 
-
-def z_of(symbol: str) -> int:
-    try:
-        return SYMBOL_TO_Z[symbol]
-    except KeyError:
-        raise ValueError(f"unknown element symbol {symbol!r}") from None

@@ -51,8 +51,8 @@ class PeriodicGraph:
     """Immutable directed multigraph over a crystal's periodic images.
 
     Edge arrays share one deterministic order: ascending source node, then
-    (distance, dst, k1, k2, k3). ``ref_vectors[i]`` stacks the three
-    reference translations of node i as rows.
+    (distance, dst, k1, k2, k3). ``ref_vectors`` stacks the cell's three
+    reference translations as rows; every node shares that one frame.
     """
 
     structure: CrystalStructure
@@ -62,7 +62,7 @@ class PeriodicGraph:
     vector: np.ndarray       # (E, 3) float64, cart(dst image) - cart(src)
     distance: np.ndarray     # (E,) float64
     angles: np.ndarray       # (E, 3) float64 line angles in [0, pi/2]
-    ref_vectors: np.ndarray  # (N, 3, 3) float64
+    ref_vectors: np.ndarray  # (3, 3) float64
 
     def __post_init__(self):
         for name in ("src", "dst", "image", "vector", "distance", "angles", "ref_vectors"):
@@ -293,5 +293,5 @@ def build_graph(
         vector=vector,
         distance=distance,
         angles=angles,
-        ref_vectors=np.tile(refs, (n, 1, 1)),
+        ref_vectors=refs,
     )

@@ -1,17 +1,16 @@
-"""Real spherical harmonics and the coupling coefficients for their products.
+"""Real spherical harmonics of edge directions, degrees 0..L_MAX_SUPPORTED.
 
 Harmonics use the orthonormal real convention with components ordered
-m = -l..l, which places the degree-1 triple in (y, z, x) order. Coupling
-tensors are built from the closed-form (Racah) coefficients in the complex
-basis, conjugated into the real basis by the standard unitary change of
-basis; each tensor is verified against the orthogonality sum rule when first
-constructed.
+m = -l..l, which places the degree-1 triple in (y, z, x) order. Each degree
+is written out as a polynomial in the unit direction. In this basis the
+only couplings the equivariant encoder uses, (0, l, l) and (l, l, 0), are
+I and (-1)^l / sqrt(2l+1)·I, so no Clebsch–Gordan tensor is built here;
+the test suite keeps the Racah construction as its oracle for both.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,92 +64,4 @@ def spherical_harmonics(vectors: np.ndarray, l_max: int) -> list[np.ndarray]:
             c3e * z * (x * x - y * y),
             c3a * x * (x * x - 3.0 * y * y),
         ], axis=1))
-    return out
-
-
-def _f(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative factorial")
-    return math.factorial(n)
-
-
-@lru_cache(maxsize=None)
-def clebsch_gordan(l1: int, l2: int, l3: int) -> np.ndarray:
-    """Complex-basis coefficients <l1 m1 l2 m2 | l3 m3>, shape (2l1+1, 2l2+1, 2l3+1)."""
-    out = np.zeros((2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1))
-    if not abs(l1 - l2) <= l3 <= l1 + l2:
-        return out
-    pref_l = math.sqrt(
-        (2 * l3 + 1)
-        * _f(l3 + l1 - l2) * _f(l3 - l1 + l2) * _f(l1 + l2 - l3)
-        / _f(l1 + l2 + l3 + 1))
-    for m1 in range(-l1, l1 + 1):
-        for m2 in range(-l2, l2 + 1):
-            m3 = m1 + m2
-            if abs(m3) > l3:
-                continue
-            pref_m = math.sqrt(
-                _f(l3 + m3) * _f(l3 - m3)
-                * _f(l1 - m1) * _f(l1 + m1)
-                * _f(l2 - m2) * _f(l2 + m2))
-            total = 0.0
-            k_lo = max(0, l2 - l3 - m1, l1 - l3 + m2)
-            k_hi = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-            for k in range(k_lo, k_hi + 1):
-                total += (-1.0) ** k / (
-                    _f(k) * _f(l1 + l2 - l3 - k) * _f(l1 - m1 - k)
-                    * _f(l2 + m2 - k) * _f(l3 - l2 + m1 + k)
-                    * _f(l3 - l1 - m2 + k))
-            out[m1 + l1, m2 + l2, m3 + l3] = pref_l * pref_m * total
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def complex_to_real(l: int) -> np.ndarray:
-    """Unitary U with real_harmonic[m] = sum_mu U[m, mu] * complex_harmonic[mu]."""
-    u = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
-    u[l, l] = 1.0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for m in range(1, l + 1):
-        sign = (-1.0) ** m
-        u[l + m, l - m] = inv_sqrt2
-        u[l + m, l + m] = sign * inv_sqrt2
-        u[l - m, l - m] = 1j * inv_sqrt2
-        u[l - m, l + m] = -1j * sign * inv_sqrt2
-    u.flags.writeable = False
-    return u
-
-
-@lru_cache(maxsize=None)
-def real_coupling(l1: int, l2: int, l3: int) -> np.ndarray:
-    """Coupling tensor for products of real harmonics, shape as clebsch_gordan.
-
-    Contracting two real-basis blocks with this tensor yields a block that
-    again rotates as degree l3. Depending on the parity of l1+l2+l3 the
-    complex-basis combination is purely real or purely imaginary; the nonzero
-    part is returned. Orthogonality (sum over m1, m2 of C[..., m3] C[..., m3']
-    = identity) is asserted on first construction.
-    """
-    if not abs(l1 - l2) <= l3 <= l1 + l2:
-        raise ValueError(f"forbidden coupling {l1} x {l2} -> {l3}")
-    cg = clebsch_gordan(l1, l2, l3)
-    u1 = complex_to_real(l1)
-    u2 = complex_to_real(l2)
-    u3 = complex_to_real(l3)
-    full = np.einsum("ai,bj,ck,ijk->abc", u1, u2, u3.conj(), cg.astype(complex))
-    if (l1 + l2 + l3) % 2 == 0:
-        out, rest = full.real, full.imag
-    else:
-        out, rest = full.imag, full.real
-    if np.max(np.abs(rest)) > 1e-12:
-        raise AssertionError(
-            f"coupling {l1} x {l2} -> {l3} has mixed real/imaginary parts")
-    flat = out.reshape(-1, 2 * l3 + 1)
-    gram = flat.T @ flat
-    if np.max(np.abs(gram - np.eye(2 * l3 + 1))) > 1e-12:
-        raise AssertionError(
-            f"coupling {l1} x {l2} -> {l3} violates the orthogonality sum rule")
-    out = np.ascontiguousarray(out)
-    out.flags.writeable = False
     return out

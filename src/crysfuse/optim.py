@@ -1,4 +1,5 @@
-"""AdamW with decoupled weight decay, and the warmup + cosine LR schedule."""
+"""AdamW with decoupled weight decay, global-norm gradient clipping, and the
+warmup + cosine LR schedule."""
 
 from __future__ import annotations
 
@@ -51,6 +52,24 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def clip_grad_norm(params, max_norm: float) -> float:
+    """Rescale the gradients of `params` so their joint L2 norm is at most
+    `max_norm`; returns the norm before clipping.
+
+    Parameters without a gradient are skipped. Gradients at or below the
+    bound are left as they are, bit for bit; above it, each is replaced by
+    a scaled copy, never written in place, since gradients may share
+    memory (`Tensor.accumulate_grad`).
+    """
+    grads = [p for p in params if p.grad is not None]
+    norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in grads))
+    if norm > max_norm:
+        scale = max_norm / norm
+        for p in grads:
+            p.grad = p.grad * scale
+    return norm
 
 
 def lr_schedule(step: int, total_steps: int, warmup: int, lr_max: float, lr_min: float) -> float:

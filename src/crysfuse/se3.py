@@ -159,7 +159,7 @@ def lattice_scalars(ref_vectors: np.ndarray, rbf_fn) -> np.ndarray:
     Channel m gets the basis expansion of |u_m| plus the cosines of u_m
     against the other two reference vectors, shape (3, num_rbf + 2).
     """
-    refs = np.asarray(ref_vectors, dtype=np.float64).reshape(3, 3)
+    refs = np.asarray(ref_vectors, dtype=np.float64)
     lengths = np.linalg.norm(refs, axis=1)
     rows = []
     for m in range(3):

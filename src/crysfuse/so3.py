@@ -1,75 +1,85 @@
-"""Equivariant encoder: spherical-harmonic tensor-product layers and readout.
+"""Equivariant encoder: two closed-form tensor-product rounds and readout.
 
-Node features start as scalars, pick up higher-degree blocks by coupling
-with edge-direction harmonics (layer one), and are contracted back to
-scalars (layer two). Every coupling path carries a per-edge, per-channel
-weight computed from the edge's radial features. The scalar readout feeds a
-node-wise transformer and projection head identical in form to the invariant
-encoder's, yielding the pooled embedding.
+Node features start as scalars h0 (N, ch). The expand round couples them
+with the edge-direction harmonics Y_l, as in Tensor Field Networks (Thomas
+et al., 2018): degree l of node i is the mean over its incoming edges of
+h0[dst] * w_l ⊗ Y_l, plus h0 at degree 0. The contract round takes every
+degree back to a scalar: the mean of Σ_l c_l (h_l[dst] · Y_l) w_l, plus the
+degree-0 block. Each w_l is a per-edge, per-channel weight computed from the
+edge's radial features.
+
+These are the (0, l, l) and (l, l, 0) couplings. In the real orthonormal
+basis of `harmonics.py` their Clebsch–Gordan tensors are I and
+c_l·I with c_l = (-1)^l / sqrt(2l+1), so no coupling tensor is built; the
+test suite checks both constants against a Clebsch–Gordan oracle.
 
 Degree-l blocks rotate by the degree-l Wigner matrix when the crystal
-rotates; everything pooled into the final embedding is degree 0.
+rotates; the scalar readout feeds a node-wise transformer and projection
+head identical in form to the invariant encoder's, and everything pooled
+into the final embedding is degree 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import real_coupling
 from .nn import BatchNorm, Linear, ParamStore, ProjectionHead, mean_pool
 from .se3 import SE3NodeLayer
 from .tensor import Tensor, segment_sum
 
 
 class TensorProductLayer:
-    """One round of Agg_j[coupled(h_j, Y_ij) * w(e_ij)] + residual.
+    """Both rounds, expand (0, l, l) then contract (l, l, 0), for l ≤ l_max.
 
-    `paths` lists the (degree_in, filter_degree, degree_out) couplings; the
-    selection rule |l_in - l_f| <= l_out <= l_in + l_f is enforced at
-    construction. Aggregation is the mean over each node's incoming edges;
-    the residual applies wherever input and output carry the same degree.
+    The per-edge weights come from `<name>.tp1.weights` (expand) and
+    `<name>.tp2.weights` (contract), each (num_rbf, (l_max+1) * channels)
+    with degree-major columns. Aggregation is the mean over each node's
+    incoming edges.
     """
 
     def __init__(self, store: ParamStore, name: str, *, channels: int,
-                 num_rbf: int, paths: list[tuple[int, int, int]]):
-        for l_in, l_f, l_out in paths:
-            if not abs(l_in - l_f) <= l_out <= l_in + l_f:
-                raise ValueError(f"forbidden coupling path {(l_in, l_f, l_out)}")
-        self.paths = list(paths)
-        self.channels = channels
-        self.weight_map = Linear(store, name + ".weights", num_rbf,
-                                 len(paths) * channels)
+                 num_rbf: int, l_max: int):
+        self.contract_coeffs = [(-1.0) ** l / math.sqrt(2 * l + 1)
+                                for l in range(l_max + 1)]
+        self.expand_weights = Linear(store, name + ".tp1.weights", num_rbf,
+                                     (l_max + 1) * channels)
+        self.contract_weights = Linear(store, name + ".tp2.weights", num_rbf,
+                                       (l_max + 1) * channels)
 
-    def __call__(self, blocks: dict[int, Tensor], sh: list[np.ndarray],
-                 edge_rbf: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                 num_nodes: int) -> dict[int, Tensor]:
+    def __call__(self, h0: Tensor, sh: list[np.ndarray],
+                 edge_rbf: np.ndarray, src: np.ndarray, dst: np.ndarray
+                 ) -> tuple[dict[int, Tensor], Tensor]:
+        """Degree blocks {l: (N, ch, 2l+1)} after the expand round, and the
+        (N, ch) scalars after the contract round."""
+        num_nodes, ch = h0.shape
         num_edges = len(src)
-        ch = self.channels
-        w = self.weight_map(Tensor(edge_rbf)).reshape(num_edges, len(self.paths), ch)
+        num_degrees = len(self.contract_coeffs)
+        rbf = Tensor(edge_rbf)
+        w1 = self.expand_weights(rbf).reshape(num_edges, num_degrees, ch)
+        w2 = self.contract_weights(rbf).reshape(num_edges, num_degrees, ch)
         inv_degree = 1.0 / np.bincount(src, minlength=num_nodes)
 
-        per_degree: dict[int, Tensor] = {}
-        for p, (l_in, l_f, l_out) in enumerate(self.paths):
-            coupling = real_coupling(l_in, l_f, l_out)
-            # fold the edge harmonics into the coupling tensor: (E, m_in, m_out)
-            mixer = np.einsum("ef,ifo->eio", sh[l_f], coupling)
-            h_edge = blocks[l_in].take(dst)  # (E, ch, 2*l_in+1)
-            mixed = (h_edge.reshape(num_edges, ch, 2 * l_in + 1, 1)
-                     * Tensor(mixer[:, None, :, :])).sum(axis=2)
-            contrib = mixed * w[:, p, :].reshape(num_edges, ch, 1)
-            if l_out in per_degree:
-                per_degree[l_out] = per_degree[l_out] + contrib
-            else:
-                per_degree[l_out] = contrib
+        def mean_in(msg: Tensor) -> Tensor:
+            scale = inv_degree.reshape((num_nodes,) + (1,) * (msg.ndim - 1))
+            return segment_sum(msg, src, num_nodes) * Tensor(scale)
 
-        out: dict[int, Tensor] = {}
-        for l_out, contrib in per_degree.items():
-            agg = segment_sum(contrib, src, num_nodes) * Tensor(
-                inv_degree[:, None, None])
-            out[l_out] = agg + blocks[l_out] if l_out in blocks else agg
-        return out
+        h_dst = h0.take(dst)
+        layer1 = {}
+        for l, y in enumerate(sh):
+            msg = ((h_dst * w1[:, l, :]).reshape(num_edges, ch, 1)
+                   * Tensor(y[:, None, :]))
+            layer1[l] = mean_in(msg)
+        layer1[0] = layer1[0] + h0.reshape(num_nodes, ch, 1)
+
+        msg = None
+        for l, (y, c) in enumerate(zip(sh, self.contract_coeffs)):
+            dot = (layer1[l].take(dst) * Tensor(c * y[:, None, :])).sum(axis=2)
+            term = dot * w2[:, l, :]
+            msg = term if msg is None else msg + term
+        return layer1, mean_in(msg) + layer1[0].reshape(num_nodes, ch)
 
 
 @dataclass
@@ -78,13 +88,12 @@ class SO3Result:
 
     layer1: dict[int, Tensor]   # degree -> (N, ch, 2l+1)
     layer2_scalars: Tensor      # (N, ch)
-    readout: Tensor             # (N, ch)
     nodes: Tensor               # (N, width)
     pooled: Tensor              # (B, width), one row per structure
 
 
 class SO3Encoder:
-    """Scalar projection, two tensor-product layers, invariant readout,
+    """Scalar projection, both tensor-product rounds, invariant readout,
     node-wise transformer, mean pool, projection head."""
 
     def __init__(self, store: ParamStore, name: str, *, width: int,
@@ -92,14 +101,9 @@ class SO3Encoder:
         if width % 4 != 0:
             raise ValueError(f"model width must be divisible by 4, got {width}")
         ch = width // 4
-        self.channels = ch
         self.scalar_proj = Linear(store, name + ".scalar_proj", atom_dim, ch)
-        self.tp1 = TensorProductLayer(
-            store, name + ".tp1", channels=ch, num_rbf=num_rbf,
-            paths=[(0, l, l) for l in range(l_max + 1)])
-        self.tp2 = TensorProductLayer(
-            store, name + ".tp2", channels=ch, num_rbf=num_rbf,
-            paths=[(l, l, 0) for l in range(l_max + 1)])
+        self.tp = TensorProductLayer(store, name, channels=ch,
+                                     num_rbf=num_rbf, l_max=l_max)
         self.bn_read = BatchNorm(store, name + ".bn_read", ch)
         self.f_read = Linear(store, name + ".f_read", ch, ch)
         self.scalar_lift = Linear(store, name + ".scalar_lift", ch, width)
@@ -116,12 +120,8 @@ class SO3Encoder:
         """Encode a pack of structures; `node_graph` and `edge_graph` give
         each node's and edge's structure, and `pooled` has one row per
         structure."""
-        num_nodes = atom_feats.shape[0]
         h0 = self.scalar_proj(Tensor(atom_feats))  # (N, ch)
-        blocks = {0: h0.reshape(num_nodes, self.channels, 1)}
-        layer1 = self.tp1(blocks, sh, edge_rbf, src, dst, num_nodes)
-        layer2 = self.tp2(layer1, sh, edge_rbf, src, dst, num_nodes)
-        h2 = layer2[0].reshape(num_nodes, self.channels)
+        layer1, h2 = self.tp(h0, sh, edge_rbf, src, dst)
         readout = self.f_read(
             self.bn_read(h2, node_graph, training).softplus()).softplus() + h0
         nodes = self.scalar_lift(readout)
@@ -130,5 +130,5 @@ class SO3Encoder:
             nodes = layer(nodes, e, src, dst, node_graph, edge_graph,
                           training)
         pooled = self.head(mean_pool(nodes, node_graph))
-        return SO3Result(layer1=layer1, layer2_scalars=h2, readout=readout,
-                         nodes=nodes, pooled=pooled)
+        return SO3Result(layer1=layer1, layer2_scalars=h2, nodes=nodes,
+                         pooled=pooled)

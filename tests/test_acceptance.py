@@ -137,7 +137,7 @@ def test_criterion_07_simple_cubic_oracle():
     g = build_graph(s, 1.1, 25)
     assert g.num_edges == 6
     assert np.array_equal(g.distance, np.ones(6))
-    assert np.array_equal(g.ref_vectors[0], np.eye(3))
+    assert np.array_equal(g.ref_vectors, np.eye(3))
     half = np.pi / 2
     for row in g.angles:
         assert sorted(row) == [0.0, half, half]  # exact

@@ -20,11 +20,9 @@ from crysfuse.checks import (
 from crysfuse.config import RunConfig
 from crysfuse.featurize import rbf_expand, uniform_rbf
 from crysfuse.model import PREDICT_CHUNK, MGTModel
-from crysfuse.nn import ParamStore
 from crysfuse.pretrain import inject_noise
 from crysfuse.rng import stream
 from crysfuse.se3 import lattice_scalars
-from crysfuse.so3 import TensorProductLayer
 from crysfuse.structures import CrystalStructure
 from crysfuse.tensor import set_default_dtype
 
@@ -229,15 +227,43 @@ class TestSymmetrySpotChecks:
 
 class TestTensorProductLayer:
 
-    def test_forbidden_path_rejected(self):
-        store = ParamStore(0)
-        with pytest.raises(ValueError, match="forbidden"):
-            TensorProductLayer(store, "tp", channels=2, num_rbf=4,
-                               paths=[(0, 1, 2)])
-
     def test_width_must_divide_by_four(self):
         bad = dataclasses.replace(TINY, width=10)
         assert any("divisible by 4" in e for e in bad.validate())
+
+    def test_so3_names_and_shapes_are_pinned(self, model):
+        # format-v1 checkpoints store parameters and buffers by these names
+        nl = "so3.node_layers.0."
+        want = {
+            "so3.scalar_proj.weight": (100, 2), "so3.scalar_proj.bias": (2,),
+            "so3.tp1.weights.weight": (4, 4), "so3.tp1.weights.bias": (4,),
+            "so3.tp2.weights.weight": (4, 4), "so3.tp2.weights.bias": (4,),
+            "so3.bn_read.gamma": (2,), "so3.bn_read.beta": (2,),
+            "so3.f_read.weight": (2, 2), "so3.f_read.bias": (2,),
+            "so3.scalar_lift.weight": (2, 8), "so3.scalar_lift.bias": (8,),
+            "so3.edge_proj.weight": (4, 8), "so3.edge_proj.bias": (8,),
+            **{nl + f"{lin}.{p}": (8, 8) if p == "weight" else (8,)
+               for lin in ("f_q", "f_k_ctr", "f_k_nbr", "f_v_ctr", "f_v_nbr",
+                           "f_e", "phi_k.lin2", "phi_v.lin2")
+               for p in ("weight", "bias")},
+            nl + "phi_k.lin1.weight": (24, 8), nl + "phi_k.lin1.bias": (8,),
+            nl + "phi_v.lin1.weight": (24, 8), nl + "phi_v.lin1.bias": (8,),
+            **{nl + f"{bn}.{p}": (8,) for bn in ("bn_attn", "bn_msg")
+               for p in ("gamma", "beta")},
+            "so3.head.lin1.weight": (8, 8), "so3.head.lin1.bias": (8,),
+            "so3.head.bias2": (8,), "so3.head.lin2.weight": (8, 8),
+            "so3.head.norm.gamma": (8,), "so3.head.norm.beta": (8,),
+        }
+        got = {k: p.shape for k, p in model.store.params.items()
+               if k.startswith("so3.")}
+        assert got == want
+        buffers = {k: b.shape for k, b in model.store.buffers.items()
+                   if k.startswith("so3.")}
+        assert buffers == {
+            f"{prefix}.{stat}": (width,)
+            for prefix, width in (("so3.bn_read", 2), (nl + "bn_attn", 8),
+                                  (nl + "bn_msg", 8))
+            for stat in ("running_mean", "running_var")}
 
 
 class TestPrecisionSwitch:

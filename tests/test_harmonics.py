@@ -5,6 +5,10 @@ so the tests fit them from data (least squares over many directions) and then
 verify the fitted matrix predicts held-out directions exactly. Orthonormality
 is checked with a Gauss-Legendre x trapezoid product grid, which integrates
 polynomials of these degrees exactly.
+
+The library couples degrees in closed form. The Racah construction of the
+Clebsch–Gordan coefficients below, conjugated into the real basis, is the
+oracle for its two constant families and for `TensorProductLayer`.
 """
 
 import math
@@ -13,17 +17,87 @@ import numpy as np
 import pytest
 
 from crysfuse.checks import random_rotation
-from crysfuse.harmonics import (
-    L_MAX_SUPPORTED,
-    clebsch_gordan,
-    complex_to_real,
-    real_coupling,
-    spherical_harmonics,
-)
+from crysfuse.harmonics import L_MAX_SUPPORTED, spherical_harmonics
+from crysfuse.nn import ParamStore
 from crysfuse.rng import stream
+from crysfuse.so3 import TensorProductLayer
+from crysfuse.tensor import Tensor
 
 C0 = 0.5 / math.sqrt(math.pi)          # 0.28209479...
 C1 = math.sqrt(3.0 / (4.0 * math.pi))  # 0.48860251...
+
+
+def _f(n: int) -> int:
+    if n < 0:
+        raise ValueError("negative factorial")
+    return math.factorial(n)
+
+
+def clebsch_gordan(l1: int, l2: int, l3: int) -> np.ndarray:
+    """Complex-basis coefficients <l1 m1 l2 m2 | l3 m3>, shape (2l1+1, 2l2+1, 2l3+1)."""
+    out = np.zeros((2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1))
+    if not abs(l1 - l2) <= l3 <= l1 + l2:
+        return out
+    pref_l = math.sqrt(
+        (2 * l3 + 1)
+        * _f(l3 + l1 - l2) * _f(l3 - l1 + l2) * _f(l1 + l2 - l3)
+        / _f(l1 + l2 + l3 + 1))
+    for m1 in range(-l1, l1 + 1):
+        for m2 in range(-l2, l2 + 1):
+            m3 = m1 + m2
+            if abs(m3) > l3:
+                continue
+            pref_m = math.sqrt(
+                _f(l3 + m3) * _f(l3 - m3)
+                * _f(l1 - m1) * _f(l1 + m1)
+                * _f(l2 - m2) * _f(l2 + m2))
+            total = 0.0
+            k_lo = max(0, l2 - l3 - m1, l1 - l3 + m2)
+            k_hi = min(l1 + l2 - l3, l1 - m1, l2 + m2)
+            for k in range(k_lo, k_hi + 1):
+                total += (-1.0) ** k / (
+                    _f(k) * _f(l1 + l2 - l3 - k) * _f(l1 - m1 - k)
+                    * _f(l2 + m2 - k) * _f(l3 - l2 + m1 + k)
+                    * _f(l3 - l1 - m2 + k))
+            out[m1 + l1, m2 + l2, m3 + l3] = pref_l * pref_m * total
+    return out
+
+
+def complex_to_real(l: int) -> np.ndarray:
+    """Unitary U with real_harmonic[m] = sum_mu U[m, mu] * complex_harmonic[mu]."""
+    u = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+    u[l, l] = 1.0
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for m in range(1, l + 1):
+        sign = (-1.0) ** m
+        u[l + m, l - m] = inv_sqrt2
+        u[l + m, l + m] = sign * inv_sqrt2
+        u[l - m, l - m] = 1j * inv_sqrt2
+        u[l - m, l + m] = -1j * sign * inv_sqrt2
+    return u
+
+
+def real_coupling(l1: int, l2: int, l3: int) -> np.ndarray:
+    """Coupling tensor for products of real harmonics, shape as clebsch_gordan.
+
+    Contracting two real-basis blocks with this tensor yields a block that
+    again rotates as degree l3. Depending on the parity of l1+l2+l3 the
+    complex-basis combination is purely real or purely imaginary; the nonzero
+    part is returned.
+    """
+    if not abs(l1 - l2) <= l3 <= l1 + l2:
+        raise ValueError(f"forbidden coupling {l1} x {l2} -> {l3}")
+    cg = clebsch_gordan(l1, l2, l3)
+    u1 = complex_to_real(l1)
+    u2 = complex_to_real(l2)
+    u3 = complex_to_real(l3)
+    full = np.einsum("ai,bj,ck,ijk->abc", u1, u2, u3.conj(), cg.astype(complex))
+    if (l1 + l2 + l3) % 2 == 0:
+        out, rest = full.real, full.imag
+    else:
+        out, rest = full.imag, full.real
+    assert np.max(np.abs(rest)) <= 1e-12, (l1, l2, l3)
+    return out
 
 
 def unit_vectors(gen, n):
@@ -170,3 +244,100 @@ class TestCoupling:
         got = coupled(v @ rot.T, w @ rot.T)
         expect = coupled(v, w) @ d3.T
         assert np.max(np.abs(got - expect)) < 3e-13
+
+    @pytest.mark.parametrize("l", range(L_MAX_SUPPORTED + 1))
+    def test_closed_form_constants(self, l):
+        # (0, l, l) is I and (l, l, 0) is c_l I, the constants the layer uses
+        eye = np.eye(2 * l + 1, dtype=bool)
+        c_l = TensorProductLayer(ParamStore(0), "tp", channels=1, num_rbf=2,
+                                 l_max=l).contract_coeffs[l]
+        assert c_l == (-1.0) ** l / math.sqrt(2 * l + 1)
+        for coupling, diag in ((real_coupling(0, l, l)[0], 1.0),
+                               (real_coupling(l, l, 0)[:, :, 0], c_l)):
+            assert np.max(np.abs(coupling[eye] - diag)) <= 1e-15
+            assert np.all(coupling[~eye] == 0.0)
+
+
+def cg_tensor_products(h0, w1, w2, sh, src, dst):
+    """Both rounds by direct contraction with the real coupling tensors:
+    layer-1 blocks {l: (N, ch, 2l+1)} and the (N, ch) contracted scalars."""
+    n = len(h0)
+    deg = np.bincount(src, minlength=n).astype(float)
+
+    def mean_in(msg):
+        out = np.zeros((n,) + msg.shape[1:])
+        np.add.at(out, src, msg)
+        return out / deg.reshape((n,) + (1,) * (msg.ndim - 1))
+
+    layer1 = {}
+    for l, y in enumerate(sh):
+        msg = np.einsum("eci,ef,ifo->eco", h0[dst][:, :, None], y,
+                        real_coupling(0, l, l)) * w1[:, l, :, None]
+        layer1[l] = mean_in(msg)
+    layer1[0] = layer1[0] + h0[:, :, None]
+    msg = sum(np.einsum("eci,ef,ifo->eco", layer1[l][dst], y,
+                        real_coupling(l, l, 0))[:, :, 0] * w2[:, l, :]
+              for l, y in enumerate(sh))
+    return layer1, mean_in(msg) + layer1[0][:, :, 0]
+
+
+class TestClosedFormLayer:
+    """`TensorProductLayer` at l_max = 3 against the Clebsch–Gordan oracle."""
+
+    L_MAX, CH, RBF = 3, 3, 4
+    # 5 nodes, 9 edges; each node averages over 1 to 3 of them
+    SRC = np.array([0, 0, 1, 1, 2, 2, 2, 3, 4])
+    DST = np.array([1, 2, 0, 3, 0, 1, 4, 2, 3])
+
+    def setup_method(self):
+        gen = stream(7, "tp/closed-form")
+        self.layer = TensorProductLayer(ParamStore(7), "tp", channels=self.CH,
+                                        num_rbf=self.RBF, l_max=self.L_MAX)
+        self.h0 = Tensor(gen.normal(size=(5, self.CH)), requires_grad=True)
+        self.rbf = gen.uniform(size=(len(self.SRC), self.RBF))
+        self.sh = spherical_harmonics(gen.normal(size=(len(self.SRC), 3)),
+                                      self.L_MAX)
+        self.probes = [gen.normal(size=(5, self.CH, 2 * l + 1))
+                       for l in range(self.L_MAX + 1)]
+        self.probe2 = gen.normal(size=(5, self.CH))
+
+    def run(self):
+        return self.layer(self.h0, self.sh, self.rbf, self.SRC, self.DST)
+
+    def test_forward_matches_the_oracle(self):
+        layer1, h2 = self.run()
+        e, d = len(self.SRC), self.L_MAX + 1
+        w1 = self.layer.expand_weights(Tensor(self.rbf)).data.reshape(e, d, -1)
+        w2 = self.layer.contract_weights(Tensor(self.rbf)).data.reshape(e, d, -1)
+        want1, want2 = cg_tensor_products(self.h0.data, w1, w2, self.sh,
+                                          self.SRC, self.DST)
+        assert sorted(layer1) == list(range(d))
+        for l in range(d):
+            np.testing.assert_allclose(layer1[l].data, want1[l], rtol=1e-13)
+        np.testing.assert_allclose(h2.data, want2, rtol=1e-13)
+
+    def test_gradients_match_central_differences(self):
+        def loss():
+            layer1, h2 = self.run()
+            total = (h2 * Tensor(self.probe2)).sum()
+            for l, probe in enumerate(self.probes):
+                total = total + (layer1[l] * Tensor(probe)).sum()
+            return total
+
+        leaves = [self.h0]
+        for lin in (self.layer.expand_weights, self.layer.contract_weights):
+            leaves += [lin.weight, lin.bias]
+        loss().backward()
+        h = 1e-6
+        for t in leaves:
+            flat = t.data.ravel()
+            fd = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = float(loss().data)
+                flat[i] = orig - h
+                down = float(loss().data)
+                flat[i] = orig
+                fd[i] = (up - down) / (2 * h)
+            np.testing.assert_allclose(t.grad.ravel(), fd, rtol=1e-6, atol=1e-8)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crysfuse.optim import AdamW, lr_schedule
+from crysfuse.optim import AdamW, clip_grad_norm, lr_schedule
 from crysfuse.tensor import Tensor
 
 
@@ -69,6 +69,40 @@ class TestAdamW:
             loss.backward()
             opt.step()
         assert abs(p.data[0]) < 1e-2
+
+
+class TestClipGradNorm:
+
+    def test_scales_joint_norm_down_to_bound(self):
+        p = Tensor(np.array([3.0, 0.0]), requires_grad=True)
+        q = Tensor(np.array([[4.0]]), requires_grad=True)
+        p.grad, q.grad = np.array([3.0, 0.0]), np.array([[4.0]])
+        assert clip_grad_norm([p, q], 1.0) == pytest.approx(5.0)
+        assert np.allclose(p.grad, [0.6, 0.0], atol=1e-15)
+        assert np.allclose(q.grad, [[0.8]], atol=1e-15)
+
+    def test_below_bound_is_untouched(self):
+        p = Tensor(np.zeros(3), requires_grad=True)
+        g = np.array([0.1, -0.2, 0.3])
+        p.grad = g
+        assert clip_grad_norm([p], 1.0) == pytest.approx(math.sqrt(0.14))
+        assert p.grad is g
+
+    def test_shared_gradient_memory_is_not_written(self):
+        shared = np.array([6.0, 8.0])
+        p = Tensor(np.zeros(2), requires_grad=True)
+        q = Tensor(np.zeros(2), requires_grad=True)
+        p.grad = q.grad = shared
+        clip_grad_norm([p, q], 1.0)
+        assert np.array_equal(shared, [6.0, 8.0])
+        assert np.allclose(p.grad, shared / math.sqrt(200.0), atol=1e-15)
+
+    def test_params_without_grad_are_skipped(self):
+        p = Tensor(np.zeros(1), requires_grad=True)
+        q = Tensor(np.zeros(1), requires_grad=True)
+        q.grad = np.array([2.0])
+        assert clip_grad_norm([p, q], 1.0) == 2.0
+        assert p.grad is None and q.grad[0] == 1.0
 
 
 class TestLrSchedule:

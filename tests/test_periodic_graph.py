@@ -33,7 +33,7 @@ class TestSimpleCubicOracle:
                           (0, -1, 0), (0, 0, 1), (0, 0, -1)}
 
     def test_reference_vectors_are_unit_axes(self):
-        assert np.array_equal(self.g.ref_vectors[0], np.eye(3))
+        assert np.array_equal(self.g.ref_vectors, np.eye(3))
 
     def test_angle_multiset_per_edge(self):
         # line angles: every +-axis edge lies on exactly one reference axis
@@ -232,7 +232,7 @@ def oracle_graph(s, r=DEFAULT_CUTOFF, max_neighbors=DEFAULT_MAX_NEIGHBORS,
     cosines = (g["vector"] @ refs.T) / (
         g["distance"][:, None] * np.linalg.norm(refs, axis=1)[None, :])
     g["angles"] = np.arccos(np.clip(np.abs(cosines), 0.0, 1.0))
-    g["ref_vectors"] = np.tile(refs, (n, 1, 1))
+    g["ref_vectors"] = refs
     return g
 
 

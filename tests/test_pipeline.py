@@ -11,6 +11,7 @@ import pytest
 from crysfuse.config import RunConfig
 from crysfuse.errors import DataError, NumericError
 from crysfuse.model import MGTModel
+from crysfuse import pipeline
 from crysfuse.optim import AdamW
 from crysfuse.pipeline import (
     Normalizer,
@@ -339,6 +340,26 @@ class TestFinetuneStep:
         assert abs(mae - want_mae) < 1e-12
         assert not np.array_equal(
             model.store.params["moe.f_o.weight"].data, before)
+
+    def test_gradients_clipped_to_bound(self, monkeypatch):
+        recs = toy_records(3)
+        y = np.array([0.1, -0.4, 0.3])
+        grads = {}
+        for bound in (np.inf, 1e-6):
+            monkeypatch.setattr(pipeline, "FINETUNE_CLIP_NORM", bound)
+            m = MGTModel(RunConfig(**TINY))
+            inputs = [m.inputs_for_structure(r.structure) for r in recs]
+            opt = AdamW(m.store.params, lr=1e-3)
+            finetune_step(m, inputs, y, [r.id for r in recs], opt)
+            grads[bound] = {n: p.grad for n, p in m.store.params.items()
+                            if p.grad is not None}
+        free, clipped = grads[np.inf], grads[1e-6]
+        assert free.keys() == clipped.keys()
+        norm = np.sqrt(sum(np.vdot(g, g) for g in free.values()))
+        assert norm > 1e-6
+        for name, g in free.items():
+            assert np.allclose(clipped[name], g * (1e-6 / norm),
+                               rtol=1e-12, atol=0), name
 
     def test_non_finite_prediction_names_structure(self, model):
         recs = toy_records(2)
