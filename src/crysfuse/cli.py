@@ -107,11 +107,13 @@ def cmd_ingest(args) -> int:
     model = MGTModel(cfg)
     total_nodes = 0
     total_edges = 0
+    total_bonds = 0
     dumps = []
     for r in records:
         g = model.build_graph(r.structure)
         total_nodes += g.num_nodes
         total_edges += g.num_edges
+        total_bonds += g.num_bonds
         if cfg.out:
             dumps.append({"id": r.id, **g.to_json_dict()})
     if cfg.out:
@@ -120,7 +122,7 @@ def cmd_ingest(args) -> int:
             for d in dumps:
                 fh.write(json.dumps(d) + "\n")
     print(json.dumps({"records": len(records), "nodes": total_nodes,
-                      "edges": total_edges}))
+                      "edges": total_edges, "bonds": total_bonds}))
     return EXIT_OK
 
 

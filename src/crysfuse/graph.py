@@ -53,6 +53,15 @@ class PeriodicGraph:
     Edge arrays share one deterministic order: ascending source node, then
     (distance, dst, k1, k2, k3). ``ref_vectors`` stacks the cell's three
     reference translations as rows; every node shares that one frame.
+
+    The reverse of edge i -> (j, k) is j -> (i, -k), whose displacement is
+    the exact negation: the two carry bitwise the same distance and angles
+    and form one bond, represented by whichever comes first. An edge whose
+    reverse the neighbour cap removed is a bond of its own. ``bond_edges``
+    lists the representatives in ascending order and ``edge_bond`` gives
+    each edge's bond. The model runs everything that reads only edge
+    scalars once per bond, and harmonics, endpoint gathers and node-layer
+    attention per directed edge.
     """
 
     structure: CrystalStructure
@@ -63,9 +72,12 @@ class PeriodicGraph:
     distance: np.ndarray     # (E,) float64
     angles: np.ndarray       # (E, 3) float64 line angles in [0, pi/2]
     ref_vectors: np.ndarray  # (3, 3) float64
+    edge_bond: np.ndarray    # (E,) int64 bond of each edge
+    bond_edges: np.ndarray   # (B,) int64 representative edge of each bond
 
     def __post_init__(self):
-        for name in ("src", "dst", "image", "vector", "distance", "angles", "ref_vectors"):
+        for name in ("src", "dst", "image", "vector", "distance", "angles",
+                     "ref_vectors", "edge_bond", "bond_edges"):
             getattr(self, name).flags.writeable = False
 
     @property
@@ -75,6 +87,10 @@ class PeriodicGraph:
     @property
     def num_edges(self) -> int:
         return len(self.src)
+
+    @property
+    def num_bonds(self) -> int:
+        return len(self.bond_edges)
 
     def to_json_dict(self) -> dict:
         """Dump nodes, reference vectors, and edge records for offline diffing."""
@@ -96,13 +112,10 @@ class PeriodicGraph:
 
 
 def perpendicular_widths(lattice: np.ndarray) -> np.ndarray:
-    """Distance between opposite cell faces along each lattice direction."""
-    volume = abs(float(np.linalg.det(lattice)))
-    widths = np.empty(3)
-    for m in range(3):
-        cross = np.cross(lattice[(m + 1) % 3], lattice[(m + 2) % 3])
-        widths[m] = volume / np.linalg.norm(cross)
-    return widths
+    """Distance between opposite cell faces along each lattice direction:
+    the volume over the area of the face the other two vectors span."""
+    cross = np.cross(lattice[[1, 2, 0]], lattice[[2, 0, 1]])
+    return abs(float(np.linalg.det(lattice))) / np.linalg.norm(cross, axis=1)
 
 
 def _image_grid(bounds: np.ndarray) -> np.ndarray:
@@ -173,7 +186,9 @@ def _node_candidates(rows, frac, cart, images, offsets, reach, r, max_neighbors)
             dist[order])
 
 
-def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUDGET,
+                      widths: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Three shortest mutually independent lattice translations.
 
     Candidates are ranked by length; among equal lengths the offset with the
@@ -182,10 +197,19 @@ def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUD
     it the second, and the first one after that off their plane the third.
     Returns (vectors (3, 3) rows, integer offsets (3, 3) rows). The search
     box grows until it provably contains every translation at most as long
-    as the current third pick.
+    as the current third pick. `widths` are the cell's
+    `perpendicular_widths`, computed here when not given.
     """
-    widths = perpendicular_widths(lattice)
-    bounds = np.array([1, 1, 1], dtype=np.int64)
+    if widths is None:
+        widths = perpendicular_widths(lattice)
+    # The cell vectors are three independent translations, so no pick is
+    # longer than the longest of them and a box covering that length needs
+    # no regrowth. A skewed basis can make that box huge; then start from
+    # the unit box and grow.
+    longest = float(np.max(np.linalg.norm(lattice, axis=1)))
+    bounds = np.array([math.ceil(longest / w) for w in widths], dtype=np.int64)
+    if np.prod(2 * bounds + 1) > image_budget:
+        bounds = np.array([1, 1, 1], dtype=np.int64)
     while True:
         _check_budget(bounds, image_budget)
         ks = _image_grid(bounds)
@@ -213,6 +237,28 @@ def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUD
         if np.all(bounds >= needed):
             return vecs[picked].copy(), ks[picked].copy()
         bounds = np.maximum(needed, bounds + 1)
+
+
+def _bond_map(src: np.ndarray, dst: np.ndarray, image: np.ndarray,
+              num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(edge_bond, bond_edges) of the edges (src, dst, image).
+
+    Each edge gets one integer key from (src, dst, image) and is looked up
+    by the key of its reverse (dst, src, -image) in the sorted keys. The key
+    space is n^2 times the box of the images in use, at most n^2 times the
+    scan box; `np.ravel_multi_index` raises rather than wraps past int64.
+    """
+    edges = np.arange(len(src))
+    span = np.abs(image).max(axis=0, initial=0)
+    dims = (num_nodes, num_nodes, *(2 * span + 1))
+    key = np.ravel_multi_index((src, dst, *(image + span).T), dims)
+    rev = np.ravel_multi_index((dst, src, *(span - image).T), dims)
+    order = np.argsort(key, kind="stable")
+    found = order[np.minimum(np.searchsorted(key, rev, sorter=order),
+                             len(key) - 1)]
+    rep = np.where(key[found] == rev, np.minimum(edges, found), edges)
+    bond_edges = np.flatnonzero(rep == edges)
+    return np.searchsorted(bond_edges, rep), bond_edges
 
 
 def build_graph(
@@ -243,7 +289,7 @@ def build_graph(
     n = len(s)
     frac = s.frac_coords
     cart = s.cart_coords()
-    widths = perpendicular_widths(s.lattice)
+    widths = perpendicular_widths(s.lattice)  # once per cell
 
     def scan(rows, radius):
         bounds = _scan_bounds(radius, widths)
@@ -277,13 +323,14 @@ def build_graph(
             f"atoms {src[e]} and {dst[e]} coincide (image offset "
             f"{image[e].tolist()}): a zero-length edge has no direction")
 
-    refs, _ = reference_vectors(s.lattice, image_budget)
+    refs, _ = reference_vectors(s.lattice, image_budget, widths)
     ref_norms = np.linalg.norm(refs, axis=1)
     cosines = (vector @ refs.T) / (distance[:, None] * ref_norms[None, :])
     # Line angles, not vector angles: a reference translation and its negation
     # are the same self-image axis, so the sign carries no geometry. Folding
     # keeps the features independent of how that sign was canonicalized.
     angles = np.arccos(np.clip(np.abs(cosines), 0.0, 1.0))
+    edge_bond, bond_edges = _bond_map(src, dst, image, n)
 
     return PeriodicGraph(
         structure=s,
@@ -294,4 +341,6 @@ def build_graph(
         distance=distance,
         angles=angles,
         ref_vectors=refs,
+        edge_bond=edge_bond,
+        bond_edges=bond_edges,
     )

@@ -6,6 +6,19 @@ and radial features, and the fusion head over the two pooled embeddings.
 Per-edge denoising heads for the self-supervised objective hang off the
 final edge/node embeddings.
 
+Clean inputs are featurized per bond: an edge and its reverse have the same
+distance and angles (`graph.PeriodicGraph`), so the distance and angle
+expansions, the invariant encoder's `edge_proj` and edge layers, every node
+layer's edge map `f_e`, the equivariant encoder's `edge_proj` and its
+tensor-product weight maps, and the distance-noise head's radial block run
+on one row per bond. Each directed edge reads its bond's row through a
+gathered `Linear` block. Harmonics, endpoint gathers, node-layer attention
+and messages stay per directed edge. Eval outputs equal those of a
+per-edge pass bitwise; in training, batch norm over bond rows counts each
+row once per directed edge, which matches a per-edge pass to rounding.
+Pretraining's noisy views perturb each directed edge on its own, so they
+are featurized per edge, with no bond map.
+
 Every forward runs both encoders once over a pack: the disjoint union of
 its structures' graphs, with node and edge arrays concatenated, `src`/`dst`
 offset, lattice features stacked per structure, and each node and edge
@@ -51,15 +64,21 @@ PREDICT_CHUNK = 32  # structures per packed inference forward
 
 @dataclass
 class ModelInputs:
-    """Precomputed constant features for one structure's forward pass."""
+    """Precomputed constant features for one structure's forward pass.
+
+    The edge-scalar features have R rows: one per bond (R = B) with
+    `edge_bond` the graph's, or one per directed edge (R = E) with
+    `edge_bond` None.
+    """
 
     graph: PeriodicGraph
     atom_feats: np.ndarray       # (N, atom_dim)
-    se3_edge_rbf: np.ndarray     # (E, K) — clean distances
-    se3_angle_rbf: np.ndarray    # (E, 3, Ka) — possibly perturbed angles
+    se3_edge_rbf: np.ndarray     # (R, K) — clean distances
+    se3_angle_rbf: np.ndarray    # (R, 3, Ka) — possibly perturbed angles
     lattice_feats: np.ndarray    # (3, K + 2)
-    so3_edge_rbf: np.ndarray     # (E, K) — possibly perturbed distances
+    so3_edge_rbf: np.ndarray     # (R, K) — possibly perturbed distances
     sh: list[np.ndarray]         # per-degree (E, 2l+1) edge-direction harmonics
+    edge_bond: np.ndarray | None  # (E,) row of each directed edge
 
 
 @dataclass
@@ -67,25 +86,35 @@ class Pack:
     """Several structures' inputs as one disjoint-union graph."""
 
     atom_feats: np.ndarray       # (N, atom_dim), structures' nodes in order
-    se3_edge_rbf: np.ndarray     # (E, K)
-    se3_angle_rbf: np.ndarray    # (E, 3, Ka)
+    se3_edge_rbf: np.ndarray     # (R, K), structures' edge-scalar rows in order
+    se3_angle_rbf: np.ndarray    # (R, 3, Ka)
     lattice_feats: np.ndarray    # (B, 3, K + 2)
-    so3_edge_rbf: np.ndarray     # (E, K)
+    so3_edge_rbf: np.ndarray     # (R, K)
     sh: list[np.ndarray]         # per-degree (E, 2l+1)
     src: np.ndarray              # (E,) node indices into the pack
     dst: np.ndarray              # (E,)
     node_graph: np.ndarray       # (N,) structure of each node
     edge_graph: np.ndarray       # (E,) structure of each edge
+    bond_graph: np.ndarray       # (R,) structure of each edge-scalar row
+    edge_bond: np.ndarray | None  # (E,) row of each edge; None if R = E
 
 
 def pack_inputs(inputs: list[ModelInputs]) -> Pack:
     nodes = [len(inp.atom_feats) for inp in inputs]
     edges = [len(inp.graph.src) for inp in inputs]
+    rows = [len(inp.se3_edge_rbf) for inp in inputs]
     # batch norm and pooling reduce over each structure's contiguous rows,
     # and np.add.reduceat misreads an empty segment
     assert min(nodes) > 0 and min(edges) > 0, "structure without nodes or edges"
     offsets = np.cumsum([0] + nodes[:-1])
     ids = np.arange(len(inputs))
+    # a structure with as many rows as edges reads them in order, so a pack
+    # whose every edge has its own row needs no gather
+    edge_bond = None
+    if sum(rows) < sum(edges):
+        edge_bond = np.concatenate([
+            (np.arange(e) if inp.edge_bond is None else inp.edge_bond) + o
+            for inp, e, o in zip(inputs, edges, np.cumsum([0] + rows[:-1]))])
     return Pack(
         atom_feats=np.concatenate([inp.atom_feats for inp in inputs]),
         se3_edge_rbf=np.concatenate([inp.se3_edge_rbf for inp in inputs]),
@@ -98,23 +127,33 @@ def pack_inputs(inputs: list[ModelInputs]) -> Pack:
         dst=np.concatenate([inp.graph.dst + o for inp, o in zip(inputs, offsets)]),
         node_graph=np.repeat(ids, nodes),
         edge_graph=np.repeat(ids, edges),
+        bond_graph=np.repeat(ids, rows),
+        edge_bond=edge_bond,
     )
 
 
 @dataclass
 class EncodedPack:
     se3_nodes: Tensor   # (N, d)
-    se3_edges: Tensor   # (E, d)
+    se3_bonds: Tensor   # (R, d), one row per edge-scalar row of the pack
     e1: Tensor          # (B, d)
     so3: SO3Result
-    # the pack's edges, which the distance-noise head reads
+    # the pack's edges, which the denoising heads read
     src: np.ndarray     # (E,)
     dst: np.ndarray     # (E,)
-    so3_edge_rbf: np.ndarray  # (E, K)
+    so3_edge_rbf: np.ndarray  # (R, K)
+    edge_bond: np.ndarray | None  # (E,) row of each edge; None if R = E
 
     @property
     def e2(self) -> Tensor:
         return self.so3.pooled
+
+    @property
+    def se3_edges(self) -> Tensor:
+        """(E, d) final edge embeddings, one row per directed edge."""
+        if self.edge_bond is None:
+            return self.se3_bonds
+        return self.se3_bonds.take(self.edge_bond)
 
 
 @dataclass
@@ -170,10 +209,17 @@ class MGTModel:
     def make_inputs(self, graph: PeriodicGraph,
                     angles: np.ndarray | None = None,
                     so3_distances: np.ndarray | None = None) -> ModelInputs:
-        """Featurize one graph; pass perturbed angles/distances to build the
-        noisy views used in pretraining (directions are never perturbed)."""
-        angles = graph.angles if angles is None else angles
-        se3_rbf = embed_edges(graph.distance, self.dist_spec)
+        """Featurize one graph, one row per bond; pass perturbed per-edge
+        angles/distances to build the noisy views used in pretraining, one
+        row per directed edge (directions are never perturbed)."""
+        if angles is None and so3_distances is None:
+            bonds = graph.bond_edges
+            distance, angles = graph.distance[bonds], graph.angles[bonds]
+            edge_bond = graph.edge_bond
+        else:
+            distance, edge_bond = graph.distance, None
+            angles = graph.angles if angles is None else angles
+        se3_rbf = embed_edges(distance, self.dist_spec)
         # nothing writes into input features, so clean views share one array
         so3_rbf = (se3_rbf if so3_distances is None
                    else embed_edges(so3_distances, self.dist_spec))
@@ -187,6 +233,7 @@ class MGTModel:
                 lambda x: rbf_expand(np.array([x]), self.dist_spec)[0]),
             so3_edge_rbf=so3_rbf,
             sh=spherical_harmonics(graph.vector, self.cfg.l_max),
+            edge_bond=edge_bond,
         )
 
     def inputs_for_structure(self, s: CrystalStructure) -> ModelInputs:
@@ -199,13 +246,15 @@ class MGTModel:
         passes standardize each structure with its own batch statistics."""
         training = training and not self.frozen_encoder_stats
         p = pack_inputs(inputs)
-        nodes, edges, e1 = self.se3(
+        nodes, bonds, e1 = self.se3(
             p.atom_feats, p.se3_edge_rbf, p.se3_angle_rbf, p.lattice_feats,
-            p.src, p.dst, p.node_graph, p.edge_graph, training)
+            p.src, p.dst, p.node_graph, p.edge_graph, p.bond_graph,
+            p.edge_bond, training)
         so3 = self.so3(p.atom_feats, p.so3_edge_rbf, p.sh, p.src, p.dst,
-                       p.node_graph, p.edge_graph, training)
-        return EncodedPack(se3_nodes=nodes, se3_edges=edges, e1=e1, so3=so3,
-                           src=p.src, dst=p.dst, so3_edge_rbf=p.so3_edge_rbf)
+                       p.node_graph, p.edge_graph, p.edge_bond, training)
+        return EncodedPack(se3_nodes=nodes, se3_bonds=bonds, e1=e1, so3=so3,
+                           src=p.src, dst=p.dst, so3_edge_rbf=p.so3_edge_rbf,
+                           edge_bond=p.edge_bond)
 
     def forward(self, inputs: list[ModelInputs], training: bool,
                 router_override: np.ndarray | None = None) -> ModelOutputs:
@@ -245,11 +294,11 @@ class MGTModel:
 
     def predict_angle_noise(self, enc: EncodedPack) -> Tensor:
         """Per-edge 3-channel angle-noise estimate from final edge embeddings."""
-        return self.denoise_se3(enc.se3_edges)
+        return self.denoise_se3([(enc.se3_bonds, enc.edge_bond)])
 
     def predict_distance_noise(self, enc: EncodedPack) -> Tensor:
         """Per-edge distance-noise estimate from endpoint nodes + radial
         features, over all edges of the pack."""
         return self.denoise_so3([(enc.so3.nodes, enc.src),
                                  (enc.so3.nodes, enc.dst),
-                                 Tensor(enc.so3_edge_rbf)])
+                                 (Tensor(enc.so3_edge_rbf), enc.edge_bond)])

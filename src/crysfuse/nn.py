@@ -58,6 +58,7 @@ class Linear:
     `(x_i @ W[cols_i])[rows]`, and backward sums the gradient onto x_i's rows
     before its matmuls. So a block gathered from N node rows onto E edges
     costs N-row matmuls, and the tape keeps x_i rather than its gather.
+    `(x_i, None)` is the plain block x_i.
     """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, fan_out: int,
@@ -134,6 +135,14 @@ class BatchNorm:
     single-group batches in order would. It is one tape node with the
     closed-form backward of Ioffe & Szegedy (2015). Eval mode is the fixed
     affine map built from the running estimates and ignores `groups`.
+
+    `weight`, if given, counts how many rows each row stands for: a bond
+    row stands for its one or two directed edges. Training statistics then
+    count row r `weight[r]` times, so they equal those of the expanded
+    rows. The backward is that of the expanded rows summed back onto each
+    row: with `d` the row gradient (already summed over its copies) times
+    gamma, `sum_d` and `xhat * sum_dx` are scaled by the weight, and
+    gamma's and beta's gradients keep their form.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int,
@@ -145,13 +154,20 @@ class BatchNorm:
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor, groups: np.ndarray, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, groups: np.ndarray, training: bool,
+                 weight: np.ndarray | None = None) -> Tensor:
         if training:
-            counts = np.bincount(groups)[:, None].astype(x.data.dtype)
+            w = None if weight is None else weight[:, None].astype(x.data.dtype)
+
+            def weighted(a):
+                return a if w is None else a * w
+
+            counts = np.bincount(groups, weights=weight)[:, None].astype(x.data.dtype)
             starts = np.flatnonzero(np.diff(groups, prepend=-1))
-            mu = np.add.reduceat(x.data, starts, axis=0) / counts
+            mu = np.add.reduceat(weighted(x.data), starts, axis=0) / counts
             centered = x.data - mu[groups]
-            var = np.add.reduceat(centered * centered, starts, axis=0) / counts
+            var = np.add.reduceat(weighted(centered * centered), starts,
+                                  axis=0) / counts
             std = np.sqrt(var + self.eps)
             xhat = centered / std[groups]
             m = self.momentum
@@ -166,8 +182,8 @@ class BatchNorm:
                 sum_d = np.add.reduceat(d, starts, axis=0)
                 sum_dx = np.add.reduceat(d * xhat, starts, axis=0)
                 scale = (1.0 / (counts * std))[groups]
-                x._add_grad(scale * (counts[groups] * d - sum_d[groups]
-                                     - xhat * sum_dx[groups]))
+                x._add_grad(scale * (counts[groups] * d - weighted(sum_d[groups])
+                                     - weighted(xhat * sum_dx[groups])))
 
             return Tensor._result(xhat * self.gamma.data + self.beta.data,
                                   (x, self.gamma, self.beta), back)

@@ -7,6 +7,10 @@ aggregate gated messages from incoming edges. All inputs are scalars
 under rigid motions of the crystal by construction. Attention is elementwise
 query-key gating through a sigmoid — there is no normalization across
 neighbors.
+
+An edge and its reverse carry the same scalars, so the edge stack runs on
+one row per bond (`graph.PeriodicGraph`), and node layers gather its rows
+to the directed edges.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ class SE3EdgeLayer:
         self.bn_msg = BatchNorm(store, name + ".bn_msg", dim)
 
     def __call__(self, e: Tensor, angle_feats: np.ndarray,
-                 lattice_feats: np.ndarray, edge_graph: np.ndarray,
-                 training: bool) -> Tensor:
-        """`lattice_feats` is (B, 3, lattice_dim), one row block per
-        structure of the pack; `edge_graph` maps each edge to its structure."""
+                 lattice_feats: np.ndarray, bond_graph: np.ndarray,
+                 training: bool, weight: np.ndarray | None = None) -> Tensor:
+        """`e` and `angle_feats` have one row per bond, `bond_graph` maps
+        each to its structure, and `weight` (training only) counts the
+        directed edges each row stands for. `lattice_feats` is
+        (B, 3, lattice_dim), one row block per structure of the pack."""
         scale = 1.0 / math.sqrt(self.dim)
         q = self.f_q(e)
         ke = self.f_k(e)
@@ -61,20 +67,22 @@ class SE3EdgeLayer:
             # lattice key and value: one row per structure, gathered per edge
             # after phi's first matmul
             lat = Tensor(lattice_feats[:, m, :])
-            k_lat = (self.f_k_lat[m](lat), edge_graph)
-            v_lat = (self.f_v_lat[m](lat), edge_graph)
+            k_lat = (self.f_k_lat[m](lat), bond_graph)
+            v_lat = (self.f_v_lat[m](lat), bond_graph)
             k_m = self.phi_k([ke, k_lat, ang])
             v_m = self.phi_v([ve, v_lat, ang])
             logits.append(q * k_m * scale)
             values.append(v_m)
         # One batch norm over all three channels' gating logits. Rows are
-        # edge-major (edge i's three channels at 3i..3i+2), so each
+        # bond-major (bond i's three channels at 3i..3i+2), so each
         # structure's rows stay one contiguous group.
         alpha = self.bn_attn(concat(logits, axis=1).reshape(-1, self.dim),
-                             np.repeat(edge_graph, 3), training).sigmoid()
+                             np.repeat(bond_graph, 3), training,
+                             None if weight is None else np.repeat(weight, 3)
+                             ).sigmoid()
         gated = alpha * concat(values, axis=1).reshape(-1, self.dim)
         msg = gated.reshape(-1, 3, self.dim).sum(axis=1)
-        return (e + self.bn_msg(msg, edge_graph, training)).softplus()
+        return (e + self.bn_msg(msg, bond_graph, training, weight)).softplus()
 
 
 class SE3NodeLayer:
@@ -83,7 +91,9 @@ class SE3NodeLayer:
     Keys/values combine the center node, the neighbor node, and the edge
     feature (center and neighbor have separate maps; the edge map is shared
     between key and value paths). Messages are summed per node, normalized,
-    and added residually.
+    and added residually. The edge feature `e` may have one row per bond:
+    `edge_bond` then gives each directed edge's row, and the edge map runs
+    on the bond rows before the gather.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -101,13 +111,13 @@ class SE3NodeLayer:
 
     def __call__(self, h: Tensor, e: Tensor, src: np.ndarray, dst: np.ndarray,
                  node_graph: np.ndarray, edge_graph: np.ndarray,
-                 training: bool) -> Tensor:
+                 training: bool, edge_bond: np.ndarray | None = None) -> Tensor:
         num_nodes = h.shape[0]
         scale = 1.0 / math.sqrt(self.dim)
         q = self.f_q(h).take(src)
-        fe = self.f_e(e)
-        # centre and neighbour terms go through phi's first matmul per node,
-        # then are gathered onto the edges
+        fe = (self.f_e(e), edge_bond)
+        # centre, neighbour and bond terms go through phi's first matmul per
+        # node or bond, then are gathered onto the edges
         k = self.phi_k([(self.f_k_ctr(h), src), (self.f_k_nbr(h), dst), fe])
         v = self.phi_v([(self.f_v_ctr(h), src), (self.f_v_nbr(h), dst), fe])
         alpha = self.bn_attn(q * k * scale, edge_graph, training).sigmoid()
@@ -136,19 +146,28 @@ class SE3Encoder:
     def __call__(self, atom_feats: np.ndarray, edge_rbf: np.ndarray,
                  angle_feats: np.ndarray, lattice_feats: np.ndarray,
                  src: np.ndarray, dst: np.ndarray, node_graph: np.ndarray,
-                 edge_graph: np.ndarray, training: bool
+                 edge_graph: np.ndarray, bond_graph: np.ndarray,
+                 edge_bond: np.ndarray | None, training: bool
                  ) -> tuple[Tensor, Tensor, Tensor]:
-        """Encode a pack of B structures (a disjoint union; `node_graph` and
-        `edge_graph` give each node's and edge's structure).
+        """Encode a pack of structures (a disjoint union; `node_graph`,
+        `edge_graph` and `bond_graph` give each node's, edge's and bond
+        row's structure). `edge_rbf` and `angle_feats` have one row per
+        bond, and `edge_bond` gives each directed edge's bond row, or is
+        None when each edge has a row of its own.
 
-        Returns (node embeddings (N, d), edge embeddings (E, d), pooled (B, d)).
+        Returns (node embeddings (N, d), bond embeddings (rows of
+        `edge_rbf`, d), pooled (B, d)).
         """
+        weight = (np.bincount(edge_bond, minlength=len(bond_graph))
+                  if training and edge_bond is not None else None)
         e = self.edge_proj(Tensor(edge_rbf))
         for layer in self.edge_layers:
-            e = layer(e, angle_feats, lattice_feats, edge_graph, training)
+            e = layer(e, angle_feats, lattice_feats, bond_graph, training,
+                      weight)
         h = self.node_proj(Tensor(atom_feats))
         for layer in self.node_layers:
-            h = layer(h, e, src, dst, node_graph, edge_graph, training)
+            h = layer(h, e, src, dst, node_graph, edge_graph, training,
+                      edge_bond)
         pooled = self.head(mean_pool(h, node_graph))
         return h, e, pooled
 

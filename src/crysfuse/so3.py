@@ -6,7 +6,10 @@ et al., 2018): degree l of node i is the mean over its incoming edges of
 h0[dst] * w_l ⊗ Y_l, plus h0 at degree 0. The contract round takes every
 degree back to a scalar: the mean of Σ_l c_l (h_l[dst] · Y_l) w_l, plus the
 degree-0 block. Each w_l is a per-edge, per-channel weight computed from the
-edge's radial features.
+edge's radial features. Those depend on the edge's length only, so the
+weight maps, like `edge_proj`, run on one row per bond and are gathered to
+the directed edges; the harmonics and everything after the gather stay per
+directed edge.
 
 These are the (0, l, l) and (l, l, 0) couplings. In the real orthonormal
 basis of `harmonics.py` their Clebsch–Gordan tensors are I and
@@ -50,14 +53,16 @@ class TensorProductLayer:
                                        (l_max + 1) * channels)
 
     def __call__(self, h0: Tensor, sh: list[np.ndarray],
-                 edge_rbf: np.ndarray, src: np.ndarray, dst: np.ndarray
+                 edge_rbf: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                 edge_bond: np.ndarray | None = None
                  ) -> tuple[dict[int, Tensor], Tensor]:
         """Degree blocks {l: (N, ch, 2l+1)} after the expand round, and the
-        (N, ch) scalars after the contract round."""
+        (N, ch) scalars after the contract round. `edge_rbf` has one row
+        per bond when `edge_bond` gives each edge's row, else one per edge."""
         num_nodes, ch = h0.shape
         num_edges = len(src)
         num_degrees = len(self.contract_coeffs)
-        rbf = Tensor(edge_rbf)
+        rbf = [(Tensor(edge_rbf), edge_bond)]
         w1 = self.expand_weights(rbf).reshape(num_edges, num_degrees, ch)
         w2 = self.contract_weights(rbf).reshape(num_edges, num_degrees, ch)
         inv_degree = 1.0 / np.bincount(src, minlength=num_nodes)
@@ -116,19 +121,20 @@ class SO3Encoder:
     def __call__(self, atom_feats: np.ndarray, edge_rbf: np.ndarray,
                  sh: list[np.ndarray], src: np.ndarray, dst: np.ndarray,
                  node_graph: np.ndarray, edge_graph: np.ndarray,
-                 training: bool) -> SO3Result:
+                 edge_bond: np.ndarray | None, training: bool) -> SO3Result:
         """Encode a pack of structures; `node_graph` and `edge_graph` give
         each node's and edge's structure, and `pooled` has one row per
-        structure."""
+        structure. `edge_rbf` has one row per bond and `edge_bond` gives
+        each directed edge's row, or is None when each edge has its own."""
         h0 = self.scalar_proj(Tensor(atom_feats))  # (N, ch)
-        layer1, h2 = self.tp(h0, sh, edge_rbf, src, dst)
+        layer1, h2 = self.tp(h0, sh, edge_rbf, src, dst, edge_bond)
         readout = self.f_read(
             self.bn_read(h2, node_graph, training).softplus()).softplus() + h0
         nodes = self.scalar_lift(readout)
         e = self.edge_proj(Tensor(edge_rbf))
         for layer in self.node_layers:
             nodes = layer(nodes, e, src, dst, node_graph, edge_graph,
-                          training)
+                          training, edge_bond)
         pooled = self.head(mean_pool(nodes, node_graph))
         return SO3Result(layer1=layer1, layer2_scalars=h2, nodes=nodes,
                          pooled=pooled)

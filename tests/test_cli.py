@@ -58,6 +58,8 @@ class TestIngest:
         assert summary["records"] == 10
         assert summary["nodes"] == 20
         assert summary["edges"] > 0
+        # an edge and its reverse share a bond
+        assert summary["edges"] / 2 <= summary["bonds"] < summary["edges"]
         lines = (out / "graphs.jsonl").read_text().splitlines()
         assert len(lines) == 10
         assert json.loads(lines[0])["id"] == "s0"

@@ -24,13 +24,18 @@ from crysfuse.pretrain import inject_noise
 from crysfuse.rng import stream
 from crysfuse.se3 import lattice_scalars
 from crysfuse.structures import CrystalStructure
-from crysfuse.tensor import set_default_dtype
+from crysfuse.tensor import Tensor, set_default_dtype
 
 TINY = RunConfig(width=8, num_rbf=4, num_angle_rbf=4, cutoff=3.5,
                  max_neighbors=8, l_max=1, seed=0)
 
 NACL = CrystalStructure(
     (11, 17), [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]], np.eye(3) * 4.0)
+
+
+def per_edge(inp, rows):
+    """Edge-scalar feature rows of `inp` read at each directed edge."""
+    return rows if inp.edge_bond is None else rows[inp.edge_bond]
 
 
 @pytest.fixture()
@@ -109,9 +114,12 @@ class TestShapes:
         noisy = model.make_inputs(g, angles=g.angles + 0.1,
                                   so3_distances=g.distance + 0.1)
         # invariant-view distances stay clean; angle and radial views move
-        assert np.array_equal(noisy.se3_edge_rbf, clean.se3_edge_rbf)
-        assert not np.array_equal(noisy.se3_angle_rbf, clean.se3_angle_rbf)
-        assert not np.array_equal(noisy.so3_edge_rbf, clean.so3_edge_rbf)
+        assert np.array_equal(per_edge(noisy, noisy.se3_edge_rbf),
+                              per_edge(clean, clean.se3_edge_rbf))
+        assert not np.array_equal(per_edge(noisy, noisy.se3_angle_rbf),
+                                  per_edge(clean, clean.se3_angle_rbf))
+        assert not np.array_equal(per_edge(noisy, noisy.so3_edge_rbf),
+                                  per_edge(clean, clean.so3_edge_rbf))
         assert np.array_equal(noisy.sh[1], clean.sh[1])  # directions untouched
 
     def test_clean_distance_views_share_one_expansion(self, model):
@@ -122,8 +130,10 @@ class TestShapes:
         sample = inject_noise(g, 0.05, stream(0, "noise"))
         noisy = model.make_inputs(g, angles=sample.noisy_angles,
                                   so3_distances=sample.noisy_distances)
-        assert np.array_equal(noisy.se3_edge_rbf, clean.se3_edge_rbf)
-        assert not np.array_equal(noisy.so3_edge_rbf, clean.so3_edge_rbf)
+        assert np.array_equal(per_edge(noisy, noisy.se3_edge_rbf),
+                              per_edge(clean, clean.se3_edge_rbf))
+        assert not np.array_equal(per_edge(noisy, noisy.so3_edge_rbf),
+                                  per_edge(clean, clean.so3_edge_rbf))
 
 
 class TestPerStructureNormalization:
@@ -201,6 +211,106 @@ class TestPackedInference:
     def test_empty_input(self, model):
         pred, scores = model.predict_batch([])
         assert pred.shape == (0,) and scores.shape == (0, 2)
+
+
+class TestBondRows:
+    """One feature row per bond against one per directed edge, on the same
+    graphs: the bond map is an optimisation and changes no output."""
+
+    # every edge of these two cells has the same length and angles, so each
+    # training-mode batch norm sees a zero-variance group per structure
+    ALIKE = [NACL, CrystalStructure((26,), [[0.2, 0.3, 0.4]], np.eye(3) * 3.0)]
+
+    @staticmethod
+    def graphs(model, cells):
+        graphs = [model.build_graph(s) for s in cells]
+        assert sum(g.num_bonds for g in graphs) < sum(g.num_edges for g in graphs)
+        return graphs
+
+    @pytest.fixture()
+    def general(self):
+        gen = stream(11, "bonds")
+        return [random_structure(gen, 2, 8) for _ in range(6)]
+
+    @staticmethod
+    def inputs(model, graphs, edge_rows):
+        """Clean inputs; `edge_rows` makes every edge a bond of its own."""
+        if edge_rows:
+            graphs = [dataclasses.replace(g, edge_bond=np.arange(g.num_edges),
+                                          bond_edges=np.arange(g.num_edges))
+                      for g in graphs]
+        return [model.make_inputs(g) for g in graphs]
+
+    @staticmethod
+    def assert_close(got, want, rtol, floor=0.0):
+        """Equal within `rtol` of the larger of `floor` and the largest
+        entry of `want`."""
+        assert got.shape == want.shape
+        assert (np.max(np.abs(got - want), initial=0.0)
+                <= rtol * max(np.max(np.abs(want)), floor))
+
+    def test_bond_rows_are_bond_sized(self, model, general):
+        graphs = self.graphs(model, self.ALIKE + general)
+        for inp, g in zip(self.inputs(model, graphs, False), graphs):
+            assert len(inp.se3_edge_rbf) == len(inp.se3_angle_rbf) == g.num_bonds
+            assert inp.sh[0].shape[0] == g.num_edges
+
+    def test_eval_outputs_unchanged(self, model, general):
+        graphs = self.graphs(model, self.ALIKE + general)
+        bonds = self.inputs(model, graphs, False)
+        edges = self.inputs(model, graphs, True)
+        for chunk in ([bonds, edges], *zip(([b] for b in bonds), ([e] for e in edges))):
+            got, want = (model.forward(c, training=False) for c in chunk)
+            for a, b in ((got.prediction, want.prediction), (got.e1, want.e1),
+                         (got.e2, want.e2)):
+                self.assert_close(a.data, b.data, 1e-15)
+        enc = model.encode(bonds, training=False)
+        ref = model.encode(edges, training=False)
+        self.assert_close(enc.se3_edges.data, ref.se3_edges.data, 1e-15)
+        self.assert_close(model.predict_distance_noise(enc).data,
+                          model.predict_distance_noise(ref).data, 1e-15)
+
+    @staticmethod
+    def training_pass(graphs, edge_rows):
+        """Loss of one training-mode pass that reaches every parameter (the
+        fused prediction and both denoising heads), and the model after its
+        backward."""
+        gen = stream(11, "bond-probes")
+        num_edges = sum(g.num_edges for g in graphs)
+        targets = Tensor(gen.normal(size=(len(graphs), 1)))
+        probe_theta = Tensor(gen.normal(size=(num_edges, 3)))
+        probe_e = Tensor(gen.normal(size=(num_edges, 1)))
+        model = MGTModel(TINY)
+        enc = model.encode(TestBondRows.inputs(model, graphs, edge_rows),
+                           training=True)
+        pred, _ = model.fusion(enc.e1, enc.e2, None)
+        diff = pred - targets
+        loss = ((diff * diff).mean()
+                + (model.predict_angle_noise(enc) * probe_theta).sum()
+                + (model.predict_distance_noise(enc) * probe_e).sum())
+        loss.backward()
+        return loss.data, model.store
+
+    # Where a structure's edges are all alike, each group's standardized
+    # values are rounding noise scaled by 1/sqrt(eps), so gradients move by
+    # about 1e-12 of their largest entry under any change of summation
+    # order: reversing the pack order alone moves them by 1.05e-12 with one
+    # row per edge. Those cells are held to 1e-10.
+    @pytest.mark.parametrize("alike,rtol", [(False, 1e-12), (True, 1e-10)])
+    def test_training_losses_and_gradients_unchanged(self, general, alike, rtol):
+        cells = self.ALIKE + general if alike else general
+        graphs = self.graphs(MGTModel(TINY), cells)
+        (loss, store), (ref_loss, ref) = (self.training_pass(graphs, edge_rows)
+                                          for edge_rows in (False, True))
+        self.assert_close(loss, ref_loss, 1e-12)
+        # moe.router_k's bias shifts every router logit alike, so its exact
+        # gradient is zero: compare against a millionth of the largest one
+        floor = 1e-6 * max(np.max(np.abs(p.grad)) for p in ref.params.values())
+        for name, p in ref.params.items():
+            assert p.grad is not None, name
+            self.assert_close(store.params[name].grad, p.grad, rtol, floor)
+        for name, buf in ref.buffers.items():
+            self.assert_close(store.buffers[name], buf, rtol)
 
 
 class TestSymmetrySpotChecks:

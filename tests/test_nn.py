@@ -278,6 +278,62 @@ class TestBatchNorm:
                 fd[i] = (up - down) / (2 * h)
             np.testing.assert_allclose(t.grad.ravel(), fd, rtol=1e-6, atol=1e-8)
 
+    # rows 0-6 in two groups; each row stands for 1 or 2 expanded rows
+    WEIGHT = np.array([2, 1, 2, 2, 1, 2, 1])
+    GROUPS = np.array([0, 0, 0, 0, 1, 1, 1])
+
+    def test_weighted_rows_match_expanded_rows(self):
+        # outputs, gradients and running estimates of weighted rows equal
+        # those of the rows repeated by their weights
+        gen = stream(5, "bn-weighted")
+        x = gen.normal(size=(7, 3)) * 2.0 + 1.0
+        expand = np.repeat(np.arange(7), self.WEIGHT)
+        probe = Tensor(gen.normal(size=(len(expand), 3)))
+
+        def run(weighted):
+            bn, _ = self.make()
+            bn.gamma.data[:] = [0.7, 1.3, 1.1]
+            xt = Tensor(x, requires_grad=True)
+            if weighted:
+                out = bn(xt, self.GROUPS, training=True,
+                         weight=self.WEIGHT).take(expand)
+            else:
+                out = bn(xt.take(expand), self.GROUPS[expand], training=True)
+            (out * probe).sum().backward()
+            return (out.data, xt.grad, bn.gamma.grad, bn.beta.grad,
+                    bn.running_mean.copy(), bn.running_var.copy())
+
+        for got, want in zip(run(True), run(False)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_weighted_backward_matches_central_differences(self):
+        bn, _ = self.make()
+        gen = stream(5, "bn-weighted-grad")
+        bn.gamma.data[:] = gen.uniform(0.5, 1.5, 3)
+        bn.beta.data[:] = gen.uniform(-0.5, 0.5, 3)
+        x = Tensor(gen.normal(size=(7, 3)) * 2.0, requires_grad=True)
+        w = Tensor(gen.normal(size=(7, 3)))
+
+        def loss():
+            out = bn(x, self.GROUPS, training=True, weight=self.WEIGHT)
+            return float((out * out * w).sum().data)
+
+        out = bn(x, self.GROUPS, training=True, weight=self.WEIGHT)
+        (out * out * w).sum().backward()
+        h = 1e-6
+        for t in (x, bn.gamma, bn.beta):
+            flat = t.data.ravel()
+            fd = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss()
+                flat[i] = orig - h
+                down = loss()
+                flat[i] = orig
+                fd[i] = (up - down) / (2 * h)
+            np.testing.assert_allclose(t.grad.ravel(), fd, rtol=1e-6, atol=1e-8)
+
 
 class TestLayerNorm:
 

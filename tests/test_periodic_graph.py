@@ -236,8 +236,39 @@ def oracle_graph(s, r=DEFAULT_CUTOFF, max_neighbors=DEFAULT_MAX_NEIGHBORS,
     return g
 
 
+def reverse_edges(g):
+    """Index of each edge's reverse (dst, src, -image) in `g`, or -1."""
+    index = {(i, j, tuple(k)): e for e, (i, j, k) in enumerate(
+        zip(g.src.tolist(), g.dst.tolist(), g.image.tolist()))}
+    return np.array([index.get((j, i, tuple(-x for x in k)), -1)
+                     for i, j, k in zip(g.src.tolist(), g.dst.tolist(),
+                                        g.image.tolist())], dtype=np.int64)
+
+
+def assert_bond_map(g):
+    """An edge and its reverse share one bond, represented by the earlier
+    of the two; an unpaired edge is a bond of its own; and every edge's
+    distance and angles are bitwise its representative's."""
+    edges = np.arange(g.num_edges)
+    rev = reverse_edges(g)
+    paired = rev >= 0
+    rep = np.where(paired, np.minimum(edges, rev), edges)
+    assert np.array_equal(g.bond_edges, np.unique(rep))
+    assert np.array_equal(g.bond_edges[g.edge_bond], rep)
+    assert np.array_equal(g.edge_bond[paired], g.edge_bond[rev[paired]])
+    assert np.array_equal(g.edge_bond[g.bond_edges], np.arange(g.num_bonds))
+    assert g.num_bonds == g.num_edges - np.count_nonzero(paired) // 2
+    for name in ("distance", "angles"):
+        values = getattr(g, name)
+        assert values[rep].tobytes() == values.tobytes(), name
+    for name in ("edge_bond", "bond_edges"):
+        assert getattr(g, name).dtype == np.int64
+        assert not getattr(g, name).flags.writeable
+
+
 def assert_matches_oracle(s, **kwargs):
-    """`build_graph` equals the oracle bitwise, or both raise one message."""
+    """`build_graph` equals the oracle bitwise, or both raise one message;
+    the graph's bond map passes `assert_bond_map`."""
     try:
         want = oracle_graph(s, **kwargs)
     except GraphError as err:
@@ -250,6 +281,7 @@ def assert_matches_oracle(s, **kwargs):
         actual = getattr(g, name)
         assert actual.dtype == expected.dtype and actual.shape == expected.shape, name
         assert actual.tobytes() == expected.tobytes(), name
+    assert_bond_map(g)
     return g
 
 
@@ -335,6 +367,28 @@ class TestOracle:
         with pytest.raises(GraphError, match="image budget exceeded"):
             build_graph(s, r=8.0, image_budget=100)
         assert_matches_oracle(s, r=8.0, image_budget=100)
+
+
+class TestBondMap:
+
+    def test_cap_leaves_unpaired_edges_as_bonds_of_their_own(self):
+        # six images at 1, then one of the twelve tied at sqrt(2): the six
+        # pair up into three bonds, and the seventh, whose reverse the cap
+        # dropped, is a bond of its own
+        g = assert_matches_oracle(cubic(1.0), r=1.5, max_neighbors=7)
+        unpaired = np.flatnonzero(reverse_edges(g) < 0)
+        assert unpaired.tolist() == [6] and g.num_bonds == 4
+        assert np.isin(unpaired, g.bond_edges).all()
+        assert np.count_nonzero(g.edge_bond == g.edge_bond[6]) == 1
+
+    def test_two_atoms_with_capped_neighbours(self):
+        # each atom keeps 3 of the 8 tied images of the other atom at 2.6 A,
+        # chosen by image offset, so 2 of the 6 edges lose their reverse
+        s = cubic(3.0, (11, 17), ((0.1, 0.2, 0.3), (0.6, 0.7, 0.8)))
+        g = assert_matches_oracle(s, r=4.0, max_neighbors=3)
+        unpaired = np.flatnonzero(reverse_edges(g) < 0)
+        assert len(unpaired) == 2 and g.num_edges == 6 and g.num_bonds == 4
+        assert np.isin(unpaired, g.bond_edges).all()
 
 
 @st.composite
