@@ -246,11 +246,15 @@ def _bond_map(src: np.ndarray, dst: np.ndarray, image: np.ndarray,
     Each edge gets one integer key from (src, dst, image) and is looked up
     by the key of its reverse (dst, src, -image) in the sorted keys. The key
     space is n^2 times the box of the images in use, at most n^2 times the
-    scan box; `np.ravel_multi_index` raises rather than wraps past int64.
+    scan box; past int64 it raises `GraphError`.
     """
     edges = np.arange(len(src))
     span = np.abs(image).max(axis=0, initial=0)
-    dims = (num_nodes, num_nodes, *(2 * span + 1))
+    dims = (num_nodes, num_nodes, *(2 * span + 1).tolist())
+    if math.prod(dims) > np.iinfo(np.intp).max:
+        raise GraphError(
+            f"bond keys of {num_nodes} nodes over images up to "
+            f"+-{span.tolist()} overflow int64")
     key = np.ravel_multi_index((src, dst, *(image + span).T), dims)
     rev = np.ravel_multi_index((dst, src, *(span - image).T), dims)
     order = np.argsort(key, kind="stable")

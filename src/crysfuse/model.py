@@ -229,8 +229,7 @@ class MGTModel:
             se3_edge_rbf=se3_rbf,
             se3_angle_rbf=embed_angles(angles, self.angle_spec),
             lattice_feats=lattice_scalars(
-                graph.ref_vectors,
-                lambda x: rbf_expand(np.array([x]), self.dist_spec)[0]),
+                graph.ref_vectors, lambda x: rbf_expand(x, self.dist_spec)),
             so3_edge_rbf=so3_rbf,
             sh=spherical_harmonics(graph.vector, self.cfg.l_max),
             edge_bond=edge_bond,

@@ -177,13 +177,10 @@ def lattice_scalars(ref_vectors: np.ndarray, rbf_fn) -> np.ndarray:
 
     Channel m gets the basis expansion of |u_m| plus the cosines of u_m
     against the other two reference vectors, shape (3, num_rbf + 2).
+    `rbf_fn` expands the array of the three lengths, shape (3, num_rbf).
     """
     refs = np.asarray(ref_vectors, dtype=np.float64)
     lengths = np.linalg.norm(refs, axis=1)
-    rows = []
-    for m in range(3):
-        a, b = (m + 1) % 3, (m + 2) % 3
-        cos_a = refs[m] @ refs[a] / (lengths[m] * lengths[a])
-        cos_b = refs[m] @ refs[b] / (lengths[m] * lengths[b])
-        rows.append(np.concatenate([rbf_fn(lengths[m]), [cos_a, cos_b]]))
-    return np.stack(rows)
+    cosines = [[refs[m] @ refs[o] / (lengths[m] * lengths[o])
+                for o in ((m + 1) % 3, (m + 2) % 3)] for m in range(3)]
+    return np.concatenate([rbf_fn(lengths), cosines], axis=1)

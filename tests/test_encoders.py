@@ -49,7 +49,7 @@ class TestLatticeScalars:
 
     def spec_fn(self, k=4):
         spec = uniform_rbf(0.0, 3.5, k)
-        return lambda x: rbf_expand(np.array([x]), spec)[0]
+        return lambda x: rbf_expand(x, spec)
 
     def test_cubic_values(self):
         feats = lattice_scalars(np.eye(3), self.spec_fn())
@@ -134,6 +134,39 @@ class TestShapes:
                               per_edge(clean, clean.se3_edge_rbf))
         assert not np.array_equal(per_edge(noisy, noisy.so3_edge_rbf),
                                   per_edge(clean, clean.so3_edge_rbf))
+
+
+class TestInputsHoldNormalNumbersOnly:
+    """No input array holds a subnormal, at float64 or cast to float32, on
+    default-size bases, clean or noisy."""
+
+    THIN = CrystalStructure(
+        tuple(int(z) for z in stream(5, "thin").integers(1, 90, 24)),
+        stream(6, "thin").uniform(0.0, 1.0, (24, 3)),
+        [[3.0, 0.0, 0.0], [1.5, 9.0, 0.0], [-2.0, 2.5, 10.0]])
+    # 20 A from its nearest image: the radius grows from 8 A to 27 A
+    ISOLATED = CrystalStructure((26,), [[0.0, 0.0, 0.0]], np.eye(3) * 20.0)
+
+    @staticmethod
+    def assert_normal(inputs):
+        arrays = [inputs.atom_feats, inputs.se3_edge_rbf, inputs.se3_angle_rbf,
+                  inputs.lattice_feats, inputs.so3_edge_rbf, *inputs.sh]
+        for arr in arrays:
+            for x in (arr, arr.astype(np.float32)):
+                mag = np.abs(x)
+                assert not np.any((mag > 0) & (mag < np.finfo(x.dtype).tiny))
+
+    @pytest.mark.parametrize("s", [THIN, ISOLATED], ids=["thin", "isolated"])
+    def test_clean_and_noisy_views(self, s):
+        model = MGTModel(RunConfig(seed=0))
+        g = model.build_graph(s)
+        self.assert_normal(model.make_inputs(g))
+        sample = inject_noise(g, 0.05, stream(0, "noise"))
+        self.assert_normal(model.make_inputs(
+            g, angles=sample.noisy_angles,
+            so3_distances=sample.noisy_distances))
+        if s is self.ISOLATED:
+            assert g.distance.min() == 20.0 > model.cfg.cutoff
 
 
 class TestPerStructureNormalization:

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crysfuse.errors import DataError
 from crysfuse.featurize import (
+    RBF_CUT,
     AtomTable,
     RbfSpec,
     embed_angles,
@@ -109,3 +112,39 @@ class TestEdgeAndAngleFeatures:
         assert out.shape == (1, 3, 8)
         direct = rbf_expand(np.array([[1.0, 0.0, -1.0]]), spec)
         assert np.allclose(out, direct)
+
+
+@st.composite
+def specs_and_values(draw):
+    """A random ascending grid and values inside it, far outside it,
+    nan and +-inf."""
+    lo = draw(st.floats(-10.0, 10.0))
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=63))
+    spec = RbfSpec(lo + np.cumsum([0.0, *steps]),
+                   gamma=draw(st.floats(1e-3, 1e4)))
+    inside = st.floats(spec.centers[0] - 1.0, spec.centers[-1] + 1.0)
+    outside = st.floats(-1e100, 1e100)
+    special = st.sampled_from([np.nan, np.inf, -np.inf])
+    x = draw(st.lists(st.one_of(inside, outside, special),
+                      min_size=1, max_size=20))
+    return spec, np.array(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=specs_and_values())
+def test_rbf_expand_is_the_gaussian_truncated_at_the_cut(case):
+    spec, x = case
+    out = rbf_expand(x, spec)
+    diff = x[:, None] - spec.centers
+    a = -spec.gamma * diff * diff
+    kept = a >= RBF_CUT
+    # no subnormal at float64 or once cast to float32
+    for arr in (out, out.astype(np.float32)):
+        mag = np.abs(arr)
+        assert not np.any((mag > 0) & (mag < np.finfo(arr.dtype).tiny))
+    assert np.array_equal(out[kept].view(np.uint64),
+                          np.exp(a[kept]).view(np.uint64))
+    below = a < RBF_CUT
+    assert np.all(out[below] == 0.0) and not np.any(np.signbit(out[below]))
+    assert np.all(np.isnan(out[np.isnan(x)]))
+    assert np.all(out[np.isinf(x)] == 0.0)

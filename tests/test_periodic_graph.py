@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crysfuse.graph import (DEFAULT_CUTOFF, DEFAULT_IMAGE_BUDGET,
-                            DEFAULT_MAX_NEIGHBORS, GraphError, _check_budget,
-                            _image_grid, _scan_bounds, build_graph,
-                            perpendicular_widths, reference_vectors)
+                            DEFAULT_MAX_NEIGHBORS, GraphError, _bond_map,
+                            _check_budget, _image_grid, _scan_bounds,
+                            build_graph, perpendicular_widths,
+                            reference_vectors)
 from crysfuse.structures import CrystalStructure
 
 
@@ -389,6 +390,11 @@ class TestBondMap:
         unpaired = np.flatnonzero(reverse_edges(g) < 0)
         assert len(unpaired) == 2 and g.num_edges == 6 and g.num_bonds == 4
         assert np.isin(unpaired, g.bond_edges).all()
+
+    def test_keys_past_int64_are_a_graph_error(self):
+        image = np.array([[1, -1, 1], [-1, 1, -1]]) * 2**20
+        with pytest.raises(GraphError, match=r"2 nodes .*1048576"):
+            _bond_map(np.array([0, 1]), np.array([1, 0]), image, 2)
 
 
 @st.composite
