@@ -22,7 +22,8 @@ are featurized per edge, with no bond map.
 Every forward runs both encoders once over a pack: the disjoint union of
 its structures' graphs, with node and edge arrays concatenated, `src`/`dst`
 offset, lattice features stacked per structure, and each node and edge
-tagged with its structure. Pooling is a per-structure mean, and in training
+tagged with its structure. The encoders, their layers and the denoising
+heads read that `Pack`. Pooling is a per-structure mean, and in training
 passes every batch norm standardizes each structure over its own nodes or
 edges (segment statistics over the pack's contiguous rows), folding them
 into the running estimates one structure at a time in pack order. So no
@@ -97,6 +98,7 @@ class Pack:
     edge_graph: np.ndarray       # (E,) structure of each edge
     bond_graph: np.ndarray       # (R,) structure of each edge-scalar row
     edge_bond: np.ndarray | None  # (E,) row of each edge; None if R = E
+    bond_weight: np.ndarray | None  # (R,) directed edges per row; None if R = E
 
 
 def pack_inputs(inputs: list[ModelInputs]) -> Pack:
@@ -110,11 +112,12 @@ def pack_inputs(inputs: list[ModelInputs]) -> Pack:
     ids = np.arange(len(inputs))
     # a structure with as many rows as edges reads them in order, so a pack
     # whose every edge has its own row needs no gather
-    edge_bond = None
+    edge_bond = bond_weight = None
     if sum(rows) < sum(edges):
         edge_bond = np.concatenate([
             (np.arange(e) if inp.edge_bond is None else inp.edge_bond) + o
             for inp, e, o in zip(inputs, edges, np.cumsum([0] + rows[:-1]))])
+        bond_weight = np.bincount(edge_bond, minlength=sum(rows))
     return Pack(
         atom_feats=np.concatenate([inp.atom_feats for inp in inputs]),
         se3_edge_rbf=np.concatenate([inp.se3_edge_rbf for inp in inputs]),
@@ -129,20 +132,17 @@ def pack_inputs(inputs: list[ModelInputs]) -> Pack:
         edge_graph=np.repeat(ids, edges),
         bond_graph=np.repeat(ids, rows),
         edge_bond=edge_bond,
+        bond_weight=bond_weight,
     )
 
 
 @dataclass
 class EncodedPack:
+    pack: Pack          # the encoded inputs, which the denoising heads read
     se3_nodes: Tensor   # (N, d)
     se3_bonds: Tensor   # (R, d), one row per edge-scalar row of the pack
     e1: Tensor          # (B, d)
     so3: SO3Result
-    # the pack's edges, which the denoising heads read
-    src: np.ndarray     # (E,)
-    dst: np.ndarray     # (E,)
-    so3_edge_rbf: np.ndarray  # (R, K)
-    edge_bond: np.ndarray | None  # (E,) row of each edge; None if R = E
 
     @property
     def e2(self) -> Tensor:
@@ -151,9 +151,9 @@ class EncodedPack:
     @property
     def se3_edges(self) -> Tensor:
         """(E, d) final edge embeddings, one row per directed edge."""
-        if self.edge_bond is None:
+        if self.pack.edge_bond is None:
             return self.se3_bonds
-        return self.se3_bonds.take(self.edge_bond)
+        return self.se3_bonds.take(self.pack.edge_bond)
 
 
 @dataclass
@@ -241,19 +241,15 @@ class MGTModel:
     # -- forward -----------------------------------------------------------
 
     def encode(self, inputs: list[ModelInputs], training: bool) -> EncodedPack:
-        """Run both encoders once over the pack of `inputs`; training
-        passes standardize each structure with its own batch statistics."""
+        """Run both encoders once over the pack of `inputs`, at this model's
+        precision; training passes standardize each structure with its own
+        batch statistics."""
+        set_default_dtype(self.cfg.precision)
         training = training and not self.frozen_encoder_stats
         p = pack_inputs(inputs)
-        nodes, bonds, e1 = self.se3(
-            p.atom_feats, p.se3_edge_rbf, p.se3_angle_rbf, p.lattice_feats,
-            p.src, p.dst, p.node_graph, p.edge_graph, p.bond_graph,
-            p.edge_bond, training)
-        so3 = self.so3(p.atom_feats, p.so3_edge_rbf, p.sh, p.src, p.dst,
-                       p.node_graph, p.edge_graph, p.edge_bond, training)
-        return EncodedPack(se3_nodes=nodes, se3_bonds=bonds, e1=e1, so3=so3,
-                           src=p.src, dst=p.dst, so3_edge_rbf=p.so3_edge_rbf,
-                           edge_bond=p.edge_bond)
+        nodes, bonds, e1 = self.se3(p, training)
+        return EncodedPack(pack=p, se3_nodes=nodes, se3_bonds=bonds, e1=e1,
+                           so3=self.so3(p, training))
 
     def forward(self, inputs: list[ModelInputs], training: bool,
                 router_override: np.ndarray | None = None) -> ModelOutputs:
@@ -293,11 +289,11 @@ class MGTModel:
 
     def predict_angle_noise(self, enc: EncodedPack) -> Tensor:
         """Per-edge 3-channel angle-noise estimate from final edge embeddings."""
-        return self.denoise_se3([(enc.se3_bonds, enc.edge_bond)])
+        return self.denoise_se3([(enc.se3_bonds, enc.pack.edge_bond)])
 
     def predict_distance_noise(self, enc: EncodedPack) -> Tensor:
         """Per-edge distance-noise estimate from endpoint nodes + radial
         features, over all edges of the pack."""
-        return self.denoise_so3([(enc.so3.nodes, enc.src),
-                                 (enc.so3.nodes, enc.dst),
-                                 (Tensor(enc.so3_edge_rbf), enc.edge_bond)])
+        p = enc.pack
+        return self.denoise_so3([(enc.so3.nodes, p.src), (enc.so3.nodes, p.dst),
+                                 (Tensor(p.so3_edge_rbf), p.edge_bond)])

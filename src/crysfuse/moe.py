@@ -90,6 +90,9 @@ class ConcatHead:
     def __call__(self, e1: Tensor, e2: Tensor,
                  router_override: np.ndarray | None = None
                  ) -> tuple[Tensor, np.ndarray]:
+        """Predictions (B, 1) and nan scores; there is no router to override."""
+        if router_override is not None:
+            raise ValueError("the concat head has no router to override")
         pred = self.lin2(self.lin1([e1, e2]).softplus())
         scores = np.full((e1.shape[0], 2), np.nan)
         return pred, scores

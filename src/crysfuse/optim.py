@@ -1,5 +1,5 @@
-"""AdamW with decoupled weight decay, global-norm gradient clipping, and the
-warmup + cosine LR schedule."""
+"""AdamW with decoupled weight decay, global-norm gradient clipping, the
+warmup + cosine LR schedule, and the batches of a training epoch."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from .config import RunConfig
 from .tensor import Tensor
 
 
@@ -52,6 +53,21 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def adamw_from_config(params: dict[str, Tensor], cfg: RunConfig,
+                      lr: float) -> AdamW:
+    """AdamW over `params` with `cfg`'s betas, epsilon and weight decay."""
+    return AdamW(params, lr=lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,
+                 weight_decay=cfg.weight_decay)
+
+
+def epoch_batches(n: int, batch_size: int) -> list[slice]:
+    """Slices of an epoch's shuffled order of `n` samples: max(1, n //
+    batch_size) batches of `batch_size`, the last taking the remainder."""
+    count = max(1, n // batch_size)
+    return [slice(b * batch_size, n if b == count - 1 else (b + 1) * batch_size)
+            for b in range(count)]
 
 
 def clip_grad_norm(params, max_norm: float) -> float:

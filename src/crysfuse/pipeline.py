@@ -21,10 +21,11 @@ from .config import ConfigError, RunConfig, config_from_dict
 from .errors import DataError, NumericError
 from .graph import GraphError
 from .model import MGTModel, ModelInputs
-from .optim import AdamW, clip_grad_norm, lr_schedule
+from .optim import (AdamW, adamw_from_config, clip_grad_norm, epoch_batches,
+                    lr_schedule)
 from .rng import stream
 from .structures import CrystalStructure, StructureError, structure_from_dict
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 CHECKPOINT_FORMAT_VERSION = 1
 _ENCODER_PREFIXES = ("se3.", "so3.")
@@ -258,7 +259,7 @@ def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
 
     for name, is_param, values in staged:
         if is_param:
-            store.params[name].data = values.astype(default_dtype())
+            store.params[name].data = values.astype(store.params[name].data.dtype)
         else:
             store.buffers[name][...] = values  # in place: layers alias these
 
@@ -288,7 +289,8 @@ def transfer_encoder_params(dst: MGTModel, src: MGTModel) -> list[str]:
             raise DataError(
                 f"encoder shape mismatch for {name!r}: "
                 f"source {p.data.shape}, target {dst.store.params[name].data.shape}")
-        dst.store.params[name].data = p.data.astype(default_dtype()).copy()
+        dst.store.params[name].data = p.data.astype(
+            dst.store.params[name].data.dtype)
         copied.append(name)
     for name, b in src.store.buffers.items():
         if not name.startswith(_ENCODER_PREFIXES):
@@ -402,12 +404,10 @@ def finetune(model: MGTModel, train_records: list[Record],
 
     epochs = cfg.finetune_epochs if epochs is None else epochs
     batch_size = min(cfg.finetune_batch_size, len(train_records))
-    steps_per_epoch = max(1, len(train_records) // batch_size)
-    total_steps = max(1, epochs * steps_per_epoch)
+    batches = epoch_batches(len(train_records), batch_size)
+    total_steps = max(1, epochs * len(batches))
     warmup = min(cfg.warmup_steps, total_steps - 1) if total_steps > 1 else 0
-    opt = AdamW(model.store.params, lr=cfg.finetune_lr,
-                betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,
-                weight_decay=cfg.weight_decay)
+    opt = adamw_from_config(model.store.params, cfg, cfg.finetune_lr)
 
     result = FinetuneResult(normalizer=normalizer)
     best_snap = None
@@ -421,11 +421,8 @@ def finetune(model: MGTModel, train_records: list[Record],
             losses = []
             abs_err_sum = 0.0
             seen = 0
-            for b in range(steps_per_epoch):
-                lo = b * batch_size
-                hi = (len(train_records) if b == steps_per_epoch - 1
-                      else lo + batch_size)
-                idx = order[lo:hi]
+            for batch_slice in batches:
+                idx = order[batch_slice]
                 step += 1
                 opt.lr = lr_schedule(min(step, total_steps), total_steps,
                                      warmup, cfg.finetune_lr, cfg.lr_min)

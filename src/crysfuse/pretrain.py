@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericError
 from .graph import PeriodicGraph
 from .model import MGTModel, ModelInputs
-from .optim import AdamW, lr_schedule
+from .optim import AdamW, adamw_from_config, epoch_batches, lr_schedule
 from .rng import stream
 from .tensor import Tensor, concat
 
@@ -203,14 +203,12 @@ def run_pretraining(model: MGTModel, graphs: list[tuple[PeriodicGraph, str]],
     batch_size = min(cfg.pretrain_batch_size, len(graphs))
     if batch_size < 2:
         raise ValueError("pretraining needs at least 2 structures")
-    steps_per_epoch = max(1, len(graphs) // batch_size)
-    total_steps = epochs * steps_per_epoch
+    batches = epoch_batches(len(graphs), batch_size)
+    total_steps = epochs * len(batches)
     if max_steps is not None:
         total_steps = min(total_steps, max_steps)
     warmup = min(cfg.warmup_steps, total_steps - 1) if total_steps > 1 else 0
-    opt = AdamW(model.store.params, lr=cfg.pretrain_lr,
-                betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps,
-                weight_decay=cfg.weight_decay)
+    opt = adamw_from_config(model.store.params, cfg, cfg.pretrain_lr)
     noise_gen = stream(cfg.seed, "noise")
     history: list[dict] = []
     log_fh = open(log_path, "w") if log_path else None
@@ -219,12 +217,10 @@ def run_pretraining(model: MGTModel, graphs: list[tuple[PeriodicGraph, str]],
         for epoch in range(epochs):
             order = stream(cfg.seed, f"shuffle/pretrain/{epoch}").permutation(
                 len(graphs))
-            for b in range(steps_per_epoch):
+            for batch_slice in batches:
                 if step >= total_steps:
                     return history
-                lo = b * batch_size
-                hi = len(graphs) if b == steps_per_epoch - 1 else lo + batch_size
-                batch = [graphs[i] for i in order[lo:hi]]
+                batch = [graphs[i] for i in order[batch_slice]]
                 step += 1
                 opt.lr = lr_schedule(step, total_steps, warmup,
                                      cfg.pretrain_lr, cfg.lr_min)

@@ -16,11 +16,15 @@ to the directed edges.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .nn import MLP2, BatchNorm, Linear, ParamStore, ProjectionHead, mean_pool
 from .tensor import Tensor, concat, segment_sum
+
+if TYPE_CHECKING:
+    from .model import Pack
 
 
 class SE3EdgeLayer:
@@ -49,26 +53,23 @@ class SE3EdgeLayer:
         self.bn_attn = BatchNorm(store, name + ".bn_attn", dim)
         self.bn_msg = BatchNorm(store, name + ".bn_msg", dim)
 
-    def __call__(self, e: Tensor, angle_feats: np.ndarray,
-                 lattice_feats: np.ndarray, bond_graph: np.ndarray,
-                 training: bool, weight: np.ndarray | None = None) -> Tensor:
-        """`e` and `angle_feats` have one row per bond, `bond_graph` maps
-        each to its structure, and `weight` (training only) counts the
-        directed edges each row stands for. `lattice_feats` is
-        (B, 3, lattice_dim), one row block per structure of the pack."""
+    def __call__(self, e: Tensor, p: Pack, training: bool) -> Tensor:
+        """`e` has one row per edge-scalar row of the pack `p`; training
+        batch norms count row r `p.bond_weight[r]` times."""
         scale = 1.0 / math.sqrt(self.dim)
+        weight = p.bond_weight if training else None
         q = self.f_q(e)
         ke = self.f_k(e)
         ve = self.f_v(e)
         logits = []
         values = []
         for m in range(3):
-            ang = self.f_angle(Tensor(angle_feats[:, m, :]))
+            ang = self.f_angle(Tensor(p.se3_angle_rbf[:, m, :]))
             # lattice key and value: one row per structure, gathered per edge
             # after phi's first matmul
-            lat = Tensor(lattice_feats[:, m, :])
-            k_lat = (self.f_k_lat[m](lat), bond_graph)
-            v_lat = (self.f_v_lat[m](lat), bond_graph)
+            lat = Tensor(p.lattice_feats[:, m, :])
+            k_lat = (self.f_k_lat[m](lat), p.bond_graph)
+            v_lat = (self.f_v_lat[m](lat), p.bond_graph)
             k_m = self.phi_k([ke, k_lat, ang])
             v_m = self.phi_v([ve, v_lat, ang])
             logits.append(q * k_m * scale)
@@ -77,12 +78,12 @@ class SE3EdgeLayer:
         # bond-major (bond i's three channels at 3i..3i+2), so each
         # structure's rows stay one contiguous group.
         alpha = self.bn_attn(concat(logits, axis=1).reshape(-1, self.dim),
-                             np.repeat(bond_graph, 3), training,
+                             np.repeat(p.bond_graph, 3), training,
                              None if weight is None else np.repeat(weight, 3)
                              ).sigmoid()
         gated = alpha * concat(values, axis=1).reshape(-1, self.dim)
         msg = gated.reshape(-1, 3, self.dim).sum(axis=1)
-        return (e + self.bn_msg(msg, bond_graph, training, weight)).softplus()
+        return (e + self.bn_msg(msg, p.bond_graph, training, weight)).softplus()
 
 
 class SE3NodeLayer:
@@ -109,20 +110,18 @@ class SE3NodeLayer:
         self.bn_attn = BatchNorm(store, name + ".bn_attn", dim)
         self.bn_msg = BatchNorm(store, name + ".bn_msg", dim)
 
-    def __call__(self, h: Tensor, e: Tensor, src: np.ndarray, dst: np.ndarray,
-                 node_graph: np.ndarray, edge_graph: np.ndarray,
-                 training: bool, edge_bond: np.ndarray | None = None) -> Tensor:
+    def __call__(self, h: Tensor, e: Tensor, p: Pack, training: bool) -> Tensor:
         num_nodes = h.shape[0]
         scale = 1.0 / math.sqrt(self.dim)
-        q = self.f_q(h).take(src)
-        fe = (self.f_e(e), edge_bond)
+        q = self.f_q(h).take(p.src)
+        fe = (self.f_e(e), p.edge_bond)
         # centre, neighbour and bond terms go through phi's first matmul per
         # node or bond, then are gathered onto the edges
-        k = self.phi_k([(self.f_k_ctr(h), src), (self.f_k_nbr(h), dst), fe])
-        v = self.phi_v([(self.f_v_ctr(h), src), (self.f_v_nbr(h), dst), fe])
-        alpha = self.bn_attn(q * k * scale, edge_graph, training).sigmoid()
-        msg = segment_sum(alpha * v, src, num_nodes)
-        return (h + self.bn_msg(msg, node_graph, training)).softplus()
+        k = self.phi_k([(self.f_k_ctr(h), p.src), (self.f_k_nbr(h), p.dst), fe])
+        v = self.phi_v([(self.f_v_ctr(h), p.src), (self.f_v_nbr(h), p.dst), fe])
+        alpha = self.bn_attn(q * k * scale, p.edge_graph, training).sigmoid()
+        msg = segment_sum(alpha * v, p.src, num_nodes)
+        return (h + self.bn_msg(msg, p.node_graph, training)).softplus()
 
 
 class SE3Encoder:
@@ -143,32 +142,16 @@ class SE3Encoder:
             for i in range(node_layers)]
         self.head = ProjectionHead(store, name + ".head", width)
 
-    def __call__(self, atom_feats: np.ndarray, edge_rbf: np.ndarray,
-                 angle_feats: np.ndarray, lattice_feats: np.ndarray,
-                 src: np.ndarray, dst: np.ndarray, node_graph: np.ndarray,
-                 edge_graph: np.ndarray, bond_graph: np.ndarray,
-                 edge_bond: np.ndarray | None, training: bool
-                 ) -> tuple[Tensor, Tensor, Tensor]:
-        """Encode a pack of structures (a disjoint union; `node_graph`,
-        `edge_graph` and `bond_graph` give each node's, edge's and bond
-        row's structure). `edge_rbf` and `angle_feats` have one row per
-        bond, and `edge_bond` gives each directed edge's bond row, or is
-        None when each edge has a row of its own.
-
-        Returns (node embeddings (N, d), bond embeddings (rows of
-        `edge_rbf`, d), pooled (B, d)).
-        """
-        weight = (np.bincount(edge_bond, minlength=len(bond_graph))
-                  if training and edge_bond is not None else None)
-        e = self.edge_proj(Tensor(edge_rbf))
+    def __call__(self, p: Pack, training: bool) -> tuple[Tensor, Tensor, Tensor]:
+        """Encode the pack `p`: (node embeddings (N, d), embeddings of its
+        edge-scalar rows (R, d), pooled (B, d))."""
+        e = self.edge_proj(Tensor(p.se3_edge_rbf))
         for layer in self.edge_layers:
-            e = layer(e, angle_feats, lattice_feats, bond_graph, training,
-                      weight)
-        h = self.node_proj(Tensor(atom_feats))
+            e = layer(e, p, training)
+        h = self.node_proj(Tensor(p.atom_feats))
         for layer in self.node_layers:
-            h = layer(h, e, src, dst, node_graph, edge_graph, training,
-                      edge_bond)
-        pooled = self.head(mean_pool(h, node_graph))
+            h = layer(h, e, p, training)
+        pooled = self.head(mean_pool(h, p.node_graph))
         return h, e, pooled
 
 

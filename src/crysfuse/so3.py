@@ -26,12 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .nn import BatchNorm, Linear, ParamStore, ProjectionHead, mean_pool
 from .se3 import SE3NodeLayer
 from .tensor import Tensor, segment_sum
+
+if TYPE_CHECKING:
+    from .model import Pack
 
 
 class TensorProductLayer:
@@ -118,23 +122,17 @@ class SO3Encoder:
             for i in range(node_layers)]
         self.head = ProjectionHead(store, name + ".head", width)
 
-    def __call__(self, atom_feats: np.ndarray, edge_rbf: np.ndarray,
-                 sh: list[np.ndarray], src: np.ndarray, dst: np.ndarray,
-                 node_graph: np.ndarray, edge_graph: np.ndarray,
-                 edge_bond: np.ndarray | None, training: bool) -> SO3Result:
-        """Encode a pack of structures; `node_graph` and `edge_graph` give
-        each node's and edge's structure, and `pooled` has one row per
-        structure. `edge_rbf` has one row per bond and `edge_bond` gives
-        each directed edge's row, or is None when each edge has its own."""
-        h0 = self.scalar_proj(Tensor(atom_feats))  # (N, ch)
-        layer1, h2 = self.tp(h0, sh, edge_rbf, src, dst, edge_bond)
+    def __call__(self, p: Pack, training: bool) -> SO3Result:
+        """Encode the pack `p` from its radial rows `so3_edge_rbf` and
+        harmonics `sh`; `pooled` has one row per structure."""
+        h0 = self.scalar_proj(Tensor(p.atom_feats))  # (N, ch)
+        layer1, h2 = self.tp(h0, p.sh, p.so3_edge_rbf, p.src, p.dst, p.edge_bond)
         readout = self.f_read(
-            self.bn_read(h2, node_graph, training).softplus()).softplus() + h0
+            self.bn_read(h2, p.node_graph, training).softplus()).softplus() + h0
         nodes = self.scalar_lift(readout)
-        e = self.edge_proj(Tensor(edge_rbf))
+        e = self.edge_proj(Tensor(p.so3_edge_rbf))
         for layer in self.node_layers:
-            nodes = layer(nodes, e, src, dst, node_graph, edge_graph,
-                          training, edge_bond)
-        pooled = self.head(mean_pool(nodes, node_graph))
+            nodes = layer(nodes, e, p, training)
+        pooled = self.head(mean_pool(nodes, p.node_graph))
         return SO3Result(layer1=layer1, layer2_scalars=h2, nodes=nodes,
                          pooled=pooled)

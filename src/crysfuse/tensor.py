@@ -11,7 +11,9 @@ intermediate is freed as soon as its last consumer has back-propagated. A
 second ``backward()`` through a consumed graph raises ``RuntimeError``.
 
 Precision is a process-wide switch (`set_default_dtype`): double for the
-verification suite, single for training throughput. Inside `no_grad()` no
+verification suite, single for training throughput. `model.MGTModel` sets it
+to its `cfg.precision` when it creates its parameters and on entry to every
+`encode`, so each model's forward runs at its own. Inside `no_grad()` no
 tape is recorded: results keep their values but no parents or closures, so
 the intermediates of an inference pass are freed as soon as they are used.
 """

@@ -19,7 +19,8 @@ from crysfuse.checks import (
 )
 from crysfuse.config import RunConfig
 from crysfuse.featurize import rbf_expand, uniform_rbf
-from crysfuse.model import PREDICT_CHUNK, MGTModel
+from crysfuse.model import PREDICT_CHUNK, MGTModel, pack_inputs
+from crysfuse.pipeline import transfer_encoder_params
 from crysfuse.pretrain import inject_noise
 from crysfuse.rng import stream
 from crysfuse.se3 import lattice_scalars
@@ -167,6 +168,43 @@ class TestInputsHoldNormalNumbersOnly:
             so3_distances=sample.noisy_distances))
         if s is self.ISOLATED:
             assert g.distance.min() == 20.0 > model.cfg.cutoff
+
+
+class TestPackLayout:
+    """A pack mixing per-bond and per-edge inputs keeps every edge on its
+    own structure's rows."""
+
+    @pytest.fixture()
+    def graphs(self, model):
+        gen = stream(7, "pack-layout")
+        graphs = [model.build_graph(s) for s in
+                  (NACL, random_structure(gen, 2, 6), random_structure(gen, 2, 6))]
+        assert all(g.num_bonds < g.num_edges for g in graphs)
+        return graphs
+
+    @staticmethod
+    def noisy(model, g):
+        return model.make_inputs(g, angles=g.angles, so3_distances=g.distance)
+
+    def test_mixed_layouts(self, model, graphs):
+        inputs = [model.make_inputs(graphs[0]), self.noisy(model, graphs[1]),
+                  model.make_inputs(graphs[2])]
+        assert inputs[1].edge_bond is None
+        p = pack_inputs(inputs)
+        assert np.array_equal(p.bond_graph[p.edge_bond], p.edge_graph)
+        assert np.array_equal(
+            np.bincount(p.bond_graph, weights=p.bond_weight),
+            [g.num_edges for g in graphs])
+        for name in ("se3_edge_rbf", "se3_angle_rbf", "so3_edge_rbf"):
+            assert np.array_equal(
+                getattr(p, name)[p.edge_bond],
+                np.concatenate([per_edge(inp, getattr(inp, name))
+                                for inp in inputs]))
+
+    def test_all_noisy_pack_needs_no_bond_map(self, model, graphs):
+        p = pack_inputs([self.noisy(model, g) for g in graphs])
+        assert p.edge_bond is None and p.bond_weight is None
+        assert np.array_equal(p.bond_graph, p.edge_graph)
 
 
 class TestPerStructureNormalization:
@@ -418,6 +456,23 @@ class TestPrecisionSwitch:
                        for p in m32.store.params.values())
             pred = m32.predict_raw([NACL])
             assert pred.dtype == np.float32
+        finally:
+            set_default_dtype("f64")
+
+    def test_each_model_computes_at_its_own_precision(self):
+        """Building an f32 model changes neither an earlier f64 model's
+        predictions nor the dtype an f64 model receives in a transfer."""
+        try:
+            m64, dst = MGTModel(TINY), MGTModel(TINY)
+            before = m64.predict_raw([NACL])
+            m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
+            transfer_encoder_params(dst, m32)
+            assert all(p.data.dtype == np.float64
+                       for p in dst.store.params.values())
+            after = m64.predict_raw([NACL])
+            assert after.dtype == np.float64
+            assert np.array_equal(after, before)
+            assert m32.predict_raw([NACL]).dtype == np.float32
         finally:
             set_default_dtype("f64")
 

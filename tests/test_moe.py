@@ -92,6 +92,12 @@ class TestConcatHead:
         assert np.allclose(pred.data, expect, atol=1e-14)
         assert scores.shape == (4, 2) and np.all(np.isnan(scores))
 
+    def test_rejects_router_override(self):
+        head = ConcatHead(ParamStore(42), "concat", DIM)
+        e1, e2 = embeddings(4)
+        with pytest.raises(ValueError, match="no router"):
+            head(e1, e2, router_override=np.array([1.0, 0.0]))
+
 
 class TestReportContributions:
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crysfuse.optim import AdamW, clip_grad_norm, lr_schedule
+from crysfuse.optim import AdamW, clip_grad_norm, epoch_batches, lr_schedule
 from crysfuse.tensor import Tensor
 
 
@@ -134,3 +134,14 @@ class TestLrSchedule:
     def test_warmup_not_below_total(self):
         with pytest.raises(ValueError):
             lr_schedule(5, 10, 10, 1.0, 0.1)
+
+
+class TestEpochBatches:
+
+    @pytest.mark.parametrize("n, batch_size, sizes", [
+        (10, 3, [3, 3, 4]), (9, 3, [3, 3, 3]), (2, 5, [2]), (1, 1, [1])])
+    def test_last_batch_takes_the_remainder(self, n, batch_size, sizes):
+        batches = epoch_batches(n, batch_size)
+        order = np.arange(n)[::-1]
+        assert [len(order[b]) for b in batches] == sizes
+        assert np.array_equal(np.concatenate([order[b] for b in batches]), order)
