@@ -288,12 +288,15 @@ class MGTModel:
     # -- denoising heads ----------------------------------------------------
 
     def predict_angle_noise(self, enc: EncodedPack) -> Tensor:
-        """Per-edge 3-channel angle-noise estimate from final edge embeddings."""
+        """Per-edge 3-channel angle-noise estimate from final edge
+        embeddings, at this model's precision."""
+        set_default_dtype(self.cfg.precision)
         return self.denoise_se3([(enc.se3_bonds, enc.pack.edge_bond)])
 
     def predict_distance_noise(self, enc: EncodedPack) -> Tensor:
         """Per-edge distance-noise estimate from endpoint nodes + radial
-        features, over all edges of the pack."""
+        features, over all edges of the pack, at this model's precision."""
+        set_default_dtype(self.cfg.precision)
         p = enc.pack
         return self.denoise_so3([(enc.so3.nodes, p.src), (enc.so3.nodes, p.dst),
                                  (Tensor(p.so3_edge_rbf), p.edge_bond)])

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .rng import stream
-from .tensor import Tensor, _segment_rows, default_dtype, segment_sum
+from .tensor import (Tensor, _run_sums, _segment_rows, default_dtype,
+                     segment_sum)
 
 
 class ParamStore:
@@ -100,7 +101,7 @@ class Linear:
             for (t, rows), c in zip(blocks, cols):
                 gt = g if rows is None else _segment_rows(g, rows, len(t.data))
                 np.matmul(t.data.T, gt, out=gw[c])
-                if t.requires_grad or t._prev:  # skip constant inputs
+                if t.needs_grad():  # skip constant inputs
                     t.accumulate_grad(gt @ w[c].T)
             self.weight._add_grad(gw)
             if self.bias is not None:
@@ -164,10 +165,9 @@ class BatchNorm:
 
             counts = np.bincount(groups, weights=weight)[:, None].astype(x.data.dtype)
             starts = np.flatnonzero(np.diff(groups, prepend=-1))
-            mu = np.add.reduceat(weighted(x.data), starts, axis=0) / counts
+            mu = _run_sums(weighted(x.data), starts) / counts
             centered = x.data - mu[groups]
-            var = np.add.reduceat(weighted(centered * centered), starts,
-                                  axis=0) / counts
+            var = _run_sums(weighted(centered * centered), starts) / counts
             std = np.sqrt(var + self.eps)
             xhat = centered / std[groups]
             m = self.momentum
@@ -179,8 +179,8 @@ class BatchNorm:
                 self.gamma._add_grad((g * xhat).sum(axis=0))
                 self.beta._add_grad(g.sum(axis=0))
                 d = g * self.gamma.data
-                sum_d = np.add.reduceat(d, starts, axis=0)
-                sum_dx = np.add.reduceat(d * xhat, starts, axis=0)
+                sum_d = _run_sums(d, starts)
+                sum_dx = _run_sums(d * xhat, starts)
                 scale = (1.0 / (counts * std))[groups]
                 x._add_grad(scale * (counts[groups] * d - weighted(sum_d[groups])
                                      - weighted(xhat * sum_dx[groups])))

@@ -476,6 +476,24 @@ class TestPrecisionSwitch:
         finally:
             set_default_dtype("f64")
 
+    def test_denoising_heads_compute_at_their_models_precision(self):
+        """An f64 model's denoising heads on its own encoding stay float64,
+        bit for bit, when an f32 model encodes in between."""
+        try:
+            m64 = MGTModel(TINY)
+            inp = m64.inputs_for_structure(NACL)
+            enc = m64.encode([inp], training=False)
+            heads = (m64.predict_angle_noise, m64.predict_distance_noise)
+            before = [head(enc).data for head in heads]
+            m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
+            m32.encode([m32.inputs_for_structure(NACL)], training=False)
+            for head, want in zip(heads, before):
+                got = head(enc).data
+                assert want.dtype == got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+        finally:
+            set_default_dtype("f64")
+
     def test_f64_is_default(self, model):
         assert all(p.data.dtype == np.float64
                    for p in model.store.params.values())

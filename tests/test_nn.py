@@ -335,6 +335,61 @@ class TestBatchNorm:
             np.testing.assert_allclose(t.grad.ravel(), fd, rtol=1e-6, atol=1e-8)
 
 
+    @staticmethod
+    def per_group_reference(x, groups, weight, gamma, beta, g, eps=1e-5,
+                            momentum=0.1):
+        """Outputs, gradients and running estimates of a training forward,
+        one group at a time; x's gradient through each feature's explicit
+        Jacobian of the standardized rows."""
+        out, dx = np.empty_like(x), np.empty_like(x)
+        dgamma, dbeta = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+        running_mean, running_var = np.zeros(x.shape[1]), np.ones(x.shape[1])
+        for grp in range(groups.max() + 1):
+            rows = groups == grp
+            xg, gg, wg = x[rows], g[rows], weight[rows]
+            n = wg.sum()
+            mu = np.average(xg, axis=0, weights=wg)
+            var = np.average((xg - mu) ** 2, axis=0, weights=wg)
+            std = np.sqrt(var + eps)
+            xhat = (xg - mu) / std
+            out[rows] = xhat * gamma + beta
+            dgamma += (gg * xhat).sum(axis=0)
+            dbeta += gg.sum(axis=0)
+            for j in range(x.shape[1]):
+                # d xhat_i / d x_k, each row counted weight times
+                jac = ((np.eye(len(xg)) - wg[None, :] / n)
+                       - np.outer(xhat[:, j], xhat[:, j] * wg) / n) / std[j]
+                dx[rows, j] = jac.T @ (gg[:, j] * gamma[j])
+            running_mean = (1 - momentum) * running_mean + momentum * mu
+            running_var = (1 - momentum) * running_var + momentum * var
+        return out, dx, dgamma, dbeta, running_mean, running_var
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sixteen_uneven_groups_match_a_per_group_reference(self,
+                                                               weighted):
+        gen = stream(5, f"bn-sixteen-{weighted}")
+        dim = 4
+        groups = np.repeat(np.arange(16), gen.integers(2, 40, 16))
+        weight = (gen.integers(1, 3, len(groups)) if weighted
+                  else np.ones(len(groups), int))
+        x = (gen.normal(size=(len(groups), dim)) * gen.uniform(0.5, 3.0, dim)
+             + gen.normal(size=dim))
+        probe = gen.normal(size=x.shape)
+        bn, _ = self.make(dim)
+        bn.gamma.data[:] = gen.uniform(0.5, 1.5, dim)
+        bn.beta.data[:] = gen.uniform(-0.5, 0.5, dim)
+        xt = Tensor(x, requires_grad=True)
+        out = bn(xt, groups, training=True,
+                 weight=weight if weighted else None)
+        (out * Tensor(probe)).sum().backward()
+        got = (out.data, xt.grad, bn.gamma.grad, bn.beta.grad,
+               bn.running_mean, bn.running_var)
+        want = self.per_group_reference(x, groups, weight, bn.gamma.data,
+                                        bn.beta.data, probe)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
 class TestLayerNorm:
 
     def test_rows_standardized(self):

@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crysfuse.tensor as tensor_mod
 from crysfuse.featurize import RBF_CUT, rbf_expand, uniform_rbf
 from crysfuse.rng import stream
 from crysfuse.tensor import (Tensor, _segment_rows, _stable_sigmoid, concat,
-                             no_grad, segment_sum)
+                             no_grad, segment_sum, set_default_dtype)
 
 H = 1e-6
 
@@ -111,6 +114,40 @@ class TestKernelsAtExtremes:
         t.softplus().sum().backward()
         assert np.all(np.isfinite(t.grad))
         assert np.array_equal(t.grad, self.masked_sigmoid(self.X))
+
+    # The largest gap seen between the two over every float32 input and
+    # 3e7 random float64 inputs: each kernel rounds differently, and
+    # float32's exp and log1p are the less exact.
+    ULPS = {"f64": 2, "f32": 3}
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_softplus_gradient_from_its_output_is_the_sigmoid(self, precision,
+                                                              data):
+        # backward takes the sigmoid as -expm1(-softplus(x))
+        width = 64 if precision == "f64" else 32
+        drawn = data.draw(st.lists(st.floats(width=width), min_size=1,
+                                   max_size=64))
+        try:
+            set_default_dtype(precision)
+            t = Tensor(drawn + [745.0, -745.0, np.inf, -np.inf, np.nan],
+                       requires_grad=True)
+            with np.errstate(over="ignore"):  # the sum of huge outputs
+                t.softplus().sum().backward()
+            ref = _stable_sigmoid(t.data)
+        finally:
+            set_default_dtype("f64")
+        got = t.grad
+        assert got.dtype == ref.dtype == t.data.dtype
+        nan = np.isnan(t.data)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(np.isnan(ref), nan)
+        # both are >= 0 here, so their integer views count the ulps between
+        ints = np.int64 if precision == "f64" else np.int32
+        gap = np.abs(got[~nan].view(ints).astype(np.int64)
+                     - ref[~nan].view(ints).astype(np.int64))
+        assert gap.max() <= self.ULPS[precision]
 
 
 class TestKernelsBitwise:
@@ -218,6 +255,61 @@ class TestBinaryAndBroadcast:
         (a @ b).sum().backward()
         assert np.allclose(a.grad, np.ones((4, 3)) @ b.data.T)
         assert np.allclose(b.grad, a.data.T @ np.ones((4, 3)))
+
+    # op(x, c) for a live x and a constant c broadcast against it, and the
+    # gradient x gets from an upstream gradient w
+    CONSTANT_CASES = {
+        "add": (lambda x, c: x + c, lambda w, x, c: w),
+        "radd": (lambda x, c: c + x, lambda w, x, c: w),
+        "mul": (lambda x, c: x * c, lambda w, x, c: w * c),
+        "rmul": (lambda x, c: c * x, lambda w, x, c: w * c),
+        "div": (lambda x, c: x / c, lambda w, x, c: w / c),
+        "rdiv": (lambda x, c: c / x, lambda w, x, c: -w * c / (x * x)),
+    }
+
+    @staticmethod
+    def count_unbroadcasts(monkeypatch):
+        shapes = []
+        plain = tensor_mod._unbroadcast
+
+        def counted(g, shape):
+            shapes.append(shape)
+            return plain(g, shape)
+
+        monkeypatch.setattr(tensor_mod, "_unbroadcast", counted)
+        return shapes
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
+    def test_a_broadcast_constant_gets_no_gradient(self, name, monkeypatch):
+        op, formula = self.CONSTANT_CASES[name]
+        gen = stream(11, "constant-" + name)
+        x = Tensor(gen.uniform(0.5, 2.0, (4, 3)), requires_grad=True)
+        c = Tensor(gen.uniform(0.5, 2.0, 3))
+        w = gen.normal(size=(4, 3))
+        shapes = self.count_unbroadcasts(monkeypatch)
+        (op(x, c) * Tensor(w)).sum().backward()
+        assert c.grad is None
+        assert x.grad.tobytes() == formula(w, x.data, c.data).tobytes()
+        # once for op's output under `* w`, once for x; never for a constant
+        assert shapes == [(4, 3), (4, 3)]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_constant_matmul_operand_gets_no_gradient(self, side,
+                                                        monkeypatch):
+        gen = stream(11, "constant-matmul-" + side)
+        x = Tensor(gen.normal(size=(4, 3)), requires_grad=True)
+        if side == "left":
+            c = Tensor(gen.normal(size=(5, 4)))
+            out, want = c @ x, lambda w: c.data.T @ w
+        else:
+            c = Tensor(gen.normal(size=(3, 2)))
+            out, want = x @ c, lambda w: w @ c.data.T
+        w = gen.normal(size=out.shape)
+        shapes = self.count_unbroadcasts(monkeypatch)
+        (out * Tensor(w)).sum().backward()
+        assert c.grad is None
+        assert x.grad.tobytes() == want(w).tobytes()
+        assert shapes == [out.shape]
 
     def test_matmul_shape_error(self):
         with pytest.raises(ValueError):
@@ -425,6 +517,52 @@ class TestSortedScatter:
         got = _segment_rows(values, ids, self.NUM)
         assert got.tobytes() == expect.tobytes()
         assert not got[[4, 8]].any()
+
+
+class TestBondPairSums:
+    """`_segment_rows` on runs of one or two rows, a bond's directed edges,
+    sums them as pairs; the bits are `np.add.reduceat`'s."""
+
+    NUM = 42  # buckets 0 and 41 stay empty
+
+    @staticmethod
+    def reduceat_sums(values, ids, num):
+        out = np.zeros((num,) + values.shape[1:])
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        out[ids[order][starts]] = np.add.reduceat(values[order], starts,
+                                                  axis=0)
+        return out
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("tail", [(6,), (4, 5)])
+    def test_runs_of_one_or_two_rows_match_reduceat_bitwise(self, tail,
+                                                            shuffled):
+        gen = stream(11, f"bond-pairs-{tail}")
+        bonds = np.arange(1, self.NUM - 1)
+        # a lone bond is one whose reverse edge the neighbour cap dropped
+        lone = gen.random(len(bonds)) < 0.25
+        ids = np.sort(np.concatenate([bonds, bonds[~lone]]))
+        if shuffled:
+            ids = gen.permutation(ids)
+        values = gen.normal(size=(len(ids),) + tail)
+        got = _segment_rows(values, ids, self.NUM)
+        assert got.tobytes() == self.reduceat_sums(values, ids,
+                                                   self.NUM).tobytes()
+        assert not got[[0, self.NUM - 1]].any()
+
+    def test_a_run_of_three_rows_takes_the_reduceat_path(self):
+        # ten buckets on twenty rows pass the rows-per-bucket test; the pair
+        # sum would drop the middle row of bucket 4
+        ids = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 5, 6, 6, 7, 7, 8, 8,
+                        9, 9])
+        gen = stream(11, "bond-triple")
+        ids = gen.permutation(ids)
+        values = gen.normal(size=(len(ids), 3))
+        got = _segment_rows(values, ids, 10)
+        assert got.tobytes() == self.reduceat_sums(values, ids, 10).tobytes()
+        np.testing.assert_allclose(got[4], values[ids == 4].sum(axis=0),
+                                   rtol=1e-15)
 
 
 class TestSmallMlpOracle:
