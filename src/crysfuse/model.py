@@ -19,6 +19,12 @@ row once per directed edge, which matches a per-edge pass to rounding.
 Pretraining's noisy views perturb each directed edge on its own, so they
 are featurized per edge, with no bond map.
 
+In a training forward every `Linear`, batch norm and φ MLP (`nn.MLP2`) is
+one tape node, and so is each attention block (`SE3EdgeLayer.attend`,
+`SE3NodeLayer.attend`). Each keeps only what its backward reads: a φ MLP
+its hidden activation, an attention block its standardized logits, its
+gate and its batch norm's per-structure statistics.
+
 Every forward runs both encoders once over a pack: the disjoint union of
 its structures' graphs, with node and edge arrays concatenated, `src`/`dst`
 offset, lattice features stacked per structure, and each node and edge

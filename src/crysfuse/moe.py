@@ -79,13 +79,12 @@ class MoEHead:
         return pred, scores
 
 
-class ConcatHead:
-    """Fusion-off baseline: two dense layers over both embeddings side by
-    side (the first takes them as two blocks, never concatenated)."""
+class ConcatHead(MLP2):
+    """Fusion-off baseline: an `MLP2` over both embeddings side by side
+    (its first layer takes them as two blocks, never concatenated)."""
 
     def __init__(self, store: ParamStore, name: str, dim: int):
-        self.lin1 = Linear(store, name + ".lin1", 2 * dim, dim)
-        self.lin2 = Linear(store, name + ".lin2", dim, 1)
+        super().__init__(store, name, 2 * dim, dim, 1)
 
     def __call__(self, e1: Tensor, e2: Tensor,
                  router_override: np.ndarray | None = None
@@ -93,7 +92,7 @@ class ConcatHead:
         """Predictions (B, 1) and nan scores; there is no router to override."""
         if router_override is not None:
             raise ValueError("the concat head has no router to override")
-        pred = self.lin2(self.lin1([e1, e2]).softplus())
+        pred = super().__call__([e1, e2])
         scores = np.full((e1.shape[0], 2), np.nan)
         return pred, scores
 

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .rng import stream
-from .tensor import (Tensor, _run_sums, _segment_rows, default_dtype,
-                     segment_sum)
+from .tensor import (Tensor, _run_sums, _segment_rows, _softplus,
+                     _softplus_vjp, default_dtype, segment_sum)
 
 
 class ParamStore:
@@ -48,6 +48,18 @@ class ParamStore:
             p.grad = None
 
 
+def _blocks(x) -> list[tuple[Tensor, np.ndarray | None]]:
+    """A layer input as `(tensor, rows)` blocks, rows None for a plain one."""
+    return [b if isinstance(b, tuple) else (b, None)
+            for b in (x if isinstance(x, list) else [x])]
+
+
+def _accumulate(blocks, grads):
+    for (t, _), gt in zip(blocks, grads):
+        if gt is not None:
+            t.accumulate_grad(gt)
+
+
 class Linear:
     """x @ W + b with fan-in scaled uniform init, as one tape node.
 
@@ -60,6 +72,9 @@ class Linear:
     before its matmuls. So a block gathered from N node rows onto E edges
     costs N-row matmuls, and the tape keeps x_i rather than its gather.
     `(x_i, None)` is the plain block x_i.
+
+    `forward` and `vjp` are the node's array-level bodies; fused nodes such
+    as `MLP2` call them too.
     """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, fan_out: int,
@@ -68,26 +83,42 @@ class Linear:
         self.weight = store.uniform_param(name + ".weight", (fan_in, fan_out), bound)
         self.bias = (store.uniform_param(name + ".bias", (fan_out,), bound)
                      if bias else None)
+        self.params = (self.weight,) if self.bias is None else (self.weight,
+                                                                 self.bias)
 
     def __call__(self, x: Tensor | list[Tensor | tuple[Tensor, np.ndarray]]
                  ) -> Tensor:
-        blocks = [b if isinstance(b, tuple) else (b, None)
-                  for b in (x if isinstance(x, list) else [x])]
+        blocks = _blocks(x)
+        arrays = [(t.data, rows) for t, rows in blocks]
+
+        def back(g):
+            _accumulate(blocks, self.vjp(g, arrays,
+                                         [t.needs_grad() for t, _ in blocks]))
+
+        return Tensor._result(self.forward(arrays),
+                              tuple(t for t, _ in blocks) + self.params, back)
+
+    def _cols(self, blocks) -> list[slice]:
+        bounds = np.cumsum([0] + [x.shape[1] for x, _ in blocks])
+        if bounds[-1] != self.weight.data.shape[0]:
+            raise ValueError(
+                f"input width {bounds[-1]} != fan_in {self.weight.data.shape[0]}")
+        return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def forward(self, blocks: list[tuple[np.ndarray, np.ndarray | None]]
+                ) -> np.ndarray:
+        """The map of array blocks `(x_i, rows)`."""
         w = self.weight.data
-        bounds = np.cumsum([0] + [t.data.shape[1] for t, _ in blocks])
-        if bounds[-1] != w.shape[0]:
-            raise ValueError(f"input width {bounds[-1]} != fan_in {w.shape[0]}")
-        cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         # The first block's product becomes the output and the others are
         # added to it; ungathered ones are written into one reused buffer.
         # (np.take into a given buffer copies through a temporary when it
         # checks bounds, so a gather gets a fresh array.)
         out = scratch = None
-        for (t, rows), c in zip(blocks, cols):
+        for (x, rows), c in zip(blocks, self._cols(blocks)):
             if rows is None:
-                prod = np.matmul(t.data, w[c], out=scratch)
+                prod = np.matmul(x, w[c], out=scratch)
             else:
-                prod = (t.data @ w[c]).take(rows, axis=0)
+                prod = (x @ w[c]).take(rows, axis=0)
             if out is None:
                 out = prod
             else:
@@ -95,26 +126,35 @@ class Linear:
                 scratch = prod
         if self.bias is not None:
             out += self.bias.data
+        return out
 
-        def back(g):
-            gw = np.empty_like(w)
-            for (t, rows), c in zip(blocks, cols):
-                gt = g if rows is None else _segment_rows(g, rows, len(t.data))
-                np.matmul(t.data.T, gt, out=gw[c])
-                if t.needs_grad():  # skip constant inputs
-                    t.accumulate_grad(gt @ w[c].T)
-            self.weight._add_grad(gw)
-            if self.bias is not None:
-                self.bias._add_grad(g.sum(axis=0))
-
-        parents = tuple(t for t, _ in blocks) + (
-            (self.weight,) if self.bias is None else (self.weight, self.bias))
-        return Tensor._result(out, parents, back)
+    def vjp(self, g: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray | None]],
+            need: list[bool]) -> list[np.ndarray | None]:
+        """Add the weight's and bias's gradients for the output gradient `g`
+        and return each block's gradient, None where `need` is False."""
+        w = self.weight.data
+        gw = np.empty_like(w)
+        grads = []
+        for (x, rows), c, wanted in zip(blocks, self._cols(blocks), need):
+            gx = g if rows is None else _segment_rows(g, rows, len(x))
+            np.matmul(x.T, gx, out=gw[c])
+            grads.append(gx @ w[c].T if wanted else None)
+        self.weight._add_grad(gw)
+        if self.bias is not None:
+            self.bias._add_grad(g.sum(axis=0))
+        return grads
 
 
 class MLP2:
-    """Two linear layers with a softplus between them; `x` may be a list of
-    blocks, gathered ones included, as for `Linear`."""
+    """lin2(softplus(lin1(x))) as one tape node; `x` may be a list of
+    blocks, gathered ones included, as for `Linear`.
+
+    The node keeps only the hidden activation y = softplus(lin1(x)): lin2's
+    weight gradient reads y, and softplus's derivative is taken from y
+    (`_softplus_vjp`), so the softplus overwrites the pre-activation in
+    place and no backward needs it. Outputs and gradients are bitwise those
+    of the composition `lin2(lin1(x).softplus())`.
+    """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, hidden: int,
                  fan_out: int):
@@ -122,7 +162,20 @@ class MLP2:
         self.lin2 = Linear(store, name + ".lin2", hidden, fan_out)
 
     def __call__(self, x: Tensor | list) -> Tensor:
-        return self.lin2(self.lin1(x).softplus())
+        blocks = _blocks(x)
+        arrays = [(t.data, rows) for t, rows in blocks]
+        y = self.lin1.forward(arrays)
+        _softplus(y, out=y)
+
+        def back(g):
+            (gy,) = self.lin2.vjp(g, [(y, None)], [True])
+            _accumulate(blocks, self.lin1.vjp(
+                _softplus_vjp(y, gy), arrays,
+                [t.needs_grad() for t, _ in blocks]))
+
+        return Tensor._result(self.lin2.forward([(y, None)]),
+                              tuple(t for t, _ in blocks) + self.lin1.params
+                              + self.lin2.params, back)
 
 
 class BatchNorm:
@@ -133,9 +186,10 @@ class BatchNorm:
     is a contiguous block of rows. Training mode standardizes each group
     with its own (biased) statistics, so no group sees another's rows, and
     folds them into the running estimates one group at a time, as G
-    single-group batches in order would. It is one tape node with the
-    closed-form backward of Ioffe & Szegedy (2015). Eval mode is the fixed
-    affine map built from the running estimates and ignores `groups`.
+    single-group batches in order would; its backward is the closed form of
+    Ioffe & Szegedy (2015). Eval mode is the fixed affine map built from the
+    running estimates and ignores `groups`. Either way the layer is one tape
+    node that keeps the standardized rows xhat and the per-group statistics.
 
     `weight`, if given, counts how many rows each row stands for: a bond
     row stands for its one or two directed edges. Training statistics then
@@ -144,6 +198,9 @@ class BatchNorm:
     row: with `d` the row gradient (already summed over its copies) times
     gamma, `sum_d` and `xhat * sum_dx` are scaled by the weight, and
     gamma's and beta's gradients keep their form.
+
+    `normalize`, `affine` and `vjp` are the node's array-level bodies; the
+    fused attention nodes of `se3.py` call them too.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int,
@@ -157,38 +214,62 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, groups: np.ndarray, training: bool,
                  weight: np.ndarray | None = None) -> Tensor:
-        if training:
-            w = None if weight is None else weight[:, None].astype(x.data.dtype)
+        xhat, to_x = self.normalize(x.data, groups, training, weight)
 
-            def weighted(a):
-                return a if w is None else a * w
+        def back(g):
+            x._add_grad(self.vjp(g, xhat, to_x))
 
-            counts = np.bincount(groups, weights=weight)[:, None].astype(x.data.dtype)
-            starts = np.flatnonzero(np.diff(groups, prepend=-1))
-            mu = _run_sums(weighted(x.data), starts) / counts
-            centered = x.data - mu[groups]
-            var = _run_sums(weighted(centered * centered), starts) / counts
-            std = np.sqrt(var + self.eps)
-            xhat = centered / std[groups]
-            m = self.momentum
-            for mu_g, var_g in zip(mu, var):
-                self.running_mean[:] = self.running_mean * (1.0 - m) + m * mu_g
-                self.running_var[:] = self.running_var * (1.0 - m) + m * var_g
+        return Tensor._result(self.affine(xhat), (x, self.gamma, self.beta),
+                              back)
 
-            def back(g):
-                self.gamma._add_grad((g * xhat).sum(axis=0))
-                self.beta._add_grad(g.sum(axis=0))
-                d = g * self.gamma.data
-                sum_d = _run_sums(d, starts)
-                sum_dx = _run_sums(d * xhat, starts)
-                scale = (1.0 / (counts * std))[groups]
-                x._add_grad(scale * (counts[groups] * d - weighted(sum_d[groups])
-                                     - weighted(xhat * sum_dx[groups])))
+    def normalize(self, x: np.ndarray, groups: np.ndarray, training: bool,
+                  weight: np.ndarray | None = None,
+                  out: np.ndarray | None = None):
+        """(xhat, to_x): the standardized rows, and the map from a gradient
+        `d` of xhat to that of `x`. Training mode also updates the running
+        estimates. `out` may be `x` itself, which then holds xhat."""
+        if not training:
+            scale = 1.0 / np.sqrt(self.running_var + self.eps)
+            xhat = np.subtract(x, self.running_mean, out=out)
+            xhat *= scale
+            return xhat, lambda d: d * scale
+        w = None if weight is None else weight[:, None].astype(x.dtype)
 
-            return Tensor._result(xhat * self.gamma.data + self.beta.data,
-                                  (x, self.gamma, self.beta), back)
-        scale = 1.0 / np.sqrt(self.running_var + self.eps)
-        return (x - Tensor(self.running_mean)) * Tensor(scale) * self.gamma + self.beta
+        def weighted(a):
+            return a if w is None else a * w
+
+        counts = np.bincount(groups, weights=weight)[:, None].astype(x.dtype)
+        starts = np.flatnonzero(np.diff(groups, prepend=-1))
+        mu = _run_sums(weighted(x), starts) / counts
+        centered = x - mu[groups]
+        var = _run_sums(weighted(centered * centered), starts) / counts
+        std = np.sqrt(var + self.eps)
+        xhat = np.divide(centered, std[groups], out=out)
+        m = self.momentum
+        for mu_g, var_g in zip(mu, var):
+            self.running_mean[:] = self.running_mean * (1.0 - m) + m * mu_g
+            self.running_var[:] = self.running_var * (1.0 - m) + m * var_g
+
+        def to_x(d):
+            sum_d = _run_sums(d, starts)
+            sum_dx = _run_sums(d * xhat, starts)
+            scale = (1.0 / (counts * std))[groups]
+            return scale * (counts[groups] * d - weighted(sum_d[groups])
+                            - weighted(xhat * sum_dx[groups]))
+
+        return xhat, to_x
+
+    def affine(self, xhat: np.ndarray) -> np.ndarray:
+        out = xhat * self.gamma.data
+        out += self.beta.data
+        return out
+
+    def vjp(self, g: np.ndarray, xhat: np.ndarray, to_x) -> np.ndarray:
+        """Add gamma's and beta's gradients for the output gradient `g` and
+        return the input's."""
+        self.gamma._add_grad((g * xhat).sum(axis=0))
+        self.beta._add_grad(g.sum(axis=0))
+        return to_x(g * self.gamma.data)
 
 
 class LayerNorm:

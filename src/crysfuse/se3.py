@@ -21,10 +21,26 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .nn import MLP2, BatchNorm, Linear, ParamStore, ProjectionHead, mean_pool
-from .tensor import Tensor, concat, segment_sum
+from .tensor import Tensor, _segment_rows, _stable_sigmoid
 
 if TYPE_CHECKING:
     from .model import Pack
+
+
+def _sigmoid_gate(bn: BatchNorm, logits: np.ndarray, groups: np.ndarray,
+                  training: bool, weight: np.ndarray | None = None):
+    """(alpha, vjp): the gate alpha = sigmoid(bn(logits)), and the map from
+    alpha's gradient to the logits'. The map keeps bn's standardized logits
+    and statistics and alpha, nothing else. The standardized logits
+    overwrite `logits`."""
+    xhat, to_x = bn.normalize(logits, groups, training, weight, out=logits)
+    alpha = bn.affine(xhat)
+    _stable_sigmoid(alpha, out=alpha)
+
+    def vjp(g):
+        return bn.vjp(g * alpha * (1.0 - alpha), xhat, to_x)
+
+    return alpha, vjp
 
 
 class SE3EdgeLayer:
@@ -34,7 +50,8 @@ class SE3EdgeLayer:
     built from (edge ∥ lattice-k ∥ angle-k) through shared nonlinear blocks;
     the sigmoid-gated values of the channels are summed, batch-normalized,
     and added back residually. The angle map is shared between key and value
-    paths; the lattice maps are per-channel and separate for key/value.
+    paths; the lattice maps are per-channel and separate for key/value. The
+    gating and the sum over channels are one tape node (`attend`).
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int, lattice_dim: int,
@@ -56,12 +73,11 @@ class SE3EdgeLayer:
     def __call__(self, e: Tensor, p: Pack, training: bool) -> Tensor:
         """`e` has one row per edge-scalar row of the pack `p`; training
         batch norms count row r `p.bond_weight[r]` times."""
-        scale = 1.0 / math.sqrt(self.dim)
         weight = p.bond_weight if training else None
         q = self.f_q(e)
         ke = self.f_k(e)
         ve = self.f_v(e)
-        logits = []
+        keys = []
         values = []
         for m in range(3):
             ang = self.f_angle(Tensor(p.se3_angle_rbf[:, m, :]))
@@ -70,20 +86,61 @@ class SE3EdgeLayer:
             lat = Tensor(p.lattice_feats[:, m, :])
             k_lat = (self.f_k_lat[m](lat), p.bond_graph)
             v_lat = (self.f_v_lat[m](lat), p.bond_graph)
-            k_m = self.phi_k([ke, k_lat, ang])
-            v_m = self.phi_v([ve, v_lat, ang])
-            logits.append(q * k_m * scale)
-            values.append(v_m)
-        # One batch norm over all three channels' gating logits. Rows are
-        # bond-major (bond i's three channels at 3i..3i+2), so each
-        # structure's rows stay one contiguous group.
-        alpha = self.bn_attn(concat(logits, axis=1).reshape(-1, self.dim),
-                             np.repeat(p.bond_graph, 3), training,
-                             None if weight is None else np.repeat(weight, 3)
-                             ).sigmoid()
-        gated = alpha * concat(values, axis=1).reshape(-1, self.dim)
-        msg = gated.reshape(-1, 3, self.dim).sum(axis=1)
+            keys.append(self.phi_k([ke, k_lat, ang]))
+            values.append(self.phi_v([ve, v_lat, ang]))
+        msg = self.attend(q, keys, values, p, training, weight)
         return (e + self.bn_msg(msg, p.bond_graph, training, weight)).softplus()
+
+    def attend(self, q: Tensor, keys: list[Tensor], values: list[Tensor],
+               p: Pack, training: bool, weight: np.ndarray | None) -> Tensor:
+        """Σ_m sigmoid(bn_attn(q * k_m * scale)) * v_m over the channels m,
+        as one tape node.
+
+        The three channels' logits go into one bond-major (R, 3, d) buffer:
+        row 3i + m holds bond i's channel m, so each structure's rows stay
+        one contiguous group, and one batch norm covers all three channels,
+        counting row 3i + m `weight[i]` times. The node keeps the
+        standardized logits, the gate and bn_attn's statistics. Outputs and
+        gradients are bitwise those of the same expression composed from
+        tape operations (concatenating the channels).
+        """
+        rows, d = q.data.shape
+        scale = 1.0 / math.sqrt(self.dim)
+        logits = np.empty((rows, 3, d), dtype=q.data.dtype)
+        for m, k in enumerate(keys):
+            np.multiply(q.data, k.data, out=logits[:, m])
+            logits[:, m] *= scale
+        alpha, gate_vjp = _sigmoid_gate(
+            self.bn_attn, logits.reshape(-1, d), np.repeat(p.bond_graph, 3),
+            training, None if weight is None else np.repeat(weight, 3))
+        alpha = alpha.reshape(rows, 3, d)
+        gated = np.empty_like(alpha)
+        for m, v in enumerate(values):
+            np.multiply(alpha[:, m], v.data, out=gated[:, m])
+
+        def back(g):
+            if any(v.needs_grad() for v in values):
+                gv = alpha * g[:, None, :]
+                for m, v in enumerate(values):
+                    v._add_grad(gv[:, m])
+            ga = np.empty_like(alpha)
+            for m, v in enumerate(values):
+                np.multiply(g, v.data, out=ga[:, m])
+            gl = gate_vjp(ga.reshape(-1, d)).reshape(rows, 3, d)
+            gq = None
+            for m, k in enumerate(keys):
+                gm = gl[:, m] * scale
+                if k.needs_grad():
+                    k.accumulate_grad(gm * q.data)
+                if q.needs_grad():
+                    gm *= k.data
+                    gq = gm if gq is None else np.add(gq, gm, out=gq)
+            if gq is not None:
+                q.accumulate_grad(gq)
+
+        bn = self.bn_attn
+        return Tensor._result(gated.sum(axis=1), (q, *keys, *values,
+                                                  bn.gamma, bn.beta), back)
 
 
 class SE3NodeLayer:
@@ -94,7 +151,8 @@ class SE3NodeLayer:
     between key and value paths). Messages are summed per node, normalized,
     and added residually. The edge feature `e` may have one row per bond:
     `edge_bond` then gives each directed edge's row, and the edge map runs
-    on the bond rows before the gather.
+    on the bond rows before the gather. The gating and the sum over each
+    node's edges are one tape node (`attend`).
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -111,17 +169,45 @@ class SE3NodeLayer:
         self.bn_msg = BatchNorm(store, name + ".bn_msg", dim)
 
     def __call__(self, h: Tensor, e: Tensor, p: Pack, training: bool) -> Tensor:
-        num_nodes = h.shape[0]
-        scale = 1.0 / math.sqrt(self.dim)
-        q = self.f_q(h).take(p.src)
+        q = self.f_q(h)
         fe = (self.f_e(e), p.edge_bond)
         # centre, neighbour and bond terms go through phi's first matmul per
         # node or bond, then are gathered onto the edges
         k = self.phi_k([(self.f_k_ctr(h), p.src), (self.f_k_nbr(h), p.dst), fe])
         v = self.phi_v([(self.f_v_ctr(h), p.src), (self.f_v_nbr(h), p.dst), fe])
-        alpha = self.bn_attn(q * k * scale, p.edge_graph, training).sigmoid()
-        msg = segment_sum(alpha * v, p.src, num_nodes)
+        msg = self.attend(q, k, v, p, training)
         return (h + self.bn_msg(msg, p.node_graph, training)).softplus()
+
+    def attend(self, q: Tensor, k: Tensor, v: Tensor, p: Pack,
+               training: bool) -> Tensor:
+        """segment_sum(sigmoid(bn_attn(q[src] * k * scale)) * v, src) as one
+        tape node, `q` with one row per node and `k`, `v` one per edge. The
+        node keeps the standardized logits, the gate and bn_attn's
+        statistics, and gathers q to the edges again in backward. Outputs
+        and gradients are bitwise those of the same expression composed
+        from tape operations."""
+        src, num_nodes = p.src, len(q.data)
+        scale = 1.0 / math.sqrt(self.dim)
+        logits = q.data[src] * k.data
+        logits *= scale
+        alpha, gate_vjp = _sigmoid_gate(self.bn_attn, logits, p.edge_graph,
+                                        training)
+
+        def back(g):
+            g = g[src]
+            if v.needs_grad():
+                v.accumulate_grad(g * alpha)
+            gl = gate_vjp(g * v.data)
+            gl *= scale
+            if k.needs_grad():
+                k.accumulate_grad(gl * q.data[src])
+            if q.needs_grad():
+                gl *= k.data
+                q.accumulate_grad(_segment_rows(gl, src, num_nodes))
+
+        bn = self.bn_attn
+        return Tensor._result(_segment_rows(alpha * v.data, src, num_nodes),
+                              (q, k, v, bn.gamma, bn.beta), back)
 
 
 class SE3Encoder:

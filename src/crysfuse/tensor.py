@@ -59,29 +59,46 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None
+                    ) -> np.ndarray:
     """e^min(x, 0) / (1 + e^-|x|): never exponentiates a positive number,
     so it stays finite at any x, and picks nothing per element (a select on
     mixed signs costs more than the arithmetic). `fmin` maps nan to 0, so a
     nan reaches the result through the denominator, with the sign that
-    e^-|x| gives it."""
+    e^-|x| gives it. `out` may be `x` itself, which then holds the result
+    in place."""
     den = np.abs(x)
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1.0
-    out = np.fmin(x, 0.0)
+    out = np.fmin(x, 0.0, out=out)
     np.exp(out, out=out)
     out /= den
     return out
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x) = max(x, 0) + log1p(e^-|x|), in one scratch buffer."""
-    out = np.abs(x)
+def _softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(1 + e^x) = max(x, 0) + log1p(e^-|x|), in one scratch buffer.
+    `out` may be `x` itself, which then holds the result in place."""
+    pos = np.maximum(x, 0.0)
+    out = np.abs(x, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    return np.add(np.maximum(x, 0.0), out, out=out)
+    return np.add(pos, out, out=out)
+
+
+def _softplus_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times softplus's derivative at x, taken from the output
+    y = softplus(x): the sigmoid σ(x) = 1 − e^−y, one `expm1` pass over y,
+    never a recomputation from x. It is within 2 ulp of
+    `_stable_sigmoid(x)` at float64 and 3 at float32, exact where y is 0
+    or inf, and nan stays nan."""
+    sig = np.negative(y)
+    np.expm1(sig, out=sig)
+    np.negative(sig, out=sig)
+    sig *= g
+    return sig
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -427,19 +444,11 @@ class Tensor:
         return Tensor._result(np.log(self.data), (self,), back)
 
     def softplus(self):
-        """log(1 + e^x). Its derivative, the sigmoid, is taken from the
-        output y: σ(x) = 1 − e^−y, so backward is one `expm1` pass over y,
-        never a recomputation from x. It is within 2 ulp of
-        `_stable_sigmoid(x)` at float64 and 3 at float32, exact where y is 0
-        or inf, and nan stays nan."""
+        """log(1 + e^x); backward reads only the output (`_softplus_vjp`)."""
         out_data = _softplus(self.data)
 
         def back(g):
-            sig = np.negative(out_data)
-            np.expm1(sig, out=sig)
-            np.negative(sig, out=sig)
-            sig *= g
-            self._add_grad(sig)
+            self._add_grad(_softplus_vjp(out_data, g))
 
         return Tensor._result(out_data, (self,), back)
 

@@ -5,6 +5,7 @@ same checks at tiny sizes plus the structural details the sweeps can't see.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from crysfuse.checks import (
 from crysfuse.config import RunConfig
 from crysfuse.featurize import rbf_expand, uniform_rbf
 from crysfuse.model import PREDICT_CHUNK, MGTModel, pack_inputs
+from crysfuse.nn import ParamStore
 from crysfuse.pipeline import transfer_encoder_params
 from crysfuse.pretrain import inject_noise
 from crysfuse.rng import stream
-from crysfuse.se3 import lattice_scalars
+from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer, lattice_scalars
 from crysfuse.structures import CrystalStructure
-from crysfuse.tensor import Tensor, set_default_dtype
+from crysfuse.tensor import (Tensor, concat, no_grad, segment_sum,
+                             set_default_dtype)
 
 TINY = RunConfig(width=8, num_rbf=4, num_angle_rbf=4, cutoff=3.5,
                  max_neighbors=8, l_max=1, seed=0)
@@ -382,6 +385,136 @@ class TestBondRows:
             self.assert_close(store.params[name].grad, p.grad, rtol, floor)
         for name, buf in ref.buffers.items():
             self.assert_close(store.buffers[name], buf, rtol)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def composed_node_attention(layer, q, k, v, p, training):
+    """SE3NodeLayer.attend from tape primitives."""
+    logits = q.take(p.src) * k * (1.0 / math.sqrt(layer.dim))
+    alpha = layer.bn_attn(logits, p.edge_graph, training).sigmoid()
+    return segment_sum(alpha * v, p.src, len(q.data))
+
+
+def composed_edge_attention(layer, q, keys, values, p, training, weight):
+    """SE3EdgeLayer.attend from tape primitives: bond-major rows through
+    concatenation, one batch norm over the three channels, summed."""
+    d = layer.dim
+    logits = concat([q * k * (1.0 / math.sqrt(d)) for k in keys], axis=1)
+    alpha = layer.bn_attn(logits.reshape(-1, d), np.repeat(p.bond_graph, 3),
+                          training,
+                          None if weight is None else np.repeat(weight, 3)
+                          ).sigmoid()
+    gated = alpha * concat(values, axis=1).reshape(-1, d)
+    return gated.reshape(-1, 3, d).sum(axis=1)
+
+
+class TestFusedAttention:
+    """Each layer's one-node attention block against its composition from
+    tape primitives, on real packs: outputs, the gradients of q, keys,
+    values, gamma and beta, and the running estimates, all bitwise."""
+
+    DIM = 8
+
+    @pytest.fixture(scope="class", params=["bonds", "edges"])
+    def pack(self, request):
+        """A clean pack with one row per bond and its bond weights, or a
+        noisy-view layout with one row per directed edge."""
+        model = MGTModel(TINY)
+        gen = stream(11, "fused-attention")
+        graphs = [model.build_graph(random_structure(gen, 2, 8))
+                  for _ in range(5)]
+        if request.param == "edges":
+            graphs = [dataclasses.replace(g, edge_bond=np.arange(g.num_edges),
+                                          bond_edges=np.arange(g.num_edges))
+                      for g in graphs]
+        p = pack_inputs([model.make_inputs(g) for g in graphs])
+        assert (p.bond_weight is None) == (request.param == "edges")
+        return p
+
+    @staticmethod
+    def layers(cls, *args):
+        """Two identical layers, one per side, with moved batch-norm state."""
+        out = []
+        for _ in range(2):
+            layer = cls(ParamStore(3), "layer", *args)
+            gen = stream(3, "bn-state")
+            bn = layer.bn_attn
+            bn.gamma.data[:] = gen.uniform(0.5, 1.5, bn.gamma.shape)
+            bn.beta.data[:] = gen.uniform(-0.5, 0.5, bn.beta.shape)
+            bn.running_mean[:] = gen.normal(size=bn.running_mean.shape)
+            bn.running_var[:] = gen.uniform(0.5, 2.0, bn.running_var.shape)
+            out.append(layer)
+        return out
+
+    @staticmethod
+    def tensors(gen, shapes, constant):
+        return [Tensor(gen.normal(size=s), requires_grad=not c)
+                for s, c in zip(shapes, constant)]
+
+    @staticmethod
+    def compare(mode, fused, composed, leaves, layers):
+        """Run both sides in `mode`, backpropagate one probe, compare."""
+        training = mode == "train"
+        results = []
+        for side, layer, (args, probe) in zip((fused, composed), layers,
+                                              leaves):
+            if mode == "eval":
+                with no_grad():
+                    results.append([side(layer, *args, training).data])
+                continue
+            out = side(layer, *args, training)
+            (out * Tensor(probe)).sum().backward()
+            flat = [t for a in args for t in (a if isinstance(a, list) else [a])
+                    if isinstance(t, Tensor)]
+            bn = layer.bn_attn
+            results.append([out.data, bn.gamma.grad, bn.beta.grad,
+                            bn.running_mean, bn.running_var]
+                           + [t.grad for t in flat if t.requires_grad])
+            assert all(t.grad is None for t in flat if not t.requires_grad)
+        for got, want in zip(*results):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("mode", ["train", "frozen", "eval"])
+    @pytest.mark.parametrize("constant", [None, "q", "k", "v"])
+    def test_node_layer(self, precision, pack, mode, constant):
+        p, d = pack, self.DIM
+        nodes, edges = len(p.atom_feats), len(p.src)
+        layers = self.layers(SE3NodeLayer, d)
+        leaves = []
+        for _ in range(2):
+            gen = stream(3, "node-attention")
+            args = self.tensors(gen, [(nodes, d), (edges, d), (edges, d)],
+                                [constant == c for c in "qkv"])
+            leaves.append((args + [p], gen.normal(size=(nodes, d))))
+        self.compare(mode, lambda l, q, k, v, p, t: l.attend(q, k, v, p, t),
+                     composed_node_attention, leaves, layers)
+
+    @pytest.mark.parametrize("mode", ["train", "frozen", "eval"])
+    @pytest.mark.parametrize("constant", [None, "q", "k", "v"])
+    def test_edge_layer(self, precision, pack, mode, constant):
+        p, d = pack, self.DIM
+        rows = len(p.se3_edge_rbf)
+        weight = p.bond_weight if mode == "train" else None
+        layers = self.layers(SE3EdgeLayer, d, 3, 3)
+        leaves = []
+        for _ in range(2):
+            gen = stream(3, "edge-attention")
+            # the constant key or value is channel 1's
+            flags = [constant == "q"] + [constant == c and m == 1
+                                          for c in "kv" for m in range(3)]
+            t = self.tensors(gen, [(rows, d)] * 7, flags)
+            leaves.append(([t[0], t[1:4], t[4:7], p],
+                           gen.normal(size=(rows, d))))
+        self.compare(
+            mode,
+            lambda l, q, ks, vs, p, t: l.attend(q, ks, vs, p, t, weight),
+            lambda l, q, ks, vs, p, t: composed_edge_attention(
+                l, q, ks, vs, p, t, weight),
+            leaves, layers)
 
 
 class TestSymmetrySpotChecks:

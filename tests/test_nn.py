@@ -5,7 +5,12 @@ import pytest
 
 from crysfuse.nn import MLP2, BatchNorm, LayerNorm, Linear, ParamStore, ProjectionHead
 from crysfuse.rng import stream
-from crysfuse.tensor import Tensor
+from crysfuse.tensor import Tensor, no_grad
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestParamStore:
@@ -178,6 +183,50 @@ class TestMLP2:
         assert np.allclose(mlp(Tensor(x)).data, expect)
         split = mlp([Tensor(x[:, :1]), Tensor(x[:, 1:])]).data
         assert np.max(np.abs(split - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+class TestFusedMLP2:
+    """The one-node MLP2 against its composition lin2(lin1(x).softplus())
+    from tape primitives: outputs and every gradient bitwise."""
+
+    @staticmethod
+    def inputs(kind, gen):
+        """(blocks for the call, the tensors among them that need grads)."""
+        if kind == "plain":
+            x = Tensor(gen.normal(size=(9, 6)), requires_grad=True)
+            return x, [x]
+        # a gathered block with repeated and missing rows, a constant
+        # block, and a plain one
+        nodes = Tensor(gen.normal(size=(4, 2)), requires_grad=True)
+        const = Tensor(gen.normal(size=(9, 1)))
+        plain = Tensor(gen.normal(size=(9, 3)), requires_grad=True)
+        rows = np.array([3, 0, 0, 2, 3, 3, 0, 2, 0])
+        return [(nodes, rows), const, plain], [nodes, plain]
+
+    @pytest.mark.parametrize("kind", ["plain", "blocks"])
+    @pytest.mark.parametrize("calls", [1, 3])
+    def test_matches_the_composition_bitwise(self, precision, kind, calls):
+        mlp = MLP2(ParamStore(8), "m", 6, 5, 4)
+        params = mlp.lin1.params + mlp.lin2.params
+        runs = []
+        for fused in (True, False):
+            gen = stream(8, f"mlp-{kind}")
+            probe = Tensor(gen.normal(size=(9, 4)))
+            out, leaves = None, []
+            # the same parameters used `calls` times, as phi_k is per channel
+            for _ in range(calls):
+                x, live = self.inputs(kind, gen)
+                y = mlp(x) if fused else mlp.lin2(mlp.lin1(x).softplus())
+                out = y if out is None else out + y
+                leaves += live
+            (out * probe).sum().backward()
+            if kind == "blocks":
+                assert x[1].grad is None  # the constant block
+            runs.append([out.data] + [t.grad for t in leaves + list(params)])
+            for p in params:
+                p.grad = None
+        for got, want in zip(*runs):
+            assert_same_bits(got, want)
 
 
 class TestBatchNorm:
@@ -388,6 +437,37 @@ class TestBatchNorm:
                                         bn.beta.data, probe)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+    @staticmethod
+    def composed_eval(bn, x):
+        """The eval-mode map from tape primitives."""
+        scale = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        return (x - Tensor(bn.running_mean)) * Tensor(scale) * bn.gamma + bn.beta
+
+    def test_eval_node_matches_the_composition_bitwise(self, precision):
+        # frozen statistics: eval-mode normalization on a recorded tape
+        bn, _ = self.make(4)
+        gen = stream(5, "bn-frozen")
+        bn.running_mean[:] = gen.normal(size=4)
+        bn.running_var[:] = gen.uniform(0.5, 2.0, 4)
+        bn.gamma.data[:] = gen.uniform(0.5, 1.5, 4)
+        bn.beta.data[:] = gen.uniform(-0.5, 0.5, 4)
+        x = gen.normal(size=(11, 4))
+        probe = Tensor(gen.normal(size=(11, 4)))
+        runs = []
+        for fused in (True, False):
+            xt = Tensor(x, requires_grad=True)
+            out = (bn(xt, np.zeros(11, int), training=False) if fused
+                   else self.composed_eval(bn, xt))
+            (out * probe).sum().backward()
+            runs.append((out.data, xt.grad, bn.gamma.grad, bn.beta.grad))
+            bn.gamma.grad = bn.beta.grad = None
+        for got, want in zip(*runs):
+            assert_same_bits(got, want)
+        with no_grad():
+            assert_same_bits(bn(Tensor(x), np.zeros(11, int), False).data,
+                             self.composed_eval(bn, Tensor(x)).data)
 
 
 class TestLayerNorm:
