@@ -24,6 +24,7 @@ so the scan's temporaries stay O(_BLOCK * N), never O(N^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,10 +120,20 @@ def perpendicular_widths(lattice: np.ndarray) -> np.ndarray:
 
 
 def _image_grid(bounds: np.ndarray) -> np.ndarray:
-    """All integer offset triples with |k_m| <= bounds[m], shape (M, 3)."""
-    axes = [np.arange(-int(b), int(b) + 1) for b in bounds]
+    """All integer offset triples with |k_m| <= bounds[m], shape (M, 3).
+
+    `build_graph` asks for a few small boxes over and over, so grids are
+    cached by their bounds, each in the narrowest integer type that holds
+    it, and every call gets its own int64 copy.
+    """
+    return _cached_grid(tuple(int(b) for b in bounds)).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_grid(bounds: tuple[int, ...]) -> np.ndarray:
+    axes = [np.arange(-b, b + 1) for b in bounds]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    return grid
+    return grid.astype(np.min_scalar_type(-1 - max(bounds)))
 
 
 def _check_budget(bounds: np.ndarray, budget: int):

@@ -21,9 +21,11 @@ are featurized per edge, with no bond map.
 
 In a training forward every `Linear`, batch norm and φ MLP (`nn.MLP2`) is
 one tape node, and so is each attention block (`SE3EdgeLayer.attend`,
-`SE3NodeLayer.attend`). Each keeps only what its backward reads: a φ MLP
-its hidden activation, an attention block its standardized logits, its
-gate and its batch norm's per-structure statistics.
+`SE3NodeLayer.attend`) and each round of the SO(3) tensor product
+(`so3.TensorProductLayer`). Each keeps only what its backward reads: a φ
+MLP its hidden activation, an attention block its standardized logits, its
+gate and its batch norm's per-structure statistics, a tensor-product round
+the bond rows of its weight map; no round keeps a per-edge array.
 
 Every forward runs both encoders once over a pack: the disjoint union of
 its structures' graphs, with node and edge arrays concatenated, `src`/`dst`

@@ -26,6 +26,7 @@ from crysfuse.pipeline import transfer_encoder_params
 from crysfuse.pretrain import inject_noise
 from crysfuse.rng import stream
 from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer, lattice_scalars
+from crysfuse.so3 import TensorProductLayer
 from crysfuse.structures import CrystalStructure
 from crysfuse.tensor import (Tensor, concat, no_grad, segment_sum,
                              set_default_dtype)
@@ -515,6 +516,153 @@ class TestFusedAttention:
             lambda l, q, ks, vs, p, t: composed_edge_attention(
                 l, q, ks, vs, p, t, weight),
             leaves, layers)
+
+
+def composed_tensor_product(layer, h0, sh, edge_rbf, src, dst,
+                            edge_bond=None):
+    """TensorProductLayer.__call__ from one tape operation per numpy
+    operation, with (N, ch, 2l+1) layer-1 blocks."""
+    num_nodes, ch = h0.shape
+    num_edges = len(src)
+    num_degrees = len(layer.contract_coeffs)
+    rbf = [(Tensor(edge_rbf), edge_bond)]
+    w1 = layer.expand_weights(rbf).reshape(num_edges, num_degrees, ch)
+    w2 = layer.contract_weights(rbf).reshape(num_edges, num_degrees, ch)
+    inv_degree = 1.0 / np.bincount(src, minlength=num_nodes)
+
+    def mean_in(msg):
+        scale = inv_degree.reshape((num_nodes,) + (1,) * (msg.ndim - 1))
+        return segment_sum(msg, src, num_nodes) * Tensor(scale)
+
+    h_dst = h0.take(dst)
+    layer1 = {}
+    for l, y in enumerate(sh):
+        msg = ((h_dst * w1[:, l, :]).reshape(num_edges, ch, 1)
+               * Tensor(y[:, None, :]))
+        layer1[l] = mean_in(msg)
+    layer1[0] = layer1[0] + h0.reshape(num_nodes, ch, 1)
+
+    msg = None
+    for l, (y, c) in enumerate(zip(sh, layer.contract_coeffs)):
+        dot = (layer1[l].take(dst) * Tensor(c * y[:, None, :])).sum(axis=2)
+        term = dot * w2[:, l, :]
+        msg = term if msg is None else msg + term
+    return layer1, mean_in(msg) + layer1[0].reshape(num_nodes, ch)
+
+
+class TestFusedTensorProduct:
+    """The two-node tensor product against its composition from tape
+    primitives, on real packs: h2 and every layer-1 block bitwise, and the
+    gradients of h0 and of both weight maps close, through probes on h2 and
+    on each block. In a whole training step, where the composition adds
+    h0's gradients in the order the fused node does, every parameter
+    gradient is bitwise."""
+
+    CFG = dataclasses.replace(TINY, width=16, l_max=2)
+    CH = 4
+
+    @pytest.fixture(scope="class", params=["bonds", "edges"])
+    def pack(self, request):
+        """A clean pack with one radial row per bond, or a noisy-view
+        layout with one per directed edge."""
+        model = MGTModel(self.CFG)
+        gen = stream(13, "fused-tp")
+        graphs = [model.build_graph(random_structure(gen, 2, 8))
+                  for _ in range(5)]
+        if request.param == "edges":
+            graphs = [dataclasses.replace(g, edge_bond=np.arange(g.num_edges),
+                                          bond_edges=np.arange(g.num_edges))
+                      for g in graphs]
+        p = pack_inputs([model.make_inputs(g) for g in graphs])
+        assert (p.edge_bond is None) == (request.param == "edges")
+        return p
+
+    def run(self, side, p, mode, constant):
+        """Outputs [h2, layer1 blocks...] and gradients [h0, tp1 weight and
+        bias, tp2 weight and bias] of one side."""
+        layer = TensorProductLayer(ParamStore(5), "tp", channels=self.CH,
+                                   num_rbf=p.so3_edge_rbf.shape[1],
+                                   l_max=self.CFG.l_max)
+        gen = stream(5, "fused-tp-leaves")
+        nodes = len(p.atom_feats)
+        h0 = Tensor(gen.normal(size=(nodes, self.CH)),
+                    requires_grad=not constant)
+        args = (h0, p.sh, p.so3_edge_rbf, p.src, p.dst, p.edge_bond)
+        if mode == "eval":
+            with no_grad():
+                layer1, h2 = side(layer, *args)
+            assert not h2._prev and not any(b._prev for b in layer1.values())
+            return [h2.data] + [b.data for b in layer1.values()], []
+        layer1, h2 = side(layer, *args)
+        loss = (h2 * Tensor(gen.normal(size=h2.shape))).sum()
+        for block in layer1.values():
+            loss = loss + (block * Tensor(gen.normal(size=block.shape))).sum()
+        loss.backward()
+        if constant:
+            assert h0.grad is None
+        params = layer.expand_weights.params + layer.contract_weights.params
+        return ([h2.data] + [b.data for b in layer1.values()],
+                [h0.grad] * (not constant) + [t.grad for t in params])
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_matches_the_composition(self, precision, pack, mode, constant):
+        (out, grads), (want_out, want_grads) = (
+            self.run(side, pack, mode, constant)
+            for side in (TensorProductLayer.__call__, composed_tensor_product))
+        assert [b.shape for b in out[1:]] == [
+            (len(pack.atom_feats), self.CH, 2 * l + 1)
+            for l in range(self.CFG.l_max + 1)]
+        for got, want in zip(out, want_out):
+            assert_same_bits(got, want)
+        assert len(grads) == len(want_grads)
+        tol = {"f64": 1e-13, "f32": 1e-6}[precision]
+        for got, want in zip(grads, want_grads):
+            assert got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_training_step_gradients_are_bitwise(self, monkeypatch, dtype):
+        """A pretraining-style step over noisy per-edge views and a
+        fine-tuning-style step over clean per-bond inputs."""
+        cfg = dataclasses.replace(self.CFG, precision=dtype)
+        gen = stream(17, "fused-tp-step")
+        cells = [random_structure(gen, 2, 8) for _ in range(4)]
+        grads = []
+        try:
+            for composed in (False, True):
+                if composed:
+                    monkeypatch.setattr(TensorProductLayer, "__call__",
+                                        composed_tensor_product)
+                model = MGTModel(cfg)
+                graphs = [model.build_graph(s) for s in cells]
+                noise = stream(17, "fused-tp-noise")
+                noisy = []
+                for g in graphs:
+                    ns = inject_noise(g, 0.1, noise)
+                    noisy.append(model.make_inputs(
+                        g, angles=ns.noisy_angles,
+                        so3_distances=ns.noisy_distances))
+                clean = [model.make_inputs(g) for g in graphs]
+                loss = None
+                for inputs in (noisy, clean):
+                    enc = model.encode(inputs, training=True)
+                    term = ((enc.e1 * enc.e2).sum()
+                            + model.predict_distance_noise(enc).sum())
+                    loss = term if loss is None else loss + term
+                loss.backward()
+                grads.append({k: p.grad
+                              for k, p in model.store.params.items()})
+        finally:
+            set_default_dtype("f64")
+        assert grads[0].keys() == grads[1].keys()
+        assert all(grads[0][k] is not None for k in grads[0]
+                   if k.startswith("so3."))
+        for name, got in grads[0].items():
+            if got is None:
+                assert grads[1][name] is None, name
+            else:
+                assert_same_bits(got, grads[1][name])
 
 
 class TestSymmetrySpotChecks:

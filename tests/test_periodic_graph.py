@@ -461,3 +461,17 @@ def test_scan_memory_stays_blocked():
         tracemalloc.stop()
     assert g.num_edges == n * DEFAULT_MAX_NEIGHBORS
     assert peak < 64 * 2**20, peak
+
+
+@pytest.mark.parametrize("bounds", [(0, 0, 0), (1, 2, 3), (127, 0, 1),
+                                    (128, 0, 1), (0, 32768, 0)])
+def test_image_grid_is_the_whole_box_on_every_call(bounds):
+    """Cached grids are stored narrow (int8 up to 127, int16 from 128);
+    each call returns its own int64 box, so a caller's write stays its own."""
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    for _ in range(2):
+        got = _image_grid(np.array(bounds))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        got[:] = 0

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 import crysfuse.tensor as tensor_mod
 from crysfuse.featurize import RBF_CUT, rbf_expand, uniform_rbf
+from crysfuse.harmonics import spherical_harmonics
 from crysfuse.model import Pack
 from crysfuse.nn import MLP2, ParamStore
 from crysfuse.rng import stream
 from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer
+from crysfuse.so3 import TensorProductLayer
 from crysfuse.tensor import (Tensor, _segment_rows, _softplus, _stable_sigmoid,
                              concat, no_grad, segment_sum, set_default_dtype)
 
@@ -585,6 +587,31 @@ class TestLayerTapeMemory:
         # one more array kept by either layer fails
         assert after_edge / unit < 30
         assert (after_node - after_edge) / unit < 8.5
+
+    def test_live_arrays_after_a_tensor_product_forward(self):
+        """The tensor product's two nodes keep their weight maps' rows,
+        here one per edge: two (E x (l_max+1)·ch) arrays, plus the N-row
+        layer 1 and h2. Composed from one node per numpy operation, the
+        layer kept 17.7 such arrays."""
+        gen = stream(11, "tp-tape")
+        p = self.pack(gen)
+        ch, l_max, rows = 16, 2, len(p.src)
+        layer = TensorProductLayer(ParamStore(11), "tp", channels=ch,
+                                   num_rbf=8, l_max=l_max)
+        sh = spherical_harmonics(gen.normal(size=(rows, 3)), l_max)
+        rbf = gen.uniform(size=(rows, 8))
+        h0 = Tensor(gen.normal(size=(len(p.node_graph), ch)),
+                    requires_grad=True)
+        unit = rows * (l_max + 1) * ch * 8
+        tracemalloc.start()
+        try:
+            _, h2 = layer(h0, sh, rbf, p.src, p.dst)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h2.requires_grad
+        # 2.21 at this layout: one more (E x ch) array fails
+        assert live / unit < 2.5
 
 
 class TestSortedScatter:
