@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .model import MGTModel
-from .pretrain import NoisySample, inject_noise, ssl_losses
+from .pretrain import NoisySample, inject_noise, noisy_pack, ssl_losses
 from .rng import stream
 from .structures import CrystalStructure, GroupAction, apply_group_action
 from .tensor import Tensor
@@ -89,7 +89,7 @@ def random_group_action(gen: np.random.Generator) -> GroupAction:
 # ---------------------------------------------------------------------------
 
 def _embeddings(model: MGTModel, s: CrystalStructure):
-    out = model.forward([model.inputs_for_structure(s)], training=False)
+    out = model.forward([model.build_graph(s)], training=False)
     return out.e1.data.copy(), out.e2.data.copy(), out.prediction.data.copy()
 
 
@@ -133,7 +133,7 @@ def check_so3_equivariance(model: MGTModel, num_rotations: int, seed: int,
     for _ in range(num_structures):
         s = random_structure(gen, 2, 8)
         g = model.build_graph(s)
-        base = model.encode([model.make_inputs(g)], training=False)
+        base = model.encode(model.make_inputs([g]), training=False)
         block = base.so3.layer1[1].data
         for _ in range(num_rotations):
             rot = random_rotation(gen)
@@ -144,7 +144,7 @@ def check_so3_equivariance(model: MGTModel, num_rotations: int, seed: int,
                                    "edge ordering changed under pure rotation")
             worst_vec = max(worst_vec,
                             np.max(np.abs(g2.vector - g.vector @ rot.T)))
-            moved = model.encode([model.make_inputs(g2)], training=False)
+            moved = model.encode(model.make_inputs([g2]), training=False)
             expected = block @ degree1_rotation(rot).T
             scale = max(np.max(np.abs(expected)), 1e-30)
             worst_rel = max(worst_rel,
@@ -204,17 +204,16 @@ def _grad_probe_config(cfg: RunConfig) -> RunConfig:
 def _loss_functions(model: MGTModel, samples: list[NoisySample],
                     targets: np.ndarray) -> dict:
     """The five training objectives as deterministic closures over parameters."""
-    clean_inputs = [model.make_inputs(sample.graph) for sample in samples]
-    noisy_inputs = [model.make_inputs(sample.graph, angles=sample.noisy_angles,
-                                      so3_distances=sample.noisy_distances)
-                    for sample in samples]
+    clean = model.make_inputs([sample.graph for sample in samples])
+    noisy = noisy_pack(model, samples)
 
     def ssl_term(k):
-        return lambda: ssl_losses(model, noisy_inputs, samples,
+        return lambda: ssl_losses(model, noisy, samples,
                                   range(len(samples)))[k]
 
     def loss_mse():
-        pred = model.forward(clean_inputs, training=True).prediction
+        enc = model.encode(clean, training=True)
+        pred, _ = model.fusion(enc.e1, enc.e2, None)
         diff = pred - Tensor(targets.reshape(-1, 1))
         return (diff * diff).mean()
 

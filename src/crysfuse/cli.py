@@ -20,7 +20,7 @@ from .graph import GraphError
 from .model import MGTModel
 from .moe import report_contributions
 from .pipeline import (evaluate_records, finetune, load_checkpoint, load_jsonl,
-                       predict_records, record_inputs, save_checkpoint,
+                       predict_records, record_graphs, save_checkpoint,
                        split_dataset, transfer_encoder_params)
 from .pretrain import run_pretraining
 from .structures import StructureError
@@ -130,7 +130,8 @@ def cmd_pretrain(args) -> int:
     cfg = _config_from_args(args)
     records = load_jsonl(_require(cfg.data, "--data"))
     model = MGTModel(cfg)
-    graphs = [(model.build_graph(r.structure), r.id) for r in records]
+    graphs = [(g, r.id)
+              for g, r in zip(record_graphs(model, records), records)]
     log_path = None
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
@@ -211,7 +212,7 @@ def cmd_inspect_router(args) -> int:
         raise ConfigError(["inspect-router needs head=moe; "
                            f"this model uses head={model.cfg.head!r}"])
     records = load_jsonl(_require(cfg.data, "--data"))
-    _, scores = model.predict_batch(record_inputs(model, records))
+    _, scores = model.predict_batch(record_graphs(model, records))
     report = report_contributions(model.cfg.task, scores)
     report["ids"] = [r.id for r in records]
     _write_or_print(json.dumps(report), cfg.out)

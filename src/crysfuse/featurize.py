@@ -123,19 +123,20 @@ def load_atom_table(path: str) -> AtomTable:
     return AtomTable(dim=dim, rows=rows)
 
 
-def embed_atoms(species: tuple, table: AtomTable) -> np.ndarray:
-    """Stack table rows for each atom, shape (N, dim)."""
-    out = np.empty((len(species), table.dim))
-    for i, z in enumerate(species):
+def check_species(species, table: AtomTable) -> None:
+    """Raise `DataError` at the first atomic number `table` has no row for."""
+    for z in species:
         if z not in table.rows:
             raise DataError(f"no atom table row for atomic number {z}")
+
+
+def embed_atoms(species, table: AtomTable) -> np.ndarray:
+    """Stack table rows for each atom, shape (N, dim)."""
+    check_species(species, table)
+    out = np.empty((len(species), table.dim))
+    for i, z in enumerate(species):
         out[i] = table.rows[z]
     return out
-
-
-def embed_edges(distances: np.ndarray, spec: RbfSpec) -> np.ndarray:
-    """Distance basis features, shape (E, K)."""
-    return rbf_expand(distances, spec)
 
 
 def embed_angles(angles: np.ndarray, spec: RbfSpec) -> np.ndarray:

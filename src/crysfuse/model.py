@@ -6,7 +6,15 @@ and radial features, and the fusion head over the two pooled embeddings.
 Per-edge denoising heads for the self-supervised objective hang off the
 final edge/node embeddings.
 
-Clean inputs are featurized per bond: an edge and its reverse have the same
+`MGTModel.make_inputs` featurizes a batch of graphs straight into one
+`Pack`: the disjoint union of their graphs, with node and edge arrays
+concatenated, `src`/`dst` offset, lattice features stacked per structure,
+and each node, edge and edge-scalar row tagged with its structure.
+Distances, angle cosines and edge directions are expanded once over the
+whole pack, so featurization costs a few numpy calls per batch, not per
+structure, and gives the bits of a per-structure expansion.
+
+Clean packs are featurized per bond: an edge and its reverse have the same
 distance and angles (`graph.PeriodicGraph`), so the distance and angle
 expansions, the invariant encoder's `edge_proj` and edge layers, every node
 layer's edge map `f_e`, the equivariant encoder's `edge_proj` and its
@@ -16,8 +24,8 @@ gathered `Linear` block. Harmonics, endpoint gathers, node-layer attention
 and messages stay per directed edge. Eval outputs equal those of a
 per-edge pass bitwise; in training, batch norm over bond rows counts each
 row once per directed edge, which matches a per-edge pass to rounding.
-Pretraining's noisy views perturb each directed edge on its own, so they
-are featurized per edge, with no bond map.
+Pretraining's noisy views perturb each directed edge on its own, so their
+packs hold one row per edge and no bond map.
 
 In a training forward every `Linear`, batch norm and φ MLP (`nn.MLP2`) is
 one tape node, and so is each attention block (`SE3EdgeLayer.attend`,
@@ -27,24 +35,21 @@ MLP its hidden activation, an attention block its standardized logits, its
 gate and its batch norm's per-structure statistics, a tensor-product round
 the bond rows of its weight map; no round keeps a per-edge array.
 
-Every forward runs both encoders once over a pack: the disjoint union of
-its structures' graphs, with node and edge arrays concatenated, `src`/`dst`
-offset, lattice features stacked per structure, and each node and edge
-tagged with its structure. The encoders, their layers and the denoising
-heads read that `Pack`. Pooling is a per-structure mean, and in training
-passes every batch norm standardizes each structure over its own nodes or
-edges (segment statistics over the pack's contiguous rows), folding them
-into the running estimates one structure at a time in pack order. So no
-crystal's statistics leak into another's, and the order of a batch changes
-no structure's output. Eval passes use the running statistics instead. So
-does every pass of encoders transferred by `transfer_encoder_params`, and
-fine-tuning never updates them: per-structure standardization subtracts the
-per-structure mean that a pooled, structure-level target needs, so
-fine-tuning then optimizes the same function that eval-mode prediction
-computes. Packing changes only how BLAS blocks the matmuls, about 1e-12
-relative against one structure at a time. `predict_batch` runs eval
-forwards on packs of up to `PREDICT_CHUNK` structures without recording a
-tape.
+Every forward runs both encoders once over a pack, and the encoders, their
+layers and the denoising heads read it. Pooling is a per-structure mean,
+and in training passes every batch norm standardizes each structure over
+its own nodes or edges (segment statistics over the pack's contiguous
+rows), folding them into the running estimates one structure at a time in
+pack order. So no crystal's statistics leak into another's, and the order
+of a batch changes no structure's output. Eval passes use the running
+statistics instead. So does every pass of encoders transferred by
+`transfer_encoder_params`, and fine-tuning never updates them:
+per-structure standardization subtracts the per-structure mean that a
+pooled, structure-level target needs, so fine-tuning then optimizes the
+same function that eval-mode prediction computes. Packing changes only how
+BLAS blocks the matmuls, about 1e-12 relative against one structure at a
+time. `predict_batch` runs eval forwards on packs of up to `PREDICT_CHUNK`
+structures without recording a tape.
 """
 
 from __future__ import annotations
@@ -56,9 +61,8 @@ from itertools import islice
 import numpy as np
 
 from .config import RunConfig
-from .featurize import (AtomTable, embed_angles, embed_atoms, embed_edges,
-                        load_atom_table, one_hot_table, rbf_expand,
-                        uniform_rbf)
+from .featurize import (AtomTable, embed_angles, embed_atoms, load_atom_table,
+                        one_hot_table, rbf_expand, uniform_rbf)
 from .graph import PeriodicGraph, build_graph
 from .harmonics import spherical_harmonics
 from .moe import ConcatHead, MoEHead
@@ -72,27 +76,13 @@ PREDICT_CHUNK = 32  # structures per packed inference forward
 
 
 @dataclass
-class ModelInputs:
-    """Precomputed constant features for one structure's forward pass.
+class Pack:
+    """Several structures' featurized inputs as one disjoint-union graph.
 
     The edge-scalar features have R rows: one per bond (R = B) with
-    `edge_bond` the graph's, or one per directed edge (R = E) with
-    `edge_bond` None.
+    `edge_bond` mapping each directed edge to its row, or, in pretraining's
+    noisy views, one per directed edge (R = E) with `edge_bond` None.
     """
-
-    graph: PeriodicGraph
-    atom_feats: np.ndarray       # (N, atom_dim)
-    se3_edge_rbf: np.ndarray     # (R, K) — clean distances
-    se3_angle_rbf: np.ndarray    # (R, 3, Ka) — possibly perturbed angles
-    lattice_feats: np.ndarray    # (3, K + 2)
-    so3_edge_rbf: np.ndarray     # (R, K) — possibly perturbed distances
-    sh: list[np.ndarray]         # per-degree (E, 2l+1) edge-direction harmonics
-    edge_bond: np.ndarray | None  # (E,) row of each directed edge
-
-
-@dataclass
-class Pack:
-    """Several structures' inputs as one disjoint-union graph."""
 
     atom_feats: np.ndarray       # (N, atom_dim), structures' nodes in order
     se3_edge_rbf: np.ndarray     # (R, K), structures' edge-scalar rows in order
@@ -107,41 +97,6 @@ class Pack:
     bond_graph: np.ndarray       # (R,) structure of each edge-scalar row
     edge_bond: np.ndarray | None  # (E,) row of each edge; None if R = E
     bond_weight: np.ndarray | None  # (R,) directed edges per row; None if R = E
-
-
-def pack_inputs(inputs: list[ModelInputs]) -> Pack:
-    nodes = [len(inp.atom_feats) for inp in inputs]
-    edges = [len(inp.graph.src) for inp in inputs]
-    rows = [len(inp.se3_edge_rbf) for inp in inputs]
-    # batch norm and pooling reduce over each structure's contiguous rows,
-    # and np.add.reduceat misreads an empty segment
-    assert min(nodes) > 0 and min(edges) > 0, "structure without nodes or edges"
-    offsets = np.cumsum([0] + nodes[:-1])
-    ids = np.arange(len(inputs))
-    # a structure with as many rows as edges reads them in order, so a pack
-    # whose every edge has its own row needs no gather
-    edge_bond = bond_weight = None
-    if sum(rows) < sum(edges):
-        edge_bond = np.concatenate([
-            (np.arange(e) if inp.edge_bond is None else inp.edge_bond) + o
-            for inp, e, o in zip(inputs, edges, np.cumsum([0] + rows[:-1]))])
-        bond_weight = np.bincount(edge_bond, minlength=sum(rows))
-    return Pack(
-        atom_feats=np.concatenate([inp.atom_feats for inp in inputs]),
-        se3_edge_rbf=np.concatenate([inp.se3_edge_rbf for inp in inputs]),
-        se3_angle_rbf=np.concatenate([inp.se3_angle_rbf for inp in inputs]),
-        lattice_feats=np.stack([inp.lattice_feats for inp in inputs]),
-        so3_edge_rbf=np.concatenate([inp.so3_edge_rbf for inp in inputs]),
-        sh=[np.concatenate(blocks)
-            for blocks in zip(*(inp.sh for inp in inputs))],
-        src=np.concatenate([inp.graph.src + o for inp, o in zip(inputs, offsets)]),
-        dst=np.concatenate([inp.graph.dst + o for inp, o in zip(inputs, offsets)]),
-        node_graph=np.repeat(ids, nodes),
-        edge_graph=np.repeat(ids, edges),
-        bond_graph=np.repeat(ids, rows),
-        edge_bond=edge_bond,
-        bond_weight=bond_weight,
-    )
 
 
 @dataclass
@@ -214,70 +169,96 @@ class MGTModel:
                            max_neighbors=self.cfg.max_neighbors,
                            image_budget=self.cfg.image_budget)
 
-    def make_inputs(self, graph: PeriodicGraph,
-                    angles: np.ndarray | None = None,
-                    so3_distances: np.ndarray | None = None) -> ModelInputs:
-        """Featurize one graph, one row per bond; pass perturbed per-edge
-        angles/distances to build the noisy views used in pretraining, one
-        row per directed edge (directions are never perturbed)."""
-        if angles is None and so3_distances is None:
-            bonds = graph.bond_edges
-            distance, angles = graph.distance[bonds], graph.angles[bonds]
-            edge_bond = graph.edge_bond
+    def make_inputs(self, graphs: list[PeriodicGraph],
+                    angles: list[np.ndarray] | None = None,
+                    so3_distances: list[np.ndarray] | None = None) -> Pack:
+        """Featurize `graphs` into one pack, one edge-scalar row per bond.
+
+        Pretraining's noisy views pass each graph's perturbed per-edge
+        `angles` and `so3_distances`, together, and get one row per
+        directed edge and no bond map (directions are never perturbed).
+        Distances, angles and harmonics are expanded once over the pack,
+        lattice features once per structure.
+        """
+        if (angles is None) != (so3_distances is None):
+            raise ValueError("noisy angles and distances go together")
+        nodes = [g.num_nodes for g in graphs]
+        edges = [g.num_edges for g in graphs]
+        # batch norm and pooling reduce over each structure's contiguous rows,
+        # and np.add.reduceat misreads an empty segment
+        assert min(nodes) > 0 and min(edges) > 0, "structure without nodes or edges"
+        if angles is None:
+            rows = [g.num_bonds for g in graphs]
+            angles = np.concatenate([g.angles[g.bond_edges] for g in graphs])
+            edge_bond = np.concatenate([
+                g.edge_bond + o
+                for g, o in zip(graphs, np.cumsum([0] + rows[:-1]))])
+            bond_weight = np.bincount(edge_bond, minlength=sum(rows))
+            # nothing writes into input features, so both views share one array
+            se3_rbf = so3_rbf = rbf_expand(
+                np.concatenate([g.distance[g.bond_edges] for g in graphs]),
+                self.dist_spec)
         else:
-            distance, edge_bond = graph.distance, None
-            angles = graph.angles if angles is None else angles
-        se3_rbf = embed_edges(distance, self.dist_spec)
-        # nothing writes into input features, so clean views share one array
-        so3_rbf = (se3_rbf if so3_distances is None
-                   else embed_edges(so3_distances, self.dist_spec))
-        return ModelInputs(
-            graph=graph,
-            atom_feats=embed_atoms(graph.structure.species, self.atom_table),
+            rows, edge_bond, bond_weight = edges, None, None
+            angles = np.concatenate(angles)
+            se3_rbf = rbf_expand(np.concatenate([g.distance for g in graphs]),
+                                 self.dist_spec)
+            so3_rbf = rbf_expand(np.concatenate(so3_distances), self.dist_spec)
+        offsets = np.cumsum([0] + nodes[:-1])
+        ids = np.arange(len(graphs))
+        return Pack(
+            atom_feats=embed_atoms(
+                [z for g in graphs for z in g.structure.species],
+                self.atom_table),
             se3_edge_rbf=se3_rbf,
             se3_angle_rbf=embed_angles(angles, self.angle_spec),
-            lattice_feats=lattice_scalars(
-                graph.ref_vectors, lambda x: rbf_expand(x, self.dist_spec)),
+            lattice_feats=np.stack([
+                lattice_scalars(g.ref_vectors,
+                                lambda x: rbf_expand(x, self.dist_spec))
+                for g in graphs]),
             so3_edge_rbf=so3_rbf,
-            sh=spherical_harmonics(graph.vector, self.cfg.l_max),
+            sh=spherical_harmonics(np.concatenate([g.vector for g in graphs]),
+                                   self.cfg.l_max),
+            src=np.concatenate([g.src + o for g, o in zip(graphs, offsets)]),
+            dst=np.concatenate([g.dst + o for g, o in zip(graphs, offsets)]),
+            node_graph=np.repeat(ids, nodes),
+            edge_graph=np.repeat(ids, edges),
+            bond_graph=np.repeat(ids, rows),
             edge_bond=edge_bond,
+            bond_weight=bond_weight,
         )
-
-    def inputs_for_structure(self, s: CrystalStructure) -> ModelInputs:
-        return self.make_inputs(self.build_graph(s))
 
     # -- forward -----------------------------------------------------------
 
-    def encode(self, inputs: list[ModelInputs], training: bool) -> EncodedPack:
-        """Run both encoders once over the pack of `inputs`, at this model's
+    def encode(self, p: Pack, training: bool) -> EncodedPack:
+        """Run both encoders once over the pack `p`, at this model's
         precision; training passes standardize each structure with its own
         batch statistics."""
         set_default_dtype(self.cfg.precision)
         training = training and not self.frozen_encoder_stats
-        p = pack_inputs(inputs)
         nodes, bonds, e1 = self.se3(p, training)
         return EncodedPack(pack=p, se3_nodes=nodes, se3_bonds=bonds, e1=e1,
                            so3=self.so3(p, training))
 
-    def forward(self, inputs: list[ModelInputs], training: bool,
+    def forward(self, graphs: list[PeriodicGraph], training: bool,
                 router_override: np.ndarray | None = None) -> ModelOutputs:
-        """Encode `inputs` as one pack and fuse the pooled embeddings into
-        one prediction per structure."""
-        enc = self.encode(inputs, training)
+        """Featurize `graphs` as one clean pack, encode it, and fuse the
+        pooled embeddings into one prediction per structure."""
+        enc = self.encode(self.make_inputs(graphs), training)
         prediction, scores = self.fusion(enc.e1, enc.e2, router_override)
         return ModelOutputs(e1=enc.e1, e2=enc.e2, prediction=prediction,
                             scores=scores)
 
-    def predict_batch(self, inputs: Iterable[ModelInputs]
+    def predict_batch(self, graphs: Iterable[PeriodicGraph]
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode normalized-space predictions (B,) and router scores
         (B, 2), nan for the concat head.
 
-        Runs one packed forward per `PREDICT_CHUNK` inputs and records no
-        tape. `inputs` is consumed lazily, so a generator that featurizes
-        on demand holds one chunk's features at a time.
+        Runs one packed forward per `PREDICT_CHUNK` graphs and records no
+        tape. `graphs` is consumed lazily, so a generator that builds them
+        on demand holds one chunk's graphs and features at a time.
         """
-        it = iter(inputs)
+        it = iter(graphs)
         preds, scores = [], []
         with no_grad():
             while chunk := list(islice(it, PREDICT_CHUNK)):
@@ -290,8 +271,7 @@ class MGTModel:
 
     def predict_raw(self, structures: list[CrystalStructure]) -> np.ndarray:
         """Eval-mode normalized-space predictions, shape (B,)."""
-        return self.predict_batch(
-            self.inputs_for_structure(s) for s in structures)[0]
+        return self.predict_batch(self.build_graph(s) for s in structures)[0]
 
     # -- denoising heads ----------------------------------------------------
 

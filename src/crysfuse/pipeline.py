@@ -19,8 +19,9 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, config_from_dict
 from .errors import DataError, NumericError
-from .graph import GraphError
-from .model import MGTModel, ModelInputs
+from .featurize import check_species
+from .graph import GraphError, PeriodicGraph
+from .model import MGTModel
 from .optim import (AdamW, adamw_from_config, clip_grad_norm, epoch_batches,
                     lr_schedule)
 from .rng import stream
@@ -75,14 +76,15 @@ def load_jsonl(path: str) -> list[Record]:
     return records
 
 
-def record_inputs(model: MGTModel, records: Iterable[Record]
-                  ) -> Iterator[ModelInputs]:
-    """Featurize records lazily, in order. A structure, graph or data error
-    is raised again with the same type, its message prefixed by the record's
-    id."""
+def record_graphs(model: MGTModel, records: Iterable[Record]
+                  ) -> Iterator[PeriodicGraph]:
+    """The records' graphs, built lazily, in order. A structure, graph or
+    data error, an element the model's atom table lacks included, is raised
+    again with the same type, its message prefixed by the record's id."""
     for r in records:
         try:
-            yield model.inputs_for_structure(r.structure)
+            check_species(r.structure.species, model.atom_table)
+            yield model.build_graph(r.structure)
         except (StructureError, GraphError, DataError) as exc:
             raise type(exc)(f"record {r.id}: {exc}") from None
 
@@ -338,10 +340,10 @@ class FinetuneResult:
 FINETUNE_CLIP_NORM = 1.0
 
 
-def finetune_step(model: MGTModel, inputs: list[ModelInputs],
+def finetune_step(model: MGTModel, graphs: list[PeriodicGraph],
                   targets_norm: np.ndarray, ids: list[str],
                   opt: AdamW) -> tuple[float, float]:
-    """One MSE step on a featurized batch; targets already normalized.
+    """One MSE step on a batch of graphs; targets already normalized.
 
     Before the update, gradients whose joint L2 norm exceeds
     `FINETUNE_CLIP_NORM` are scaled down to it, so a batch with an
@@ -350,7 +352,7 @@ def finetune_step(model: MGTModel, inputs: list[ModelInputs],
     Returns (batch MSE, batch MAE), both in normalized space, computed from
     the training-mode forward pass that produced the update.
     """
-    out = model.forward(inputs, training=True)
+    out = model.forward(graphs, training=True)
     bad = ~np.isfinite(out.prediction.data.ravel())
     if bad.any():
         raise NumericError(
@@ -396,8 +398,8 @@ def finetune(model: MGTModel, train_records: list[Record],
         raise DataError("empty train split")
     normalizer = Normalizer.fit([r.target for r in train_records])
 
-    train_inputs = list(record_inputs(model, train_records))
-    val_inputs = list(record_inputs(model, val_records))
+    train_graphs = list(record_graphs(model, train_records))
+    val_graphs = list(record_graphs(model, val_records))
     y_train = normalizer.normalize([r.target for r in train_records])
     val_targets = np.array([r.target for r in val_records], dtype=np.float64)
     ids = [r.id for r in train_records]
@@ -427,7 +429,7 @@ def finetune(model: MGTModel, train_records: list[Record],
                 opt.lr = lr_schedule(min(step, total_steps), total_steps,
                                      warmup, cfg.finetune_lr, cfg.lr_min)
                 mse, mae = finetune_step(
-                    model, [train_inputs[i] for i in idx], y_train[idx],
+                    model, [train_graphs[i] for i in idx], y_train[idx],
                     [ids[i] for i in idx], opt)
                 losses.append(mse)
                 abs_err_sum += mae * len(idx)
@@ -438,9 +440,9 @@ def finetune(model: MGTModel, train_records: list[Record],
                      "train_mae": float(normalizer.std * abs_err_sum / seen)}
             result.epochs_run = epoch
 
-            if val_inputs:
+            if val_graphs:
                 val_pred = normalizer.denormalize(
-                    model.predict_batch(val_inputs)[0])
+                    model.predict_batch(val_graphs)[0])
                 val_mae = float(np.mean(np.abs(val_pred - val_targets)))
                 entry["val_mae"] = val_mae
                 if result.best_val_mae is None or val_mae < result.best_val_mae:
@@ -457,7 +459,7 @@ def finetune(model: MGTModel, train_records: list[Record],
 
             if train_mae_goal is not None and entry["train_mae"] < train_mae_goal:
                 break
-            if val_inputs and since_best >= cfg.patience:
+            if val_graphs and since_best >= cfg.patience:
                 result.stopped_early = True
                 break
     finally:
@@ -477,7 +479,7 @@ def finetune(model: MGTModel, train_records: list[Record],
 def predict_records(model: MGTModel, records: list[Record],
                     normalizer: Normalizer | None) -> list[dict]:
     """Eval-mode predictions in original target units, one row per record."""
-    raw, _ = model.predict_batch(record_inputs(model, records))
+    raw, _ = model.predict_batch(record_graphs(model, records))
     pred = raw if normalizer is None else normalizer.denormalize(raw)
     return [{"id": r.id, "prediction": float(p)} for r, p in zip(records, pred)]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericError
 from .graph import PeriodicGraph
-from .model import MGTModel, ModelInputs
+from .model import MGTModel, Pack
 from .optim import AdamW, adamw_from_config, epoch_batches, lr_schedule
 from .rng import stream
 from .tensor import Tensor, concat
@@ -65,6 +65,13 @@ def inject_noise(graph: PeriodicGraph, sigma: float,
         eps_theta=noisy_angles - graph.angles,
         eps_e=noisy_distances - graph.distance,
     )
+
+
+def noisy_pack(model: MGTModel, samples: list[NoisySample]) -> Pack:
+    """One pack of the samples' noisy views, one row per directed edge."""
+    return model.make_inputs(
+        [s.graph for s in samples], angles=[s.noisy_angles for s in samples],
+        so3_distances=[s.noisy_distances for s in samples])
 
 
 def nt_xent(z_view1: Tensor, z_view2: Tensor, tau: float) -> Tensor:
@@ -113,16 +120,13 @@ def _summed_squares(diff: Tensor, bounds: np.ndarray) -> Tensor:
     return Tensor._result(np.asarray(total), (diff,), back)
 
 
-def denoising_losses(pred_theta: Tensor | list[Tensor],
-                     pred_e: Tensor | list[Tensor],
+def denoising_losses(pred_theta: Tensor, pred_e: Tensor,
                      samples: list[NoisySample]) -> tuple[Tensor, Tensor]:
     """Summed squared error of noise predictions over the whole batch.
 
     `pred_theta` (E, 3) and `pred_e` (E, 1) hold the batch's edges in the
-    order of `samples`, as one tensor each or as one tensor per sample.
+    order of `samples`.
     """
-    if isinstance(pred_theta, list):
-        pred_theta, pred_e = concat(pred_theta), concat(pred_e)
     bounds = np.cumsum([0] + [s.graph.num_edges for s in samples])
     eps_theta = np.concatenate([s.eps_theta for s in samples])
     eps_e = np.concatenate([s.eps_e for s in samples]).reshape(-1, 1)
@@ -138,18 +142,17 @@ class PretrainParts:
     so3: float
 
 
-def ssl_losses(model: MGTModel, inputs: list[ModelInputs],
-               samples: list[NoisySample], ids: Sequence
-               ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+def ssl_losses(model: MGTModel, noisy: Pack, samples: list[NoisySample],
+               ids: Sequence) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """(total, contrastive, angle-denoising, distance-denoising) losses of a
-    batch, from one training-mode encode of its noisy views `inputs`.
+    batch, from one training-mode encode of its noisy views' pack.
 
     A non-finite head output or embedding raises `NumericError` naming the
     first structure (by `ids`) it belongs to; per-structure batch statistics
     keep one structure's non-finite values out of the others' rows.
     """
     cfg = model.cfg
-    enc = model.encode(inputs, training=True)
+    enc = model.encode(noisy, training=True)
     p_theta = model.predict_angle_noise(enc)
     p_e = model.predict_distance_noise(enc)
     bounds = np.cumsum([0] + [s.graph.num_edges for s in samples])
@@ -173,11 +176,8 @@ def pretrain_step(model: MGTModel, batch: list[tuple[PeriodicGraph, str]],
     """One optimizer step on the combined objective for one batch."""
     samples = [inject_noise(graph, model.cfg.sigma, noise_gen)
                for graph, _ in batch]
-    inputs = [model.make_inputs(s.graph, angles=s.noisy_angles,
-                                so3_distances=s.noisy_distances)
-              for s in samples]
     total, loss_contrast, loss_se3, loss_so3 = ssl_losses(
-        model, inputs, samples, [sid for _, sid in batch])
+        model, noisy_pack(model, samples), samples, [sid for _, sid in batch])
     if not np.isfinite(total.data):
         raise NumericError(
             f"non-finite pretraining loss at structure {batch[0][1]}")

@@ -151,16 +151,16 @@ def test_criterion_08_denoising_accounting():
     gen = stream(11, "acceptance/noise")
     samples = [inject_noise(model.build_graph(random_structure(gen, 2, 6)),
                             0.15, gen) for _ in range(3)]
-    zeros_t = [Tensor(np.zeros_like(s.eps_theta)) for s in samples]
-    zeros_e = [Tensor(np.zeros((len(s.eps_e), 1))) for s in samples]
+    zeros_t = Tensor(np.concatenate([np.zeros_like(s.eps_theta) for s in samples]))
+    zeros_e = Tensor(np.concatenate([np.zeros((len(s.eps_e), 1)) for s in samples]))
     l_theta, l_e = denoising_losses(zeros_t, zeros_e, samples)
     want_theta = np.sum([np.sum(s.eps_theta ** 2) for s in samples])
     want_e = np.sum([np.sum(s.eps_e ** 2) for s in samples])
     assert float(l_theta.data) == float(want_theta)
     assert float(l_e.data) == float(want_e)
 
-    perfect_t = [Tensor(s.eps_theta.copy()) for s in samples]
-    perfect_e = [Tensor(s.eps_e.reshape(-1, 1).copy()) for s in samples]
+    perfect_t = Tensor(np.concatenate([s.eps_theta for s in samples]))
+    perfect_e = Tensor(np.concatenate([s.eps_e for s in samples]).reshape(-1, 1))
     l_theta, l_e = denoising_losses(perfect_t, perfect_e, samples)
     assert float(l_theta.data) == 0.0
     assert float(l_e.data) == 0.0
@@ -288,10 +288,9 @@ def test_criterion_12_head_swap_parity():
     moe = MGTModel(RunConfig(**base, head="moe"))
     concat = MGTModel(RunConfig(**base, head="concat"))
     gen = stream(6, "acceptance/swap")
-    inputs = [moe.inputs_for_structure(random_structure(gen, 2, 6))
-              for _ in range(4)]
-    out_a = moe.forward(inputs, training=False)
-    out_b = concat.forward(inputs, training=False)
+    graphs = [moe.build_graph(random_structure(gen, 2, 6)) for _ in range(4)]
+    out_a = moe.forward(graphs, training=False)
+    out_b = concat.forward(graphs, training=False)
     for x, y in ((out_a.e1, out_b.e1), (out_a.e2, out_b.e2)):
         ha = hashlib.sha256(np.ascontiguousarray(x.data).tobytes()).hexdigest()
         hb = hashlib.sha256(np.ascontiguousarray(y.data).tobytes()).hexdigest()

@@ -20,10 +20,10 @@ from crysfuse.checks import (
 )
 from crysfuse.config import RunConfig
 from crysfuse.featurize import rbf_expand, uniform_rbf
-from crysfuse.model import PREDICT_CHUNK, MGTModel, pack_inputs
+from crysfuse.model import PREDICT_CHUNK, MGTModel
 from crysfuse.nn import ParamStore
 from crysfuse.pipeline import transfer_encoder_params
-from crysfuse.pretrain import inject_noise
+from crysfuse.pretrain import inject_noise, noisy_pack
 from crysfuse.rng import stream
 from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer, lattice_scalars
 from crysfuse.so3 import TensorProductLayer
@@ -38,9 +38,16 @@ NACL = CrystalStructure(
     (11, 17), [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]], np.eye(3) * 4.0)
 
 
-def per_edge(inp, rows):
-    """Edge-scalar feature rows of `inp` read at each directed edge."""
-    return rows if inp.edge_bond is None else rows[inp.edge_bond]
+def per_edge(p, rows):
+    """Edge-scalar feature rows of the pack `p` read at each directed edge."""
+    return rows if p.edge_bond is None else rows[p.edge_bond]
+
+
+def per_edge_pack(model, graphs):
+    """A pack of `graphs` with one row per directed edge and no bond map:
+    the layout of a noisy view, here without noise."""
+    return model.make_inputs(graphs, angles=[g.angles for g in graphs],
+                             so3_distances=[g.distance for g in graphs])
 
 
 @pytest.fixture()
@@ -81,9 +88,9 @@ class TestLatticeScalars:
 class TestShapes:
 
     def test_encode_shapes(self, model):
-        inp = model.inputs_for_structure(NACL)
-        enc = model.encode([inp], training=False)
-        n, e = 2, len(inp.graph.src)
+        p = model.make_inputs([model.build_graph(NACL)])
+        enc = model.encode(p, training=False)
+        n, e = 2, len(p.src)
         assert enc.se3_nodes.shape == (n, 8)
         assert enc.se3_edges.shape == (e, 8)
         assert enc.e1.shape == (1, 8)
@@ -96,8 +103,8 @@ class TestShapes:
         assert enc.so3.nodes.shape == (n, 8)
 
     def test_forward_batch_shapes(self, model):
-        inputs = [model.inputs_for_structure(NACL) for _ in range(3)]
-        out = model.forward(inputs, training=False)
+        graphs = [model.build_graph(NACL)] * 3
+        out = model.forward(graphs, training=False)
         assert out.e1.shape == (3, 8)
         assert out.e2.shape == (3, 8)
         assert out.prediction.shape == (3, 1)
@@ -107,17 +114,17 @@ class TestShapes:
         assert model.predict_raw([NACL, NACL]).shape == (2,)
 
     def test_denoise_head_shapes(self, model):
-        inp = model.inputs_for_structure(NACL)
-        enc = model.encode([inp], training=False)
-        e = len(inp.graph.src)
+        p = model.make_inputs([model.build_graph(NACL)])
+        enc = model.encode(p, training=False)
+        e = len(p.src)
         assert model.predict_angle_noise(enc).shape == (e, 3)
         assert model.predict_distance_noise(enc).shape == (e, 1)
 
     def test_noisy_input_overrides_land_in_right_views(self, model):
         g = model.build_graph(NACL)
-        clean = model.make_inputs(g)
-        noisy = model.make_inputs(g, angles=g.angles + 0.1,
-                                  so3_distances=g.distance + 0.1)
+        clean = model.make_inputs([g])
+        noisy = model.make_inputs([g], angles=[g.angles + 0.1],
+                                  so3_distances=[g.distance + 0.1])
         # invariant-view distances stay clean; angle and radial views move
         assert np.array_equal(per_edge(noisy, noisy.se3_edge_rbf),
                               per_edge(clean, clean.se3_edge_rbf))
@@ -129,12 +136,10 @@ class TestShapes:
 
     def test_clean_distance_views_share_one_expansion(self, model):
         g = model.build_graph(NACL)
-        clean = model.make_inputs(g)
-        assert np.array_equal(clean.so3_edge_rbf, clean.se3_edge_rbf)
+        clean = model.make_inputs([g])
+        assert clean.so3_edge_rbf is clean.se3_edge_rbf
         # pretraining's noisy view still expands its own distances
-        sample = inject_noise(g, 0.05, stream(0, "noise"))
-        noisy = model.make_inputs(g, angles=sample.noisy_angles,
-                                  so3_distances=sample.noisy_distances)
+        noisy = noisy_pack(model, [inject_noise(g, 0.05, stream(0, "noise"))])
         assert np.array_equal(per_edge(noisy, noisy.se3_edge_rbf),
                               per_edge(clean, clean.se3_edge_rbf))
         assert not np.array_equal(per_edge(noisy, noisy.so3_edge_rbf),
@@ -165,18 +170,16 @@ class TestInputsHoldNormalNumbersOnly:
     def test_clean_and_noisy_views(self, s):
         model = MGTModel(RunConfig(seed=0))
         g = model.build_graph(s)
-        self.assert_normal(model.make_inputs(g))
-        sample = inject_noise(g, 0.05, stream(0, "noise"))
-        self.assert_normal(model.make_inputs(
-            g, angles=sample.noisy_angles,
-            so3_distances=sample.noisy_distances))
+        self.assert_normal(model.make_inputs([g]))
+        self.assert_normal(
+            noisy_pack(model, [inject_noise(g, 0.05, stream(0, "noise"))]))
         if s is self.ISOLATED:
             assert g.distance.min() == 20.0 > model.cfg.cutoff
 
 
 class TestPackLayout:
-    """A pack mixing per-bond and per-edge inputs keeps every edge on its
-    own structure's rows."""
+    """A pack keeps every edge on its own structure's rows and holds
+    bitwise the features of one pack per structure."""
 
     @pytest.fixture()
     def graphs(self, model):
@@ -186,15 +189,9 @@ class TestPackLayout:
         assert all(g.num_bonds < g.num_edges for g in graphs)
         return graphs
 
-    @staticmethod
-    def noisy(model, g):
-        return model.make_inputs(g, angles=g.angles, so3_distances=g.distance)
-
-    def test_mixed_layouts(self, model, graphs):
-        inputs = [model.make_inputs(graphs[0]), self.noisy(model, graphs[1]),
-                  model.make_inputs(graphs[2])]
-        assert inputs[1].edge_bond is None
-        p = pack_inputs(inputs)
+    def test_clean_layout(self, model, graphs):
+        p = model.make_inputs(graphs)
+        singles = [model.make_inputs([g]) for g in graphs]
         assert np.array_equal(p.bond_graph[p.edge_bond], p.edge_graph)
         assert np.array_equal(
             np.bincount(p.bond_graph, weights=p.bond_weight),
@@ -202,21 +199,55 @@ class TestPackLayout:
         for name in ("se3_edge_rbf", "se3_angle_rbf", "so3_edge_rbf"):
             assert np.array_equal(
                 getattr(p, name)[p.edge_bond],
-                np.concatenate([per_edge(inp, getattr(inp, name))
-                                for inp in inputs]))
+                np.concatenate([per_edge(q, getattr(q, name))
+                                for q in singles]))
 
     def test_all_noisy_pack_needs_no_bond_map(self, model, graphs):
-        p = pack_inputs([self.noisy(model, g) for g in graphs])
+        p = per_edge_pack(model, graphs)
         assert p.edge_bond is None and p.bond_weight is None
         assert np.array_equal(p.bond_graph, p.edge_graph)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    def test_pack_concatenates_single_packs(self, model, graphs, noisy):
+        if noisy:
+            gen = stream(7, "pack-noise")
+            samples = [inject_noise(g, 0.1, gen) for g in graphs]
+            p = noisy_pack(model, samples)
+            singles = [noisy_pack(model, [s]) for s in samples]
+        else:
+            p = model.make_inputs(graphs)
+            singles = [model.make_inputs([g]) for g in graphs]
+
+        def joined(name, offsets=None):
+            parts = [getattr(q, name) for q in singles]
+            if offsets is not None:
+                parts = [a + o for a, o in zip(parts, offsets)]
+            return np.concatenate(parts)
+
+        for name in ("atom_feats", "se3_edge_rbf", "se3_angle_rbf",
+                     "lattice_feats", "so3_edge_rbf"):
+            assert_same_bits(getattr(p, name), joined(name))
+        assert len(p.sh) == len(singles[0].sh)
+        for l, block in enumerate(p.sh):
+            assert_same_bits(block, np.concatenate([q.sh[l] for q in singles]))
+        nodes = np.cumsum([0] + [len(q.atom_feats) for q in singles])
+        for name in ("src", "dst"):
+            assert_same_bits(getattr(p, name), joined(name, nodes))
+        for name in ("node_graph", "edge_graph", "bond_graph"):
+            assert_same_bits(getattr(p, name), joined(name, range(len(singles))))
+        if noisy:
+            assert p.edge_bond is None and p.bond_weight is None
+        else:
+            rows = np.cumsum([0] + [len(q.se3_edge_rbf) for q in singles])
+            assert_same_bits(p.edge_bond, joined("edge_bond", rows))
+            assert_same_bits(p.bond_weight, joined("bond_weight"))
 
 
 class TestPerStructureNormalization:
 
     def test_batch_order_does_not_leak(self, model):
         other = CrystalStructure((26,), [[0.0, 0.0, 0.0]], np.eye(3) * 3.0)
-        a = model.inputs_for_structure(NACL)
-        b = model.inputs_for_structure(other)
+        a, b = model.build_graph(NACL), model.build_graph(other)
         ab = model.forward([a, b], training=True).prediction.data
         ba = model.forward([b, a], training=True).prediction.data
         assert np.array_equal(ab, ba[::-1])
@@ -227,12 +258,14 @@ class TestPerStructureNormalization:
         cells = [random_structure(gen, 2, 6) for _ in range(4)]
         cells.insert(1, CrystalStructure((26,), [[0.2, 0.3, 0.4]],
                                          np.eye(3) * 3.0))
-        return [model.inputs_for_structure(s) for s in cells]
+        return [model.build_graph(s) for s in cells]
 
     def test_packed_training_encode_matches_one_at_a_time(self, mixed):
         packed_model, single_model = MGTModel(TINY), MGTModel(TINY)
-        packed = packed_model.encode(mixed, training=True)
-        singles = [single_model.encode([inp], training=True) for inp in mixed]
+        packed = packed_model.encode(packed_model.make_inputs(mixed),
+                                     training=True)
+        singles = [single_model.encode(single_model.make_inputs([g]),
+                                       training=True) for g in mixed]
         for get in (lambda enc: enc.e1, lambda enc: enc.e2,
                     lambda enc: enc.se3_edges, lambda enc: enc.so3.nodes):
             np.testing.assert_allclose(
@@ -248,7 +281,7 @@ class TestPackedInference:
     """Packed, tape-free prediction against one structure at a time."""
 
     @pytest.fixture()
-    def inputs(self, model):
+    def graphs(self, model):
         gen = stream(9, "packed")
         cells = [
             CrystalStructure((26,), [[0.2, 0.3, 0.4]], np.eye(3) * 3.0),
@@ -259,27 +292,27 @@ class TestPackedInference:
         cells += [random_structure(gen, 8, 8) for _ in range(6)]
         cells += [random_structure(gen, 2, 6) for _ in range(32)]
         assert len(cells) > PREDICT_CHUNK
-        return [model.inputs_for_structure(s) for s in cells]
+        return [model.build_graph(s) for s in cells]
 
-    def test_matches_one_at_a_time(self, model, inputs):
-        pred, scores = model.predict_batch(inputs)
-        assert pred.shape == (len(inputs),) and scores.shape == (len(inputs), 2)
-        singles = [model.predict_batch([inp]) for inp in inputs]
+    def test_matches_one_at_a_time(self, model, graphs):
+        pred, scores = model.predict_batch(graphs)
+        assert pred.shape == (len(graphs),) and scores.shape == (len(graphs), 2)
+        singles = [model.predict_batch([g]) for g in graphs]
         np.testing.assert_allclose(pred, [p[0] for p, _ in singles],
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(scores, np.vstack([s for _, s in singles]),
                                    rtol=1e-12, atol=0)
 
-    def test_reversed_records_reverse_outputs(self, model, inputs):
-        pred, scores = model.predict_batch(inputs)
-        rpred, rscores = model.predict_batch(inputs[::-1])
+    def test_reversed_records_reverse_outputs(self, model, graphs):
+        pred, scores = model.predict_batch(graphs)
+        rpred, rscores = model.predict_batch(graphs[::-1])
         np.testing.assert_allclose(rpred, pred[::-1], rtol=1e-12, atol=0)
         np.testing.assert_allclose(rscores, scores[::-1], rtol=1e-12, atol=0)
 
-    def test_pack_of_one_equals_taped_forward(self, model, inputs):
-        for inp in inputs[:3]:
-            out = model.forward([inp], training=False)
-            pred, scores = model.predict_batch([inp])
+    def test_pack_of_one_equals_taped_forward(self, model, graphs):
+        for g in graphs[:3]:
+            out = model.forward([g], training=False)
+            pred, scores = model.predict_batch([g])
             assert np.array_equal(pred, out.prediction.data.ravel())
             assert np.array_equal(scores, out.scores)
 
@@ -309,12 +342,16 @@ class TestBondRows:
 
     @staticmethod
     def inputs(model, graphs, edge_rows):
-        """Clean inputs; `edge_rows` makes every edge a bond of its own."""
-        if edge_rows:
-            graphs = [dataclasses.replace(g, edge_bond=np.arange(g.num_edges),
-                                          bond_edges=np.arange(g.num_edges))
-                      for g in graphs]
-        return [model.make_inputs(g) for g in graphs]
+        """A clean pack, with one row per bond or, with `edge_rows`, one
+        per directed edge."""
+        return (per_edge_pack(model, graphs) if edge_rows
+                else model.make_inputs(graphs))
+
+    @staticmethod
+    def eval_outputs(model, p):
+        """The eval-mode encoding of `p` and its fused prediction."""
+        enc = model.encode(p, training=False)
+        return enc, model.fusion(enc.e1, enc.e2, None)[0]
 
     @staticmethod
     def assert_close(got, want, rtol, floor=0.0):
@@ -326,21 +363,21 @@ class TestBondRows:
 
     def test_bond_rows_are_bond_sized(self, model, general):
         graphs = self.graphs(model, self.ALIKE + general)
-        for inp, g in zip(self.inputs(model, graphs, False), graphs):
-            assert len(inp.se3_edge_rbf) == len(inp.se3_angle_rbf) == g.num_bonds
-            assert inp.sh[0].shape[0] == g.num_edges
+        for g in graphs:
+            p = self.inputs(model, [g], False)
+            assert len(p.se3_edge_rbf) == len(p.se3_angle_rbf) == g.num_bonds
+            assert p.sh[0].shape[0] == g.num_edges
 
     def test_eval_outputs_unchanged(self, model, general):
         graphs = self.graphs(model, self.ALIKE + general)
-        bonds = self.inputs(model, graphs, False)
-        edges = self.inputs(model, graphs, True)
-        for chunk in ([bonds, edges], *zip(([b] for b in bonds), ([e] for e in edges))):
-            got, want = (model.forward(c, training=False) for c in chunk)
-            for a, b in ((got.prediction, want.prediction), (got.e1, want.e1),
-                         (got.e2, want.e2)):
+        # one structure at a time, then the whole pack, whose encodings
+        # the edge checks below read
+        for batch in [[g] for g in graphs] + [graphs]:
+            (enc, pred), (ref, ref_pred) = (
+                self.eval_outputs(model, self.inputs(model, batch, edge_rows))
+                for edge_rows in (False, True))
+            for a, b in ((pred, ref_pred), (enc.e1, ref.e1), (enc.e2, ref.e2)):
                 self.assert_close(a.data, b.data, 1e-15)
-        enc = model.encode(bonds, training=False)
-        ref = model.encode(edges, training=False)
         self.assert_close(enc.se3_edges.data, ref.se3_edges.data, 1e-15)
         self.assert_close(model.predict_distance_noise(enc).data,
                           model.predict_distance_noise(ref).data, 1e-15)
@@ -428,11 +465,8 @@ class TestFusedAttention:
         gen = stream(11, "fused-attention")
         graphs = [model.build_graph(random_structure(gen, 2, 8))
                   for _ in range(5)]
-        if request.param == "edges":
-            graphs = [dataclasses.replace(g, edge_bond=np.arange(g.num_edges),
-                                          bond_edges=np.arange(g.num_edges))
-                      for g in graphs]
-        p = pack_inputs([model.make_inputs(g) for g in graphs])
+        p = (per_edge_pack(model, graphs) if request.param == "edges"
+             else model.make_inputs(graphs))
         assert (p.bond_weight is None) == (request.param == "edges")
         return p
 
@@ -569,11 +603,8 @@ class TestFusedTensorProduct:
         gen = stream(13, "fused-tp")
         graphs = [model.build_graph(random_structure(gen, 2, 8))
                   for _ in range(5)]
-        if request.param == "edges":
-            graphs = [dataclasses.replace(g, edge_bond=np.arange(g.num_edges),
-                                          bond_edges=np.arange(g.num_edges))
-                      for g in graphs]
-        p = pack_inputs([model.make_inputs(g) for g in graphs])
+        p = (per_edge_pack(model, graphs) if request.param == "edges"
+             else model.make_inputs(graphs))
         assert (p.edge_bond is None) == (request.param == "edges")
         return p
 
@@ -637,16 +668,12 @@ class TestFusedTensorProduct:
                 model = MGTModel(cfg)
                 graphs = [model.build_graph(s) for s in cells]
                 noise = stream(17, "fused-tp-noise")
-                noisy = []
-                for g in graphs:
-                    ns = inject_noise(g, 0.1, noise)
-                    noisy.append(model.make_inputs(
-                        g, angles=ns.noisy_angles,
-                        so3_distances=ns.noisy_distances))
-                clean = [model.make_inputs(g) for g in graphs]
+                noisy = noisy_pack(model, [inject_noise(g, 0.1, noise)
+                                           for g in graphs])
+                clean = model.make_inputs(graphs)
                 loss = None
-                for inputs in (noisy, clean):
-                    enc = model.encode(inputs, training=True)
+                for p in (noisy, clean):
+                    enc = model.encode(p, training=True)
                     term = ((enc.e1 * enc.e2).sum()
                             + model.predict_distance_noise(enc).sum())
                     loss = term if loss is None else loss + term
@@ -762,12 +789,12 @@ class TestPrecisionSwitch:
         bit for bit, when an f32 model encodes in between."""
         try:
             m64 = MGTModel(TINY)
-            inp = m64.inputs_for_structure(NACL)
-            enc = m64.encode([inp], training=False)
+            enc = m64.encode(m64.make_inputs([m64.build_graph(NACL)]),
+                             training=False)
             heads = (m64.predict_angle_noise, m64.predict_distance_noise)
             before = [head(enc).data for head in heads]
             m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
-            m32.encode([m32.inputs_for_structure(NACL)], training=False)
+            m32.encode(m32.make_inputs([m32.build_graph(NACL)]), training=False)
             for head, want in zip(heads, before):
                 got = head(enc).data
                 assert want.dtype == got.dtype == np.float64

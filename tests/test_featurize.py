@@ -14,7 +14,6 @@ from crysfuse.featurize import (
     RbfSpec,
     embed_angles,
     embed_atoms,
-    embed_edges,
     load_atom_table,
     one_hot_table,
     rbf_expand,
@@ -103,7 +102,7 @@ class TestEdgeAndAngleFeatures:
 
     def test_edge_embedding_shape(self):
         spec = uniform_rbf(0.0, 8.0, 16)
-        assert embed_edges(np.ones(5), spec).shape == (5, 16)
+        assert rbf_expand(np.ones(5), spec).shape == (5, 16)
 
     def test_angle_embedding_uses_cosine(self):
         spec = uniform_rbf(-1.0, 1.0, 8)

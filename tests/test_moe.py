@@ -123,9 +123,9 @@ class TestHeadSwapParity:
                              np.eye(3) * 4.0)
         moe_model = MGTModel(cfg)
         cat_model = MGTModel(dataclasses.replace(cfg, head="concat"))
-        out_a = moe_model.forward([moe_model.inputs_for_structure(s)],
+        out_a = moe_model.forward([moe_model.build_graph(s)],
                                   training=False)
-        out_b = cat_model.forward([cat_model.inputs_for_structure(s)],
+        out_b = cat_model.forward([cat_model.build_graph(s)],
                                   training=False)
         assert np.array_equal(out_a.e1.data, out_b.e1.data)
         assert np.array_equal(out_a.e2.data, out_b.e2.data)

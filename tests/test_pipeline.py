@@ -298,27 +298,27 @@ class TestTransfer:
         src = MGTModel(RunConfig(**{**TINY, "seed": 1}))
         dst = MGTModel(RunConfig(**{**TINY, "seed": 2}))
         recs = toy_records(3)
-        inputs = [dst.inputs_for_structure(r.structure) for r in recs]
+        graphs = [dst.build_graph(r.structure) for r in recs]
         encoder_buffers = [n for n in src.store.buffers
                            if n.startswith(("se3.", "so3."))]
         assert encoder_buffers
         # Without a transfer, a training pass standardizes per structure
         # and folds the batch statistics into the running estimates.
         init = {n: src.store.buffers[n].copy() for n in encoder_buffers}
-        src.forward(inputs, training=True)
+        src.forward(graphs, training=True)
         for name in encoder_buffers:
             assert not np.array_equal(src.store.buffers[name], init[name]), name
 
         transfer_encoder_params(dst, src)
-        train = dst.forward(inputs, training=True)
-        evaluated = dst.forward(inputs, training=False)
+        train = dst.forward(graphs, training=True)
+        evaluated = dst.forward(graphs, training=False)
         for got, want in ((train.e1, evaluated.e1), (train.e2, evaluated.e2),
                           (train.prediction, evaluated.prediction)):
             assert np.array_equal(got.data, want.data)
 
         stats = {n: dst.store.buffers[n].copy() for n in encoder_buffers}
         opt = AdamW(dst.store.params, lr=1e-3)
-        finetune_step(dst, inputs, np.array([0.1, -0.4, 0.3]),
+        finetune_step(dst, graphs, np.array([0.1, -0.4, 0.3]),
                       [r.id for r in recs], opt)
         for name in encoder_buffers:
             assert np.array_equal(dst.store.buffers[name], stats[name]), name
@@ -327,15 +327,15 @@ class TestTransfer:
 class TestFinetuneStep:
     def test_matches_manual_forward(self, model):
         recs = toy_records(3)
-        inputs = [model.inputs_for_structure(r.structure) for r in recs]
+        graphs = [model.build_graph(r.structure) for r in recs]
         y = np.array([0.1, -0.4, 0.3])
-        out = model.forward(inputs, training=True)
+        out = model.forward(graphs, training=True)
         diff = out.prediction.data.ravel() - y
         want_mse = float(np.mean(diff ** 2))
         want_mae = float(np.mean(np.abs(diff)))
         opt = AdamW(model.store.params, lr=1e-3)
         before = model.store.params["moe.f_o.weight"].data.copy()
-        mse, mae = finetune_step(model, inputs, y, [r.id for r in recs], opt)
+        mse, mae = finetune_step(model, graphs, y, [r.id for r in recs], opt)
         assert abs(mse - want_mse) < 1e-12
         assert abs(mae - want_mae) < 1e-12
         assert not np.array_equal(
@@ -348,9 +348,9 @@ class TestFinetuneStep:
         for bound in (np.inf, 1e-6):
             monkeypatch.setattr(pipeline, "FINETUNE_CLIP_NORM", bound)
             m = MGTModel(RunConfig(**TINY))
-            inputs = [m.inputs_for_structure(r.structure) for r in recs]
+            graphs = [m.build_graph(r.structure) for r in recs]
             opt = AdamW(m.store.params, lr=1e-3)
-            finetune_step(m, inputs, y, [r.id for r in recs], opt)
+            finetune_step(m, graphs, y, [r.id for r in recs], opt)
             grads[bound] = {n: p.grad for n, p in m.store.params.items()
                             if p.grad is not None}
         free, clipped = grads[np.inf], grads[1e-6]
@@ -363,11 +363,11 @@ class TestFinetuneStep:
 
     def test_non_finite_prediction_names_structure(self, model):
         recs = toy_records(2)
-        inputs = [model.inputs_for_structure(r.structure) for r in recs]
+        graphs = [model.build_graph(r.structure) for r in recs]
         model.store.params["moe.f_o.weight"].data[:] = np.nan
         opt = AdamW(model.store.params, lr=1e-3)
         with pytest.raises(NumericError, match="structure s0"):
-            finetune_step(model, inputs, np.zeros(2), ["s0", "s1"], opt)
+            finetune_step(model, graphs, np.zeros(2), ["s0", "s1"], opt)
 
 
 class TestFinetuneLoop:
@@ -452,6 +452,43 @@ class TestInference:
     def test_evaluate_empty(self, model):
         with pytest.raises(DataError, match="empty split"):
             evaluate_records(model, [], None)
+
+    def test_missing_atom_table_row_names_the_record(self, tmp_path):
+        """Graphs are built per record and featurized per chunk; an element
+        the atom table lacks still fails with its record's id."""
+        path = tmp_path / "atoms.json"
+        path.write_text(json.dumps({"11": [1.0, 0.0], "17": [0.0, 1.0]}))
+        m = MGTModel(RunConfig(**TINY, atom_table=str(path)))
+        recs = toy_records(2) + [Record("fe", rocksalt(z=(26, 17)))]
+        assert len(predict_records(m, recs[:2], None)) == 2
+        with pytest.raises(DataError, match="record fe: no atom table row "
+                                            "for atomic number 26"):
+            predict_records(m, recs, None)
+
+    def test_benchmark_hooks_resolve_and_count(self, monkeypatch):
+        """Every callable the benchmark's tracer wraps exists, and its
+        counters read what a traced prediction and fine-tuning step pass."""
+        monkeypatch.syspath_prepend(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        from perfbench import tracing
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert tracer.missing == []
+            m = MGTModel(RunConfig(**TINY))
+            recs = toy_records(3)
+            predict_records(m, recs, None)
+            pipeline.finetune(m, recs, epochs=1)
+        finally:
+            tracer.uninstall()
+        stats = tracing.span_stats(tracer.spans)
+        assert all(s.ok for s in tracer.spans)
+        assert stats["model.forward"].counts["structs"] == 6
+        assert stats["featurize.make_inputs"].counts["bytes"] > 0
+        assert stats["graph.build_graph"].calls == 6
+        metrics = tracing.per_layer_metrics(tracer, request_seconds=1.0)
+        assert metrics["tensor.nodes_per_struct"]["value"] > 0
+        assert metrics["featurize.bytes_per_struct"]["value"] > 0
 
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or platform.libc_ver()[0] != "glibc",

@@ -24,6 +24,7 @@ from crysfuse.pretrain import (
     NoisySample,
     denoising_losses,
     inject_noise,
+    noisy_pack,
     nt_xent,
     pretrain_step,
     run_pretraining,
@@ -31,7 +32,7 @@ from crysfuse.pretrain import (
 )
 from crysfuse.rng import stream
 from crysfuse.structures import CrystalStructure
-from crysfuse.tensor import Tensor
+from crysfuse.tensor import Tensor, concat
 
 TINY = RunConfig(width=8, num_rbf=4, num_angle_rbf=4, cutoff=3.5,
                  max_neighbors=8, l_max=1, seed=0, pretrain_lr=1e-3,
@@ -201,8 +202,8 @@ class TestDenoisingLosses:
 
     def test_zero_heads_give_sum_of_squared_noise(self):
         samples = self.samples()
-        zero_t = [Tensor(np.zeros_like(s.eps_theta)) for s in samples]
-        zero_e = [Tensor(np.zeros((len(s.eps_e), 1))) for s in samples]
+        zero_t = concat([Tensor(np.zeros_like(s.eps_theta)) for s in samples])
+        zero_e = concat([Tensor(np.zeros((len(s.eps_e), 1))) for s in samples])
         l_theta, l_e = denoising_losses(zero_t, zero_e, samples)
         want_t = sum(np.sum(s.eps_theta ** 2) for s in samples)
         want_e = sum(np.sum(s.eps_e ** 2) for s in samples)
@@ -211,8 +212,8 @@ class TestDenoisingLosses:
 
     def test_perfect_heads_give_zero(self):
         samples = self.samples()
-        exact_t = [Tensor(s.eps_theta.copy()) for s in samples]
-        exact_e = [Tensor(s.eps_e.reshape(-1, 1).copy()) for s in samples]
+        exact_t = concat([Tensor(s.eps_theta.copy()) for s in samples])
+        exact_e = concat([Tensor(s.eps_e.reshape(-1, 1).copy()) for s in samples])
         l_theta, l_e = denoising_losses(exact_t, exact_e, samples)
         assert float(l_theta.data) == 0.0
         assert float(l_e.data) == 0.0
@@ -221,9 +222,9 @@ class TestDenoisingLosses:
         samples = self.samples()
         zero_t = [Tensor(np.zeros_like(s.eps_theta)) for s in samples]
         zero_e = [Tensor(np.zeros((len(s.eps_e), 1))) for s in samples]
-        both, _ = denoising_losses(zero_t, zero_e, samples)
-        first, _ = denoising_losses(zero_t[:1], zero_e[:1], samples[:1])
-        second, _ = denoising_losses(zero_t[1:], zero_e[1:], samples[1:])
+        both, _ = denoising_losses(concat(zero_t), concat(zero_e), samples)
+        first, _ = denoising_losses(zero_t[0], zero_e[0], samples[:1])
+        second, _ = denoising_losses(zero_t[1], zero_e[1], samples[1:])
         assert float(both.data) == pytest.approx(
             float(first.data) + float(second.data), abs=1e-12)
 
@@ -325,13 +326,11 @@ class TestPretrainingTapeMemory:
                   for _ in range(8)]
         noise = stream(19, "tape-guard-noise")
         samples = [inject_noise(g, model.cfg.sigma, noise) for g in graphs]
-        inputs = [model.make_inputs(s.graph, angles=s.noisy_angles,
-                                    so3_distances=s.noisy_distances)
-                  for s in samples]
+        p = noisy_pack(model, samples)
         edges = sum(g.num_edges for g in graphs)
         tracemalloc.start()
         try:
-            total = ssl_losses(model, inputs, samples, list(range(8)))[0]
+            total = ssl_losses(model, p, samples, list(range(8)))[0]
             live = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
