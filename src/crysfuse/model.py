@@ -50,6 +50,16 @@ same function that eval-mode prediction computes. Packing changes only how
 BLAS blocks the matmuls, about 1e-12 relative against one structure at a
 time. `predict_batch` runs eval forwards on packs of up to `PREDICT_CHUNK`
 structures without recording a tape.
+
+Inside `predict_batch` (`parallel.prediction_threads`) the φ MLPs, the
+`Linear` maps, softplus and both attention blocks run as row-range bodies
+split across the usable CPUs: the calling thread computes one range and a
+pool thread each other range, with numpy's OpenBLAS pinned to one thread
+until prediction returns. The node attention block's ranges hold whole
+nodes, since it sums each node's edges. A training forward calls each body
+once over all rows, since its batch statistics reduce over them. Every row
+is computed as in one call, so predictions are bitwise independent of the
+number of threads.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import parallel
 from .config import RunConfig
 from .featurize import (AtomTable, embed_angles, embed_atoms, load_atom_table,
                         one_hot_table, rbf_expand, uniform_rbf)
@@ -260,7 +271,7 @@ class MGTModel:
         """
         it = iter(graphs)
         preds, scores = [], []
-        with no_grad():
+        with no_grad(), parallel.prediction_threads():
             while chunk := list(islice(it, PREDICT_CHUNK)):
                 out = self.forward(chunk, training=False)
                 preds.append(out.prediction.data.ravel())

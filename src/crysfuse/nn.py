@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import parallel
 from .rng import stream
 from .tensor import (Tensor, _run_sums, _segment_rows, _softplus,
                      _softplus_vjp, default_dtype, segment_sum)
@@ -60,6 +61,35 @@ def _accumulate(blocks, grads):
             t.accumulate_grad(gt)
 
 
+# A matrix product split by rows keeps its bits only where OpenBLAS computes
+# each part with the kernel it uses for the whole. Over every split tried
+# (numpy 2.4.6 with scipy-openblas 0.3.31 on AVX-512, one BLAS thread,
+# parts of 2 rows or more, aligned or not) that held where the output width
+# is a multiple of 16, and failed for some part sizes at widths such as 8,
+# 12, 17, 40 and 100, so products of other widths run in one call.
+_SPLIT_WIDTH = 16
+
+
+def _run_rows(body, n: int, *widths: int):
+    """`parallel.run(body, n)` for a body of products with these output
+    widths: in one call unless every width is a multiple of 16."""
+    if all(w % _SPLIT_WIDTH == 0 for w in widths):
+        parallel.run(body, n)
+    else:
+        body(0, n)
+
+
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, split by rows where `_run_rows` allows."""
+    out = np.empty((len(x), w.shape[1]), dtype=np.result_type(x, w))
+
+    def body(lo, hi):
+        np.matmul(x[lo:hi], w, out=out[lo:hi])
+
+    _run_rows(body, len(x), w.shape[1])
+    return out
+
+
 class Linear:
     """x @ W + b with fan-in scaled uniform init, as one tape node.
 
@@ -74,7 +104,7 @@ class Linear:
     `(x_i, None)` is the plain block x_i.
 
     `forward` and `vjp` are the node's array-level bodies; fused nodes such
-    as `MLP2` call them too.
+    as `MLP2` call them, or `row_kernel` for a row-range body of the map.
     """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, fan_out: int,
@@ -85,6 +115,7 @@ class Linear:
                      if bias else None)
         self.params = (self.weight,) if self.bias is None else (self.weight,
                                                                  self.bias)
+        self._col_cache: dict[tuple[int, ...], list[slice]] = {}
 
     def __call__(self, x: Tensor | list[Tensor | tuple[Tensor, np.ndarray]]
                  ) -> Tensor:
@@ -99,34 +130,57 @@ class Linear:
                               tuple(t for t, _ in blocks) + self.params, back)
 
     def _cols(self, blocks) -> list[slice]:
-        bounds = np.cumsum([0] + [x.shape[1] for x, _ in blocks])
-        if bounds[-1] != self.weight.data.shape[0]:
-            raise ValueError(
-                f"input width {bounds[-1]} != fan_in {self.weight.data.shape[0]}")
-        return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        """Each block's rows of the weight, cached per tuple of widths."""
+        widths = tuple(x.shape[1] for x, _ in blocks)
+        cols = self._col_cache.get(widths)
+        if cols is None:
+            bounds = np.cumsum((0,) + widths)
+            if bounds[-1] != self.weight.data.shape[0]:
+                raise ValueError(f"input width {bounds[-1]} != fan_in "
+                                 f"{self.weight.data.shape[0]}")
+            cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            self._col_cache[widths] = cols
+        return cols
 
     def forward(self, blocks: list[tuple[np.ndarray, np.ndarray | None]]
                 ) -> np.ndarray:
         """The map of array blocks `(x_i, rows)`."""
-        w = self.weight.data
-        # The first block's product becomes the output and the others are
-        # added to it; ungathered ones are written into one reused buffer.
-        # (np.take into a given buffer copies through a temporary when it
-        # checks bounds, so a gather gets a fresh array.)
-        out = scratch = None
-        for (x, rows), c in zip(blocks, self._cols(blocks)):
-            if rows is None:
-                prod = np.matmul(x, w[c], out=scratch)
-            else:
-                prod = (x @ w[c]).take(rows, axis=0)
-            if out is None:
-                out = prod
-            else:
-                out += prod
-                scratch = prod
-        if self.bias is not None:
-            out += self.bias.data
+        out, body = self.row_kernel(blocks)
+        _run_rows(body, len(out), out.shape[1])
         return out
+
+    def row_kernel(self, blocks: list[tuple[np.ndarray, np.ndarray | None]]):
+        """(out, body): the map's empty output, and the body that writes its
+        rows [lo, hi) (`parallel.run`). A gathered block's product is taken
+        here, on the block's own rows; the body gathers it."""
+        w = self.weight.data
+        cols = self._cols(blocks)
+        own = [None if rows is None else _product(x, w[c])
+               for (x, rows), c in zip(blocks, cols)]
+        x0, rows0 = blocks[0]
+        out = np.empty((len(x0 if rows0 is None else rows0), w.shape[1]),
+                       dtype=np.result_type(w, *(x for x, _ in blocks)))
+        b = None if self.bias is None else self.bias.data
+
+        def body(lo, hi):
+            # the first product is written into the output and the others
+            # are added to it (a gather takes a fresh array: np.take into a
+            # given buffer copies through a temporary when it checks bounds)
+            o = out[lo:hi]
+            acc = None
+            for (x, rows), c, p in zip(blocks, cols, own):
+                if rows is None:
+                    prod = np.matmul(x[lo:hi], w[c],
+                                     out=o if acc is None else None)
+                else:
+                    prod = p.take(rows[lo:hi], axis=0)
+                acc = prod if acc is None else np.add(acc, prod, out=o)
+            if b is not None:
+                np.add(acc, b, out=o)
+            elif acc is not o:
+                o[...] = acc
+
+        return out, body
 
     def vjp(self, g: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray | None]],
             need: list[bool]) -> list[np.ndarray | None]:
@@ -164,8 +218,15 @@ class MLP2:
     def __call__(self, x: Tensor | list) -> Tensor:
         blocks = _blocks(x)
         arrays = [(t.data, rows) for t, rows in blocks]
-        y = self.lin1.forward(arrays)
-        _softplus(y, out=y)
+        y, first = self.lin1.row_kernel(arrays)
+        out, second = self.lin2.row_kernel([(y, None)])
+
+        def body(lo, hi):
+            first(lo, hi)
+            _softplus(y[lo:hi], out=y[lo:hi])
+            second(lo, hi)
+
+        _run_rows(body, len(y), y.shape[1], out.shape[1])
 
         def back(g):
             (gy,) = self.lin2.vjp(g, [(y, None)], [True])
@@ -173,9 +234,8 @@ class MLP2:
                 _softplus_vjp(y, gy), arrays,
                 [t.needs_grad() for t, _ in blocks]))
 
-        return Tensor._result(self.lin2.forward([(y, None)]),
-                              tuple(t for t, _ in blocks) + self.lin1.params
-                              + self.lin2.params, back)
+        return Tensor._result(out, tuple(t for t, _ in blocks)
+                              + self.lin1.params + self.lin2.params, back)
 
 
 class BatchNorm:
@@ -235,16 +295,21 @@ class BatchNorm:
             return xhat, lambda d: d * scale
         w = None if weight is None else weight[:, None].astype(x.dtype)
 
-        def weighted(a):
-            return a if w is None else a * w
+        def weighted(a, lo=0, hi=None):
+            return a if w is None else a * w[lo:hi]
 
         counts = np.bincount(groups, weights=weight)[:, None].astype(x.dtype)
         starts = np.flatnonzero(np.diff(groups, prepend=-1))
+        runs = list(zip(starts.tolist(), starts[1:].tolist() + [len(x)]))
         mu = _run_sums(weighted(x), starts) / counts
-        centered = x - mu[groups]
-        var = _run_sums(weighted(centered * centered), starts) / counts
+        # each run is standardized by its own statistics, broadcast over it
+        xhat = np.empty_like(x) if out is None else out
+        for (lo, hi), mu_g in zip(runs, mu):
+            np.subtract(x[lo:hi], mu_g, out=xhat[lo:hi])
+        var = _run_sums(weighted(xhat * xhat), starts) / counts
         std = np.sqrt(var + self.eps)
-        xhat = np.divide(centered, std[groups], out=out)
+        for (lo, hi), std_g in zip(runs, std):
+            xhat[lo:hi] /= std_g
         m = self.momentum
         for mu_g, var_g in zip(mu, var):
             self.running_mean[:] = self.running_mean * (1.0 - m) + m * mu_g
@@ -253,14 +318,20 @@ class BatchNorm:
         def to_x(d):
             sum_d = _run_sums(d, starts)
             sum_dx = _run_sums(d * xhat, starts)
-            scale = (1.0 / (counts * std))[groups]
-            return scale * (counts[groups] * d - weighted(sum_d[groups])
-                            - weighted(xhat * sum_dx[groups]))
+            scale = 1.0 / (counts * std)
+            gx = np.empty_like(d)
+            for i, (lo, hi) in enumerate(runs):
+                o = np.multiply(counts[i], d[lo:hi], out=gx[lo:hi])
+                o -= weighted(sum_d[i], lo, hi)
+                o -= weighted(xhat[lo:hi] * sum_dx[i], lo, hi)
+                o *= scale[i]
+            return gx
 
         return xhat, to_x
 
-    def affine(self, xhat: np.ndarray) -> np.ndarray:
-        out = xhat * self.gamma.data
+    def affine(self, xhat: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+        out = np.multiply(xhat, self.gamma.data, out=out)
         out += self.beta.data
         return out
 

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import parallel
 from .nn import MLP2, BatchNorm, Linear, ParamStore, ProjectionHead, mean_pool
 from .tensor import Tensor, _segment_rows, _stable_sigmoid
 
@@ -27,20 +28,33 @@ if TYPE_CHECKING:
     from .model import Pack
 
 
-def _sigmoid_gate(bn: BatchNorm, logits: np.ndarray, groups: np.ndarray,
-                  training: bool, weight: np.ndarray | None = None):
-    """(alpha, vjp): the gate alpha = sigmoid(bn(logits)), and the map from
-    alpha's gradient to the logits'. The map keeps bn's standardized logits
-    and statistics and alpha, nothing else. The standardized logits
+def _sigmoid_gate(bn: BatchNorm, logits: np.ndarray, groups: np.ndarray | None,
+                  training: bool, weight: np.ndarray | None, alpha: np.ndarray):
+    """Write the gate sigmoid(bn(logits)) into `alpha` and return the map
+    from alpha's gradient to the logits'. The map keeps bn's standardized
+    logits and statistics and alpha, nothing else. The standardized logits
     overwrite `logits`."""
     xhat, to_x = bn.normalize(logits, groups, training, weight, out=logits)
-    alpha = bn.affine(xhat)
+    bn.affine(xhat, out=alpha)
     _stable_sigmoid(alpha, out=alpha)
 
     def vjp(g):
         return bn.vjp(g * alpha * (1.0 - alpha), xhat, to_x)
 
-    return alpha, vjp
+    return vjp
+
+
+def _run_attention(body, n: int, training: bool, groups=None):
+    """Run an attention body over n rows: in parts (`parallel.run`) with
+    eval batch norm, which maps each row on its own; once over all rows in
+    training, whose batch statistics reduce over them. The gate map each
+    part returns is read only by a tape's backward, and parts run only
+    inside prediction, which records no tape; elsewhere the body runs
+    once, so the map is the whole one."""
+    if training:
+        body(0, n)
+    else:
+        parallel.run(body, n, groups)
 
 
 class SE3EdgeLayer:
@@ -107,16 +121,30 @@ class SE3EdgeLayer:
         rows, d = q.data.shape
         scale = 1.0 / math.sqrt(self.dim)
         logits = np.empty((rows, 3, d), dtype=q.data.dtype)
-        for m, k in enumerate(keys):
-            np.multiply(q.data, k.data, out=logits[:, m])
-            logits[:, m] *= scale
-        alpha, gate_vjp = _sigmoid_gate(
-            self.bn_attn, logits.reshape(-1, d), np.repeat(p.bond_graph, 3),
-            training, None if weight is None else np.repeat(weight, 3))
-        alpha = alpha.reshape(rows, 3, d)
-        gated = np.empty_like(alpha)
-        for m, v in enumerate(values):
-            np.multiply(alpha[:, m], v.data, out=gated[:, m])
+        alpha = np.empty_like(logits)
+        msg = np.empty((rows, d), dtype=q.data.dtype)
+        if training:
+            groups = np.repeat(p.bond_graph, 3)
+            weight = None if weight is None else np.repeat(weight, 3)
+        else:  # eval batch norm reads neither
+            groups = weight = None
+        gate_vjp = None
+
+        def body(lo, hi):
+            nonlocal gate_vjp
+            lg, a = logits[lo:hi], alpha[lo:hi]
+            for m, k in enumerate(keys):
+                np.multiply(q.data[lo:hi], k.data[lo:hi], out=lg[:, m])
+                lg[:, m] *= scale
+            gate_vjp = _sigmoid_gate(self.bn_attn, lg.reshape(-1, d), groups,
+                                     training, weight, a.reshape(-1, d))
+            # Σ_m a_m * v_m, adding the channels in order as a sum over
+            # the channel axis does
+            o = np.multiply(a[:, 0], values[0].data[lo:hi], out=msg[lo:hi])
+            for m in (1, 2):
+                o += a[:, m] * values[m].data[lo:hi]
+
+        _run_attention(body, rows, training)
 
         def back(g):
             if any(v.needs_grad() for v in values):
@@ -139,8 +167,8 @@ class SE3EdgeLayer:
                 q.accumulate_grad(gq)
 
         bn = self.bn_attn
-        return Tensor._result(gated.sum(axis=1), (q, *keys, *values,
-                                                  bn.gamma, bn.beta), back)
+        return Tensor._result(msg, (q, *keys, *values, bn.gamma, bn.beta),
+                              back)
 
 
 class SE3NodeLayer:
@@ -188,10 +216,27 @@ class SE3NodeLayer:
         from tape operations."""
         src, num_nodes = p.src, len(q.data)
         scale = 1.0 / math.sqrt(self.dim)
-        logits = q.data[src] * k.data
-        logits *= scale
-        alpha, gate_vjp = _sigmoid_gate(self.bn_attn, logits, p.edge_graph,
-                                        training)
+        logits = np.empty_like(k.data)
+        alpha = np.empty_like(k.data)
+        msg = np.zeros((num_nodes, k.data.shape[1]), dtype=k.data.dtype)
+        gate_vjp = None
+
+        def body(lo, hi):
+            """Edges [lo, hi): a part holds all edges of its nodes, the
+            nodes src[lo] to src[hi - 1] when src is sorted."""
+            nonlocal gate_vjp
+            s = src[lo:hi]
+            lg = np.multiply(q.data[s], k.data[lo:hi], out=logits[lo:hi])
+            lg *= scale
+            a = alpha[lo:hi]
+            gate_vjp = _sigmoid_gate(self.bn_attn, lg, p.edge_graph[lo:hi],
+                                     training, None, a)
+            first = src[lo] if lo > 0 else 0
+            end = src[hi - 1] + 1 if hi < len(src) else num_nodes
+            msg[first:end] = _segment_rows(a * v.data[lo:hi], s - first,
+                                           end - first)
+
+        _run_attention(body, len(src), training, src)
 
         def back(g):
             g = g[src]
@@ -206,8 +251,7 @@ class SE3NodeLayer:
                 q.accumulate_grad(_segment_rows(gl, src, num_nodes))
 
         bn = self.bn_attn
-        return Tensor._result(_segment_rows(alpha * v.data, src, num_nodes),
-                              (q, k, v, bn.gamma, bn.beta), back)
+        return Tensor._result(msg, (q, k, v, bn.gamma, bn.beta), back)
 
 
 class SE3Encoder:

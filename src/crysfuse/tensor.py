@@ -29,6 +29,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import parallel
+
 _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
 
@@ -66,9 +68,8 @@ def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None
     mixed signs costs more than the arithmetic). `fmin` maps nan to 0, so a
     nan reaches the result through the denominator, with the sign that
     e^-|x| gives it. `out` may be `x` itself, which then holds the result
-    in place."""
-    den = np.abs(x)
-    np.negative(den, out=den)
+    in place. -|x| is one `copysign` pass."""
+    den = np.copysign(x, -1.0)
     np.exp(den, out=den)
     den += 1.0
     out = np.fmin(x, 0.0, out=out)
@@ -81,8 +82,7 @@ def _softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log(1 + e^x) = max(x, 0) + log1p(e^-|x|), in one scratch buffer.
     `out` may be `x` itself, which then holds the result in place."""
     pos = np.maximum(x, 0.0)
-    out = np.abs(x, out=out)
-    np.negative(out, out=out)
+    out = np.copysign(x, -1.0, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
     return np.add(pos, out, out=out)
@@ -444,8 +444,12 @@ class Tensor:
         return Tensor._result(np.log(self.data), (self,), back)
 
     def softplus(self):
-        """log(1 + e^x); backward reads only the output (`_softplus_vjp`)."""
-        out_data = _softplus(self.data)
+        """log(1 + e^x); backward reads only the output (`_softplus_vjp`).
+        Split by rows (`parallel.run`)."""
+        x = np.atleast_1d(self.data)
+        out = np.empty_like(x)
+        parallel.run(lambda lo, hi: _softplus(x[lo:hi], out=out[lo:hi]), len(x))
+        out_data = out.reshape(self.data.shape)
 
         def back(g):
             self._add_grad(_softplus_vjp(out_data, g))

@@ -1,0 +1,276 @@
+"""Row-parallel prediction: bitwise equality across part counts, group
+cuts, the BLAS pin, and the pool's robustness (forks, a second caller,
+errors in a part)."""
+
+import multiprocessing
+import os
+import sys
+import threading
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from crysfuse import parallel
+from crysfuse.config import RunConfig
+from crysfuse.model import MGTModel
+from crysfuse.nn import ParamStore
+from crysfuse.pipeline import Record, predict_records
+from crysfuse.se3 import SE3NodeLayer
+from crysfuse.structures import CrystalStructure
+from crysfuse.tensor import Tensor, set_default_dtype
+
+
+def cells(n=6, seed=3):
+    """Cells of 3 to 8 atoms at least 1.6 apart: about 900 edges at the
+    default cutoff and neighbour cap."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        count = 3 + i % 6
+        frac = []
+        while len(frac) < count:  # rejection sampling keeps atoms apart
+            f = gen.uniform(0.0, 1.0, 3)
+            d = np.array(frac) - f if frac else np.ones((1, 3))
+            d -= np.round(d)
+            if not frac or np.min(np.linalg.norm(d * 4.5, axis=1)) > 1.6:
+                frac.append(f)
+        out.append(CrystalStructure(tuple(int(z) for z in gen.choice([8, 14, 26], count)),
+                                    np.array(frac), np.diag(gen.uniform(4.0, 5.0, 3))))
+    return out
+
+
+class FakeBlas:
+    """A stand-in thread count where numpy's BLAS exposes none."""
+
+    def __init__(self):
+        self.threads = 4
+
+    def get(self):
+        return self.threads
+
+    def put(self, n):
+        self.threads = n
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """split(k): k usable CPUs from now on, parts of at least 64 rows, and
+    a settable BLAS thread count. Returns the (get, set) pair in use."""
+    blas = parallel._blas_threads()
+    if blas is None:
+        fake = FakeBlas()
+        blas = (fake.get, fake.put)
+        monkeypatch.setattr(parallel, "_blas_threads", lambda: blas)
+    monkeypatch.setattr(parallel, "MIN_PART_ROWS", 64)
+    previous = blas[0]()
+
+    def use(k):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: k)
+        return blas
+
+    yield use
+    blas[1](previous)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The part counts of every split run."""
+    seen = []
+    run = parallel._Pool.run
+
+    def spy(self, body, cuts):
+        seen.append(len(cuts) - 1)
+        return run(self, body, cuts)
+
+    monkeypatch.setattr(parallel._Pool, "run", spy)
+    return seen
+
+
+@pytest.mark.parametrize("precision,width", [("f64", 64), ("f32", 64),
+                                             ("f64", 40), ("f32", 40)])
+def test_predictions_bitwise_equal_over_part_counts(split, counted, precision,
+                                                    width):
+    """Width 40 gives products 10, 30 and 40 wide, which run whole. Up to
+    four threads, more than a small box has cores, switching often."""
+    interval = sys.getswitchinterval()
+    try:
+        model = MGTModel(RunConfig(precision=precision, width=width))
+        graphs = [model.build_graph(s) for s in cells()]
+        split(1)
+        want = model.predict_batch(graphs)
+        assert counted == []
+        sys.setswitchinterval(1e-5)
+        for k in (2, 3, 4):
+            split(k)
+            got = model.predict_batch(graphs)
+            assert max(counted) == k
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+            counted.clear()
+    finally:
+        sys.setswitchinterval(interval)
+        set_default_dtype("f64")
+
+
+def test_node_straddling_a_cut_gets_the_unsplit_sum(split, counted):
+    """Node 1's edges 200..299 straddle row 256, where two even parts of
+    512 edges would meet: the cut moves to its first edge."""
+    src = np.repeat([0, 1, 2], [200, 100, 212])
+    assert parallel._cuts(len(src), 2, src) == [0, 200, 512]
+    layer = SE3NodeLayer(ParamStore(0), "n", 8)
+    gen = np.random.default_rng(0)
+    q = Tensor(gen.normal(size=(3, 8)))
+    k = Tensor(gen.normal(size=(512, 8)))
+    v = Tensor(gen.normal(size=(512, 8)))
+    p = SimpleNamespace(src=src, edge_graph=np.zeros(512, int))
+    split(1)
+    want = layer.attend(q, k, v, p, training=False).data
+    split(2)
+    with parallel.prediction_threads():
+        got = layer.attend(q, k, v, p, training=False).data
+    assert counted == [2]
+    assert np.array_equal(got, want)
+
+
+def test_blas_pinned_inside_and_restored_after(split):
+    get, put = split(2)
+    put(2)
+    model = MGTModel(RunConfig(width=16, num_rbf=8, num_angle_rbf=8))
+    graphs = [model.build_graph(s) for s in cells(2)]
+    inside = []
+
+    def feed(fail):
+        for g in graphs:
+            inside.append(get())
+            yield g
+        if fail:
+            raise RuntimeError("bad record")
+
+    model.predict_batch(feed(False))
+    assert inside == [1, 1] and get() == 2
+    with pytest.raises(RuntimeError, match="bad record"):
+        model.predict_batch(feed(True))
+    assert get() == 2
+
+
+def test_part_error_raised_after_every_part(split):
+    split(3)
+    finished = []
+
+    def body(lo, hi):
+        if lo == 0:  # the caller's own part fails at once
+            raise ValueError("part 0")
+        threading.Event().wait(0.05)
+        finished.append(lo)
+
+    with parallel.prediction_threads():
+        with pytest.raises(ValueError, match="part 0"):
+            parallel.run(body, 300)
+        assert sorted(finished) == [100, 200]
+        out = np.zeros(300)
+
+        def fill(lo, hi):
+            out[lo:hi] = np.arange(lo, hi)
+
+        parallel.run(fill, 300)  # the pool still serves
+    assert np.array_equal(out, np.arange(300))
+
+
+def test_second_caller_runs_inline(split, counted):
+    """While one thread's prediction holds the pool, another's runs inline
+    and neither waits for the other."""
+    split(2)
+    model = MGTModel(RunConfig())
+    graphs = [model.build_graph(s) for s in cells(4)]
+    want = model.predict_batch(graphs)[0]
+    counted.clear()
+    entered, release = threading.Event(), threading.Event()
+    results = {}
+
+    def held():
+        entered.set()
+        release.wait(60)
+        yield from graphs
+
+    def first():
+        results["first"] = model.predict_batch(held())[0]
+
+    def second():
+        results["second"] = model.predict_batch(graphs)[0]
+
+    a = threading.Thread(target=first)
+    a.start()
+    assert entered.wait(60)
+    b = threading.Thread(target=second)
+    b.start()
+    b.join(60)
+    assert not b.is_alive()
+    assert counted == []  # the second caller never split
+    release.set()
+    a.join(60)
+    assert not a.is_alive()
+    assert counted  # the first did, after the second had finished
+    assert np.array_equal(results["first"], want)
+    assert np.array_equal(results["second"], want)
+
+
+def _child_predict(model, graphs, queue):
+    queue.put(model.predict_batch(graphs)[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_forked_child_starts_its_own_pool(split, counted):
+    split(2)
+    model = MGTModel(RunConfig())
+    graphs = [model.build_graph(s) for s in cells(4)]
+    want = model.predict_batch(graphs)[0]  # the parent's pool is running
+    assert counted
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_child_predict, args=(model, graphs, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+        child.join(60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    assert np.array_equal(got, want)
+
+
+def test_traced_prediction_opens_spans_on_the_main_thread(split, counted,
+                                                           monkeypatch):
+    monkeypatch.syspath_prepend(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench import tracing
+    from crysfuse import tensor
+    split(2)
+    threads = set()
+
+    class Recording(tracing.Tracer):
+        def open(self, name):
+            threads.add(threading.current_thread())
+            return super().open(name)
+
+    tracer = Recording()
+    tracer.install()
+    counting = tensor.Tensor.__init__
+
+    def recording_init(obj, *args, **kwargs):
+        threads.add(threading.current_thread())
+        counting(obj, *args, **kwargs)
+
+    tensor.Tensor.__init__ = recording_init
+    try:
+        model = MGTModel(RunConfig())
+        rows = predict_records(model, [Record(f"c{i}", s)
+                                       for i, s in enumerate(cells(4))], None)
+    finally:
+        tensor.Tensor.__init__ = counting
+        tracer.uninstall()
+    assert len(rows) == 4 and tracer.missing == [] and counted
+    assert {s.name for s in tracer.spans} >= {"se3.forward", "so3.forward"}
+    assert threads == {threading.main_thread()}
