@@ -51,15 +51,17 @@ BLAS blocks the matmuls, about 1e-12 relative against one structure at a
 time. `predict_batch` runs eval forwards on packs of up to `PREDICT_CHUNK`
 structures without recording a tape.
 
-Inside `predict_batch` (`parallel.prediction_threads`) the φ MLPs, the
-`Linear` maps, softplus and both attention blocks run as row-range bodies
-split across the usable CPUs: the calling thread computes one range and a
-pool thread each other range, with numpy's OpenBLAS pinned to one thread
-until prediction returns. The node attention block's ranges hold whole
-nodes, since it sums each node's edges. A training forward calls each body
-once over all rows, since its batch statistics reduce over them. Every row
-is computed as in one call, so predictions are bitwise independent of the
-number of threads.
+Inside `predict_batch`, `pretrain.pretrain_step` and
+`pipeline.finetune_step` (`parallel.threads`) the φ MLPs, the `Linear`
+maps, softplus, batch norm and both attention blocks, and their backward,
+run as row-range bodies split across the usable CPUs: the calling thread
+computes one range and a pool thread each other range, with numpy's
+OpenBLAS pinned to one thread until the call returns. The node attention
+block's ranges hold whole nodes, since it sums each node's edges; in
+training every batch norm's ranges hold whole structures, since each is
+standardized by its own statistics. Every row is computed as in one call,
+and weight gradients are summed over fixed row blocks, so predictions and
+training are bitwise independent of the number of threads and of BLAS's.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ class MGTModel:
         """
         it = iter(graphs)
         preds, scores = [], []
-        with no_grad(), parallel.prediction_threads():
+        with no_grad(), parallel.threads():
             while chunk := list(islice(it, PREDICT_CHUNK)):
                 out = self.forward(chunk, training=False)
                 preds.append(out.prediction.data.ravel())

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import parallel
 from .rng import stream
-from .tensor import (Tensor, _run_sums, _segment_rows, _softplus,
-                     _softplus_vjp, default_dtype, segment_sum)
+from .tensor import (Tensor, _segment_rows, _softplus, _softplus_vjp,
+                     _weight_grad, default_dtype, segment_sum)
 
 
 class ParamStore:
@@ -185,14 +185,15 @@ class Linear:
     def vjp(self, g: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray | None]],
             need: list[bool]) -> list[np.ndarray | None]:
         """Add the weight's and bias's gradients for the output gradient `g`
-        and return each block's gradient, None where `need` is False."""
+        and return each block's gradient, None where `need` is False. The
+        weight's gradient is summed over fixed row blocks (`_weight_grad`)."""
         w = self.weight.data
         gw = np.empty_like(w)
         grads = []
         for (x, rows), c, wanted in zip(blocks, self._cols(blocks), need):
             gx = g if rows is None else _segment_rows(g, rows, len(x))
-            np.matmul(x.T, gx, out=gw[c])
-            grads.append(gx @ w[c].T if wanted else None)
+            _weight_grad(x, gx, out=gw[c])
+            grads.append(_product(gx, w[c].T) if wanted else None)
         self.weight._add_grad(gw)
         if self.bias is not None:
             self.bias._add_grad(g.sum(axis=0))
@@ -206,8 +207,9 @@ class MLP2:
     The node keeps only the hidden activation y = softplus(lin1(x)): lin2's
     weight gradient reads y, and softplus's derivative is taken from y
     (`_softplus_vjp`), so the softplus overwrites the pre-activation in
-    place and no backward needs it. Outputs and gradients are bitwise those
-    of the composition `lin2(lin1(x).softplus())`.
+    place and no backward needs it; backward then overwrites y with lin1's
+    output gradient. Outputs and gradients are bitwise those of the
+    composition `lin2(lin1(x).softplus())`.
     """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, hidden: int,
@@ -230,9 +232,10 @@ class MLP2:
 
         def back(g):
             (gy,) = self.lin2.vjp(g, [(y, None)], [True])
+            parallel.run(lambda lo, hi: _softplus_vjp(y[lo:hi], gy[lo:hi],
+                                                      out=y[lo:hi]), len(y))
             _accumulate(blocks, self.lin1.vjp(
-                _softplus_vjp(y, gy), arrays,
-                [t.needs_grad() for t, _ in blocks]))
+                y, arrays, [t.needs_grad() for t, _ in blocks]))
 
         return Tensor._result(out, tuple(t for t, _ in blocks)
                               + self.lin1.params + self.lin2.params, back)
@@ -259,8 +262,8 @@ class BatchNorm:
     gamma, `sum_d` and `xhat * sum_dx` are scaled by the weight, and
     gamma's and beta's gradients keep their form.
 
-    `normalize`, `affine` and `vjp` are the node's array-level bodies; the
-    fused attention nodes of `se3.py` call them too.
+    `Standardized` and `affine` are the node's array-level bodies; the
+    fused attention nodes of `se3.py` use them too.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int,
@@ -274,60 +277,29 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, groups: np.ndarray, training: bool,
                  weight: np.ndarray | None = None) -> Tensor:
-        xhat, to_x = self.normalize(x.data, groups, training, weight)
+        s = Standardized(self, x.data, groups, training, weight)
+        out = np.empty_like(s.xhat)
+
+        def body(lo, hi):
+            s.rows(lo, hi)
+            self.affine(s.xhat[lo:hi], out=out[lo:hi])
+
+        parallel.run(body, len(out), s.cuts, out.size)
+        s.fold()
 
         def back(g):
-            x._add_grad(self.vjp(g, xhat, to_x))
+            self.gamma._add_grad((g * s.xhat).sum(axis=0))
+            self.beta._add_grad(g.sum(axis=0))
+            gx = np.empty_like(g)
 
-        return Tensor._result(self.affine(xhat), (x, self.gamma, self.beta),
-                              back)
+            def body(lo, hi):
+                np.multiply(g[lo:hi], self.gamma.data, out=gx[lo:hi])
+                s.to_x(gx, lo, hi)
 
-    def normalize(self, x: np.ndarray, groups: np.ndarray, training: bool,
-                  weight: np.ndarray | None = None,
-                  out: np.ndarray | None = None):
-        """(xhat, to_x): the standardized rows, and the map from a gradient
-        `d` of xhat to that of `x`. Training mode also updates the running
-        estimates. `out` may be `x` itself, which then holds xhat."""
-        if not training:
-            scale = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = np.subtract(x, self.running_mean, out=out)
-            xhat *= scale
-            return xhat, lambda d: d * scale
-        w = None if weight is None else weight[:, None].astype(x.dtype)
+            parallel.run(body, len(gx), s.cuts, gx.size)
+            x._add_grad(gx)
 
-        def weighted(a, lo=0, hi=None):
-            return a if w is None else a * w[lo:hi]
-
-        counts = np.bincount(groups, weights=weight)[:, None].astype(x.dtype)
-        starts = np.flatnonzero(np.diff(groups, prepend=-1))
-        runs = list(zip(starts.tolist(), starts[1:].tolist() + [len(x)]))
-        mu = _run_sums(weighted(x), starts) / counts
-        # each run is standardized by its own statistics, broadcast over it
-        xhat = np.empty_like(x) if out is None else out
-        for (lo, hi), mu_g in zip(runs, mu):
-            np.subtract(x[lo:hi], mu_g, out=xhat[lo:hi])
-        var = _run_sums(weighted(xhat * xhat), starts) / counts
-        std = np.sqrt(var + self.eps)
-        for (lo, hi), std_g in zip(runs, std):
-            xhat[lo:hi] /= std_g
-        m = self.momentum
-        for mu_g, var_g in zip(mu, var):
-            self.running_mean[:] = self.running_mean * (1.0 - m) + m * mu_g
-            self.running_var[:] = self.running_var * (1.0 - m) + m * var_g
-
-        def to_x(d):
-            sum_d = _run_sums(d, starts)
-            sum_dx = _run_sums(d * xhat, starts)
-            scale = 1.0 / (counts * std)
-            gx = np.empty_like(d)
-            for i, (lo, hi) in enumerate(runs):
-                o = np.multiply(counts[i], d[lo:hi], out=gx[lo:hi])
-                o -= weighted(sum_d[i], lo, hi)
-                o -= weighted(xhat[lo:hi] * sum_dx[i], lo, hi)
-                o *= scale[i]
-            return gx
-
-        return xhat, to_x
+        return Tensor._result(out, (x, self.gamma, self.beta), back)
 
     def affine(self, xhat: np.ndarray, out: np.ndarray | None = None
                ) -> np.ndarray:
@@ -335,12 +307,89 @@ class BatchNorm:
         out += self.beta.data
         return out
 
-    def vjp(self, g: np.ndarray, xhat: np.ndarray, to_x) -> np.ndarray:
-        """Add gamma's and beta's gradients for the output gradient `g` and
-        return the input's."""
-        self.gamma._add_grad((g * xhat).sum(axis=0))
-        self.beta._add_grad(g.sum(axis=0))
-        return to_x(g * self.gamma.data)
+
+class Standardized:
+    """A batch norm's standardized rows xhat of an (n, d) array x, computed
+    and differentiated a range of rows at a time (`parallel.run` bodies).
+
+    Eval mode maps each row on its own. In training a range must hold whole
+    groups (`cuts`): `rows` writes its groups' statistics into shared (G, d)
+    arrays, and `fold`, called once after every range is done, folds them
+    into the running estimates in group order. `out` may be `x` itself,
+    which then holds xhat.
+    """
+
+    def __init__(self, bn: BatchNorm, x: np.ndarray, groups: np.ndarray | None,
+                 training: bool, weight: np.ndarray | None = None,
+                 out: np.ndarray | None = None):
+        self.bn, self.x, self.training = bn, x, training
+        self.xhat = np.empty_like(x) if out is None else out
+        if not training:
+            self.cuts = None
+            self.scale = 1.0 / np.sqrt(bn.running_var + bn.eps)
+            return
+        self.cuts = groups  # where a range may start
+        self.w = None if weight is None else weight[:, None].astype(x.dtype)
+        self.counts = np.bincount(groups, weights=weight)[:, None].astype(x.dtype)
+        starts = np.flatnonzero(np.diff(groups, prepend=-1))
+        self.runs = list(zip(starts.tolist(), starts[1:].tolist() + [len(x)]))
+        self.mu = np.empty((len(starts), x.shape[1]), dtype=x.dtype)
+        self.var = np.empty_like(self.mu)
+        self.std = np.empty_like(self.mu)
+
+    def _groups(self, lo: int, hi: int):
+        """(group, first row, end row) of the groups in rows [lo, hi)."""
+        first, last = self.cuts[lo], self.cuts[hi - 1]
+        for g in range(first, last + 1):
+            yield (g, *self.runs[g])
+
+    def _weighted(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return a if self.w is None else a * self.w[lo:hi]
+
+    def rows(self, lo: int, hi: int):
+        """Standardize rows [lo, hi) into xhat: by the running estimates in
+        eval, else each group by its own statistics."""
+        xhat = self.xhat
+        if not self.training:
+            np.subtract(self.x[lo:hi], self.bn.running_mean, out=xhat[lo:hi])
+            xhat[lo:hi] *= self.scale
+            return
+        for g, a, b in self._groups(lo, hi):
+            x, xh, count = self.x[a:b], xhat[a:b], self.counts[g]
+            np.add.reduce(self._weighted(x, a, b), axis=0, out=self.mu[g])
+            self.mu[g] /= count
+            np.subtract(x, self.mu[g], out=xh)
+            np.add.reduce(self._weighted(xh * xh, a, b), axis=0,
+                          out=self.var[g])
+            self.var[g] /= count
+            np.sqrt(self.var[g] + self.bn.eps, out=self.std[g])
+            xh /= self.std[g]
+
+    def fold(self):
+        """Fold training statistics into the running estimates, one group
+        at a time in order."""
+        if not self.training:
+            return
+        bn, m = self.bn, self.bn.momentum
+        for mu_g, var_g in zip(self.mu, self.var):
+            bn.running_mean[:] = bn.running_mean * (1.0 - m) + m * mu_g
+            bn.running_var[:] = bn.running_var * (1.0 - m) + m * var_g
+
+    def to_x(self, d: np.ndarray, lo: int, hi: int):
+        """Overwrite rows [lo, hi) of `d`, a gradient of xhat, with the
+        gradient of x."""
+        if not self.training:
+            d[lo:hi] *= self.scale
+            return
+        for g, a, b in self._groups(lo, hi):
+            dg, xh, count = d[a:b], self.xhat[a:b], self.counts[g]
+            sum_d = np.add.reduce(dg, axis=0)
+            sum_dx = np.add.reduce(dg * xh, axis=0)
+            scale = 1.0 / (count * self.std[g])
+            dg *= count
+            dg -= self._weighted(sum_d, a, b)
+            dg -= self._weighted(xh * sum_dx, a, b)
+            dg *= scale
 
 
 class LayerNorm:

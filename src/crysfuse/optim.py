@@ -80,7 +80,9 @@ def clip_grad_norm(params, max_norm: float) -> float:
     memory (`Tensor.accumulate_grad`).
     """
     grads = [p for p in params if p.grad is not None]
-    norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in grads))
+    # numpy's pairwise sum, not a BLAS dot: OpenBLAS's `vdot` changed its
+    # last bits with its thread count from about 20k elements on
+    norm = math.sqrt(sum(float(np.square(p.grad).sum()) for p in grads))
     if norm > max_norm:
         scale = max_norm / norm
         for p in grads:

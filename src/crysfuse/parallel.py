@@ -1,25 +1,30 @@
-"""Row-parallel kernels for prediction.
+"""Row-parallel kernels for prediction and training.
 
 A kernel body `body(lo, hi)` computes rows [lo, hi) of its outputs from
 numpy arrays alone. `run(body, n)` calls it once over all n rows, except on
-the thread that has opened `prediction_threads()`: there the rows are cut
-into one contiguous part per usable CPU, the caller runs the first part and
-a persistent pool of daemon threads runs the others, and the call returns
+the thread that has opened `threads()`: there the rows are cut into one
+contiguous part per usable CPU, the caller runs the first part and a
+persistent pool of daemon threads runs the others, and the call returns
 once every part has finished. numpy releases the interpreter lock inside
-its loops and BLAS calls, so the parts run at the same time.
+its loops and BLAS calls, so the parts run at the same time. A `run`
+called from inside a part runs inline: the pool's threads are already
+busy with its siblings.
 
 Inside that scope the OpenBLAS that numpy loaded is pinned to one thread:
 BLAS's own threads would compete with the pool's for the same cores, and
 between BLAS calls an idle one spins. The earlier count comes back on exit,
 also when the scope raises. With one usable CPU, or without an OpenBLAS
 whose thread count can be set, no thread starts and every body runs inline.
+`MGTModel.predict_batch`, `pretrain.pretrain_step` and
+`pipeline.finetune_step` open the scope.
 
 A body must not build a `Tensor` nor call anything that may be wrapped from
 outside: a pool thread runs it while the caller's thread runs its own part.
 With `groups`, parts start where the group id changes, so a part never
 splits a group. Bodies whose rows are independent, or whose sums stay
 within a group, give bitwise the outputs of one call over all rows;
-`nn._run_rows` says which matrix products qualify.
+`nn._run_rows` says which matrix products qualify, and
+`tensor._weight_grad` sums over rows in fixed blocks for the same reason.
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ import numpy as np
 
 # Fewer rows than this per part cost more to hand over than they save.
 MIN_PART_ROWS = 256
+# A body of a few cheap passes over its elements, such as a segment sum or
+# a batch norm, also needs this many elements per part: waking a pool
+# thread costs about what such passes over tens of thousands of elements
+# do (on 2 vCPUs, splitting them at 256 rows cost perfbench's predict-large
+# 1.5 % of its throughput).
+MIN_PART_SIZE = 1 << 15
 
 
 def usable_cpus() -> int:
@@ -148,7 +159,7 @@ if hasattr(os, "register_at_fork"):
 
 
 @contextmanager
-def prediction_threads():
+def threads():
     """Split `run` bodies called on this thread across the usable CPUs,
     with BLAS on one thread, until the block exits.
 
@@ -187,16 +198,25 @@ def _cuts(n: int, parts: int, groups: np.ndarray | None) -> list[int]:
 
 
 def run(body: Callable[[int, int], None], n: int,
-        groups: np.ndarray | None = None) -> None:
+        groups: np.ndarray | None = None, size: int | None = None) -> None:
     """body(lo, hi) over the rows [0, n): once, or in parts on the pool
-    inside this thread's `prediction_threads()` block. `groups`, if given,
-    is each row's non-decreasing group id, and a part boundary only falls
-    where it changes (unsorted ids run once over all rows)."""
+    inside this thread's `threads()` block, but not inside a part. `groups`,
+    if given, is each row's non-decreasing group id, and a part boundary
+    only falls where it changes (unsorted ids run once over all rows).
+    `size`, if given, is the element count of a cheap body's arrays, and
+    each part then needs `MIN_PART_SIZE` of them too."""
     ex = _executor
     parts = n // MIN_PART_ROWS
-    if ex.owner != threading.get_ident() or parts < 2 or (
+    if size is not None:
+        parts = min(parts, size // MIN_PART_SIZE)
+    owner = threading.get_ident()
+    if ex.owner != owner or parts < 2 or (
             groups is not None and np.any(groups[1:] < groups[:-1])):
         body(0, n)
         return
     pool = ex.pool
-    pool.run(body, _cuts(n, min(parts, pool.workers + 1), groups))
+    ex.owner = None  # a run from inside a part, this thread's too, is inline
+    try:
+        pool.run(body, _cuts(n, min(parts, pool.workers + 1), groups))
+    finally:
+        ex.owner = owner

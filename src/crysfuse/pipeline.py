@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .config import ConfigError, RunConfig, config_from_dict
 from .errors import DataError, NumericError
 from .featurize import check_species
@@ -350,21 +351,24 @@ def finetune_step(model: MGTModel, graphs: list[PeriodicGraph],
     exploding gradient cannot swamp AdamW's moments.
 
     Returns (batch MSE, batch MAE), both in normalized space, computed from
-    the training-mode forward pass that produced the update.
+    the training-mode forward pass that produced the update. The step's row
+    kernels are split across the usable CPUs (`parallel.threads`).
     """
-    out = model.forward(graphs, training=True)
-    bad = ~np.isfinite(out.prediction.data.ravel())
-    if bad.any():
-        raise NumericError(
-            f"non-finite prediction at structure {ids[int(np.argmax(bad))]}")
-    diff = out.prediction - Tensor(targets_norm.reshape(-1, 1))
-    loss = (diff * diff).mean()
-    if not np.isfinite(loss.data):
-        raise NumericError(f"non-finite fine-tuning loss at structure {ids[0]}")
-    opt.zero_grad()
-    loss.backward()
-    clip_grad_norm(opt.params.values(), FINETUNE_CLIP_NORM)
-    opt.step()
+    with parallel.threads():
+        out = model.forward(graphs, training=True)
+        bad = ~np.isfinite(out.prediction.data.ravel())
+        if bad.any():
+            raise NumericError(
+                f"non-finite prediction at structure {ids[int(np.argmax(bad))]}")
+        diff = out.prediction - Tensor(targets_norm.reshape(-1, 1))
+        loss = (diff * diff).mean()
+        if not np.isfinite(loss.data):
+            raise NumericError(
+                f"non-finite fine-tuning loss at structure {ids[0]}")
+        opt.zero_grad()
+        loss.backward()
+        clip_grad_norm(opt.params.values(), FINETUNE_CLIP_NORM)
+        opt.step()
     return float(loss.data), float(np.mean(np.abs(diff.data)))
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import NumericError
 from .graph import PeriodicGraph
 from .model import MGTModel, Pack
@@ -173,17 +174,20 @@ def ssl_losses(model: MGTModel, noisy: Pack, samples: list[NoisySample],
 
 def pretrain_step(model: MGTModel, batch: list[tuple[PeriodicGraph, str]],
                   opt: AdamW, noise_gen: np.random.Generator) -> PretrainParts:
-    """One optimizer step on the combined objective for one batch."""
+    """One optimizer step on the combined objective for one batch, its row
+    kernels split across the usable CPUs (`parallel.threads`)."""
     samples = [inject_noise(graph, model.cfg.sigma, noise_gen)
                for graph, _ in batch]
-    total, loss_contrast, loss_se3, loss_so3 = ssl_losses(
-        model, noisy_pack(model, samples), samples, [sid for _, sid in batch])
-    if not np.isfinite(total.data):
-        raise NumericError(
-            f"non-finite pretraining loss at structure {batch[0][1]}")
-    opt.zero_grad()
-    total.backward()
-    opt.step()
+    with parallel.threads():
+        total, loss_contrast, loss_se3, loss_so3 = ssl_losses(
+            model, noisy_pack(model, samples), samples,
+            [sid for _, sid in batch])
+        if not np.isfinite(total.data):
+            raise NumericError(
+                f"non-finite pretraining loss at structure {batch[0][1]}")
+        opt.zero_grad()
+        total.backward()
+        opt.step()
     return PretrainParts(total=float(total.data),
                          contrast=float(loss_contrast.data),
                          se3=float(loss_se3.data), so3=float(loss_so3.data))

@@ -21,40 +21,42 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import parallel
-from .nn import MLP2, BatchNorm, Linear, ParamStore, ProjectionHead, mean_pool
+from .nn import (MLP2, BatchNorm, Linear, ParamStore, ProjectionHead,
+                 Standardized, mean_pool)
 from .tensor import Tensor, _segment_rows, _stable_sigmoid
 
 if TYPE_CHECKING:
     from .model import Pack
 
 
-def _sigmoid_gate(bn: BatchNorm, logits: np.ndarray, groups: np.ndarray | None,
-                  training: bool, weight: np.ndarray | None, alpha: np.ndarray):
-    """Write the gate sigmoid(bn(logits)) into `alpha` and return the map
-    from alpha's gradient to the logits'. The map keeps bn's standardized
-    logits and statistics and alpha, nothing else. The standardized logits
-    overwrite `logits`."""
-    xhat, to_x = bn.normalize(logits, groups, training, weight, out=logits)
-    bn.affine(xhat, out=alpha)
-    _stable_sigmoid(alpha, out=alpha)
-
-    def vjp(g):
-        return bn.vjp(g * alpha * (1.0 - alpha), xhat, to_x)
-
-    return vjp
+def _gate_rows(bn: BatchNorm, s: Standardized, alpha: np.ndarray,
+               lo: int, hi: int):
+    """Rows [lo, hi) of the gate sigmoid(bn(logits)), written into `alpha`;
+    `s` standardizes the logits."""
+    s.rows(lo, hi)
+    a = bn.affine(s.xhat[lo:hi], out=alpha[lo:hi])
+    _stable_sigmoid(a, out=a)
 
 
-def _run_attention(body, n: int, training: bool, groups=None):
-    """Run an attention body over n rows: in parts (`parallel.run`) with
-    eval batch norm, which maps each row on its own; once over all rows in
-    training, whose batch statistics reduce over them. The gate map each
-    part returns is read only by a tape's backward, and parts run only
-    inside prediction, which records no tape; elsewhere the body runs
-    once, so the map is the whole one."""
-    if training:
-        body(0, n)
-    else:
-        parallel.run(body, n, groups)
+def _gate_vjp_rows(bn: BatchNorm, s: Standardized, alpha: np.ndarray,
+                   ga: np.ndarray, lo: int, hi: int):
+    """Rows [lo, hi) of the logits' gradient from the gate's gradient `ga`,
+    written over `alpha`. `ga` becomes bn's output gradient, and xhat that
+    times xhat: their sums over all rows (`_gate_param_grads`) are beta's
+    and gamma's gradients."""
+    gz, a = ga[lo:hi], alpha[lo:hi]
+    gz *= a
+    gz *= 1.0 - a
+    np.multiply(gz, bn.gamma.data, out=a)
+    s.to_x(alpha, lo, hi)
+    s.xhat[lo:hi] *= gz
+
+
+def _gate_param_grads(bn: BatchNorm, s: Standardized, ga: np.ndarray):
+    """Add gamma's and beta's gradients once every range of
+    `_gate_vjp_rows` is done."""
+    bn.gamma._add_grad(s.xhat.sum(axis=0))
+    bn.beta._add_grad(ga.sum(axis=0))
 
 
 class SE3EdgeLayer:
@@ -123,50 +125,71 @@ class SE3EdgeLayer:
         logits = np.empty((rows, 3, d), dtype=q.data.dtype)
         alpha = np.empty_like(logits)
         msg = np.empty((rows, d), dtype=q.data.dtype)
+        bn = self.bn_attn
+        flat_logits, flat_alpha = logits.reshape(-1, d), alpha.reshape(-1, d)
         if training:
             groups = np.repeat(p.bond_graph, 3)
             weight = None if weight is None else np.repeat(weight, 3)
-        else:  # eval batch norm reads neither
-            groups = weight = None
-        gate_vjp = None
+            cuts = p.bond_graph
+        else:  # eval batch norm maps each row on its own
+            groups = weight = cuts = None
+        gate = Standardized(bn, flat_logits, groups, training, weight,
+                            out=flat_logits)
 
         def body(lo, hi):
-            nonlocal gate_vjp
             lg, a = logits[lo:hi], alpha[lo:hi]
             for m, k in enumerate(keys):
                 np.multiply(q.data[lo:hi], k.data[lo:hi], out=lg[:, m])
                 lg[:, m] *= scale
-            gate_vjp = _sigmoid_gate(self.bn_attn, lg.reshape(-1, d), groups,
-                                     training, weight, a.reshape(-1, d))
+            _gate_rows(bn, gate, flat_alpha, 3 * lo, 3 * hi)
             # Σ_m a_m * v_m, adding the channels in order as a sum over
             # the channel axis does
             o = np.multiply(a[:, 0], values[0].data[lo:hi], out=msg[lo:hi])
             for m in (1, 2):
                 o += a[:, m] * values[m].data[lo:hi]
 
-        _run_attention(body, rows, training)
+        parallel.run(body, rows, cuts)
+        gate.fold()
 
         def back(g):
-            if any(v.needs_grad() for v in values):
-                gv = alpha * g[:, None, :]
+            gv = (np.empty_like(alpha) if any(v.needs_grad() for v in values)
+                  else None)
+            ga = np.empty_like(alpha)
+            flat_ga = ga.reshape(-1, d)
+            gk = [np.empty_like(q.data) if k.needs_grad() else None
+                  for k in keys]
+            gq = np.empty_like(q.data) if q.needs_grad() else None
+
+            def body(lo, hi):
+                gr = g[lo:hi]
+                if gv is not None:
+                    np.multiply(alpha[lo:hi], gr[:, None, :], out=gv[lo:hi])
+                for m, v in enumerate(values):
+                    np.multiply(gr, v.data[lo:hi], out=ga[lo:hi, m])
+                # the logits' gradient, over alpha
+                _gate_vjp_rows(bn, gate, flat_alpha, flat_ga, 3 * lo, 3 * hi)
+                for m, k in enumerate(keys):
+                    gm = alpha[lo:hi, m] * scale
+                    if gk[m] is not None:
+                        np.multiply(gm, q.data[lo:hi], out=gk[m][lo:hi])
+                    if gq is not None:
+                        gm *= k.data[lo:hi]
+                        if m == 0:
+                            gq[lo:hi] = gm
+                        else:
+                            gq[lo:hi] += gm
+
+            parallel.run(body, rows, cuts)
+            _gate_param_grads(bn, gate, flat_ga)
+            if gv is not None:
                 for m, v in enumerate(values):
                     v._add_grad(gv[:, m])
-            ga = np.empty_like(alpha)
-            for m, v in enumerate(values):
-                np.multiply(g, v.data, out=ga[:, m])
-            gl = gate_vjp(ga.reshape(-1, d)).reshape(rows, 3, d)
-            gq = None
-            for m, k in enumerate(keys):
-                gm = gl[:, m] * scale
-                if k.needs_grad():
-                    k.accumulate_grad(gm * q.data)
-                if q.needs_grad():
-                    gm *= k.data
-                    gq = gm if gq is None else np.add(gq, gm, out=gq)
+            for k, gkm in zip(keys, gk):
+                if gkm is not None:
+                    k.accumulate_grad(gkm)
             if gq is not None:
                 q.accumulate_grad(gq)
 
-        bn = self.bn_attn
         return Tensor._result(msg, (q, *keys, *values, bn.gamma, bn.beta),
                               back)
 
@@ -219,38 +242,60 @@ class SE3NodeLayer:
         logits = np.empty_like(k.data)
         alpha = np.empty_like(k.data)
         msg = np.zeros((num_nodes, k.data.shape[1]), dtype=k.data.dtype)
-        gate_vjp = None
+        bn = self.bn_attn
+        gate = Standardized(bn, logits, p.edge_graph, training, out=logits)
+        # a part holds all edges of its nodes (src is sorted), and in
+        # training all edges of its structures
+        cuts = p.edge_graph if training else src
+
+        def nodes(lo, hi):
+            """The nodes of edges [lo, hi), widened to the pack's ends."""
+            return (src[lo] if lo > 0 else 0,
+                    src[hi - 1] + 1 if hi < len(src) else num_nodes)
 
         def body(lo, hi):
-            """Edges [lo, hi): a part holds all edges of its nodes, the
-            nodes src[lo] to src[hi - 1] when src is sorted."""
-            nonlocal gate_vjp
             s = src[lo:hi]
             lg = np.multiply(q.data[s], k.data[lo:hi], out=logits[lo:hi])
             lg *= scale
-            a = alpha[lo:hi]
-            gate_vjp = _sigmoid_gate(self.bn_attn, lg, p.edge_graph[lo:hi],
-                                     training, None, a)
-            first = src[lo] if lo > 0 else 0
-            end = src[hi - 1] + 1 if hi < len(src) else num_nodes
-            msg[first:end] = _segment_rows(a * v.data[lo:hi], s - first,
-                                           end - first)
+            _gate_rows(bn, gate, alpha, lo, hi)
+            first, end = nodes(lo, hi)
+            msg[first:end] = _segment_rows(alpha[lo:hi] * v.data[lo:hi],
+                                           s - first, end - first)
 
-        _run_attention(body, len(src), training, src)
+        parallel.run(body, len(src), cuts)
+        gate.fold()
 
         def back(g):
-            g = g[src]
-            if v.needs_grad():
-                v.accumulate_grad(g * alpha)
-            gl = gate_vjp(g * v.data)
-            gl *= scale
-            if k.needs_grad():
-                k.accumulate_grad(gl * q.data[src])
-            if q.needs_grad():
-                gl *= k.data
-                q.accumulate_grad(_segment_rows(gl, src, num_nodes))
+            gv = np.empty_like(alpha) if v.needs_grad() else None
+            gk = np.empty_like(k.data) if k.needs_grad() else None
+            gq = np.zeros_like(q.data) if q.needs_grad() else None
+            ga = np.empty_like(alpha)
 
-        bn = self.bn_attn
+            def body(lo, hi):
+                s = src[lo:hi]
+                gr = g[s]
+                if gv is not None:
+                    np.multiply(gr, alpha[lo:hi], out=gv[lo:hi])
+                np.multiply(gr, v.data[lo:hi], out=ga[lo:hi])
+                _gate_vjp_rows(bn, gate, alpha, ga, lo, hi)
+                gl = alpha[lo:hi]  # the logits' gradient
+                gl *= scale
+                if gk is not None:
+                    np.multiply(gl, q.data[s], out=gk[lo:hi])
+                if gq is not None:
+                    gl *= k.data[lo:hi]
+                    first, end = nodes(lo, hi)
+                    gq[first:end] = _segment_rows(gl, s - first, end - first)
+
+            parallel.run(body, len(src), cuts)
+            _gate_param_grads(bn, gate, ga)
+            if gv is not None:
+                v.accumulate_grad(gv)
+            if gk is not None:
+                k.accumulate_grad(gk)
+            if gq is not None:
+                q.accumulate_grad(gq)
+
         return Tensor._result(msg, (q, k, v, bn.gamma, bn.beta), back)
 
 

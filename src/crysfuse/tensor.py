@@ -88,13 +88,14 @@ def _softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(pos, out, out=out)
 
 
-def _softplus_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _softplus_vjp(y: np.ndarray, g: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """g times softplus's derivative at x, taken from the output
     y = softplus(x): the sigmoid σ(x) = 1 − e^−y, one `expm1` pass over y,
     never a recomputation from x. It is within 2 ulp of
     `_stable_sigmoid(x)` at float64 and 3 at float32, exact where y is 0
-    or inf, and nan stays nan."""
-    sig = np.negative(y)
+    or inf, and nan stays nan. `out` may be `y` itself, not `g`."""
+    sig = np.negative(y, out=out)
     np.expm1(sig, out=sig)
     np.negative(sig, out=sig)
     sig *= g
@@ -121,20 +122,30 @@ def _segment_rows(values: np.ndarray, ids: np.ndarray,
     A stable argsort orders the rows by bucket, keeping their original
     order within one, and buckets no id names stay zero. Ids that are
     already non-decreasing, as a pack's `src` and node graph ids are, skip
-    the sort: its permutation would be the identity. When no bucket has
-    more than two rows, as when a bond's one or two directed edges sum
-    onto it, a bucket's sum is its first row plus its second: two gathers
-    through the sort order and one add, never a permuted copy of `values`.
-    Longer runs go to `np.add.reduceat`, which adds a run's first row to
-    the pairwise sum of the others, so the last bits can differ from
-    `np.add.at`'s running sum; on runs of one or two rows both paths give
-    the same bits.
+    the sort: its permutation would be the identity, and the rows are
+    split by `parallel.run` where the id changes, so each bucket is summed
+    within one part. When no bucket has more than two rows, as when a
+    bond's one or two directed edges sum onto it, a bucket's sum is its
+    first row plus its second: two gathers through the sort order and one
+    add, never a permuted copy of `values`. Longer runs go to
+    `np.add.reduceat`, which adds a run's first row to the pairwise sum of
+    the others, so the last bits can differ from `np.add.at`'s running sum;
+    on runs of one or two rows both paths give the same bits.
     """
     out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-    order = None
     if np.any(ids[1:] < ids[:-1]):
         order = np.argsort(ids, kind="stable")
-        ids = ids[order]
+        _sum_sorted(values, ids[order], out, order)
+    else:
+        parallel.run(lambda lo, hi: _sum_sorted(values[lo:hi], ids[lo:hi], out),
+                     len(ids), ids, values.size)
+    return out
+
+
+def _sum_sorted(values: np.ndarray, ids: np.ndarray, out: np.ndarray,
+                order: np.ndarray | None = None):
+    """Write into out[i] the sum of the rows of `values` (taken through
+    `order`, if given) whose sorted id in `ids` is i."""
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
     # a bucket of three or more rows needs fewer buckets than half the rows
     if 2 * len(starts) >= len(ids) > 0:
@@ -148,24 +159,45 @@ def _segment_rows(values: np.ndarray, ids: np.ndarray,
             sums += values[second]
             sums[lone] = values[first[lone]]  # undo adding a lone row to itself
             out[ids[starts]] = sums
-            return out
+            return
     if order is not None:
         values = values[order]
     out[ids[starts]] = np.add.reduceat(values, starts, axis=0)
-    return out
 
 
-def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum each contiguous run of rows of `values`, run i being rows
-    starts[i] up to starts[i + 1] (the last runs to the end).
+# Rows per block of a weight gradient's reduction (`_weight_grad`).
+GRAD_BLOCK_ROWS = 256
 
-    One `np.add.reduce` per run, for a few long runs, such as the
-    structures of a pack: there `np.add.reduceat` is several times slower.
+
+def _weight_grad(x: np.ndarray, g: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """x.T @ g, a weight's gradient, as the sum of the products of fixed
+    256-row blocks, added in block order. The pool computes the blocks
+    (`parallel.run`).
+
+    OpenBLAS may cut a long reduction by its thread count, and the cut
+    changes the last bits: with numpy 2.4.6 and scipy-openblas 0.3.31 a
+    430-row product differed between one and two threads. A 256-row block's
+    product did not, so the sum has the same bits at any BLAS thread count
+    and any number of parts.
     """
-    out = np.empty((len(starts),) + values.shape[1:], dtype=values.dtype)
-    ends = np.append(starts[1:], len(values))
-    for i, (lo, hi) in enumerate(zip(starts, ends)):
-        np.add.reduce(values[lo:hi], axis=0, out=out[i])
+    n = len(x)
+    if n <= GRAD_BLOCK_ROWS:
+        return np.matmul(x.T, g, out=out)
+    blocks = np.empty((-(-n // GRAD_BLOCK_ROWS), x.shape[1], g.shape[1]),
+                      dtype=np.result_type(x, g))
+
+    def body(lo, hi):
+        for b in range(lo, hi, GRAD_BLOCK_ROWS):
+            e = b + GRAD_BLOCK_ROWS
+            np.matmul(x[b:e].T, g[b:e], out=blocks[b // GRAD_BLOCK_ROWS])
+
+    parallel.run(body, n, np.arange(n) // GRAD_BLOCK_ROWS)
+    if out is None:
+        out = np.empty_like(blocks[0])
+    out[...] = blocks[0]
+    for block in blocks[1:]:
+        out += block
     return out
 
 
@@ -342,7 +374,7 @@ class Tensor:
             if self.needs_grad():
                 self.accumulate_grad(g @ other.data.T)
             if other.needs_grad():
-                other.accumulate_grad(self.data.T @ g)
+                other.accumulate_grad(_weight_grad(self.data, g))
 
         return Tensor._result(self.data @ other.data, (self, other), back)
 
@@ -445,14 +477,18 @@ class Tensor:
 
     def softplus(self):
         """log(1 + e^x); backward reads only the output (`_softplus_vjp`).
-        Split by rows (`parallel.run`)."""
+        Both are split by rows (`parallel.run`)."""
         x = np.atleast_1d(self.data)
         out = np.empty_like(x)
         parallel.run(lambda lo, hi: _softplus(x[lo:hi], out=out[lo:hi]), len(x))
         out_data = out.reshape(self.data.shape)
 
         def back(g):
-            self._add_grad(_softplus_vjp(out_data, g))
+            g = np.broadcast_to(g, out.shape)
+            gx = np.empty_like(out)
+            parallel.run(lambda lo, hi: _softplus_vjp(out[lo:hi], g[lo:hi],
+                                                      out=gx[lo:hi]), len(gx))
+            self._add_grad(gx.reshape(self.data.shape))
 
         return Tensor._result(out_data, (self,), back)
 

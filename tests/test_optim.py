@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crysfuse import parallel
 from crysfuse.optim import AdamW, clip_grad_norm, epoch_batches, lr_schedule
 from crysfuse.tensor import Tensor
 
@@ -96,6 +97,28 @@ class TestClipGradNorm:
         clip_grad_norm([p, q], 1.0)
         assert np.array_equal(shared, [6.0, 8.0])
         assert np.allclose(p.grad, shared / math.sqrt(200.0), atol=1e-15)
+
+    def test_norm_is_independent_of_blas_threads(self):
+        """100k-element gradients, where OpenBLAS's `vdot` at one and at two
+        threads gave norms a bit apart (for seeds 1, 2 and 4 of these): the
+        norm is that of numpy's pairwise sum of squares at any BLAS thread
+        count."""
+        blas = parallel._blas_threads()
+        counts = [None] if blas is None else [1, 2]
+        previous = None if blas is None else blas[0]()
+        try:
+            for seed in range(5):
+                g = np.random.default_rng(seed).normal(size=100_000)
+                want = math.sqrt(float(np.square(g).sum()))
+                for n in counts:
+                    if n is not None:
+                        blas[1](n)
+                    p = Tensor(np.zeros(len(g)), requires_grad=True)
+                    p.grad = g
+                    assert clip_grad_norm([p], 1e9) == want
+        finally:
+            if blas is not None:
+                blas[1](previous)
 
     def test_params_without_grad_are_skipped(self):
         p = Tensor(np.zeros(1), requires_grad=True)

@@ -1,9 +1,12 @@
-"""Row-parallel prediction: bitwise equality across part counts, group
-cuts, the BLAS pin, and the pool's robustness (forks, a second caller,
-errors in a part)."""
+"""Row-parallel prediction and training: bitwise equality across part
+counts and BLAS thread counts, group cuts, the BLAS pin, and the pool's
+robustness (forks, a second caller, nested runs, errors in a part)."""
 
+import hashlib
+import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 from types import SimpleNamespace
@@ -11,11 +14,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crysfuse import parallel
+from crysfuse import nn, parallel
 from crysfuse.config import RunConfig
 from crysfuse.model import MGTModel
 from crysfuse.nn import ParamStore
-from crysfuse.pipeline import Record, predict_records
+from crysfuse.optim import adamw_from_config
+from crysfuse.pipeline import Record, finetune, predict_records
+from crysfuse.pretrain import pretrain_step, run_pretraining
 from crysfuse.se3 import SE3NodeLayer
 from crysfuse.structures import CrystalStructure
 from crysfuse.tensor import Tensor, set_default_dtype
@@ -55,14 +60,16 @@ class FakeBlas:
 
 @pytest.fixture
 def split(monkeypatch):
-    """split(k): k usable CPUs from now on, parts of at least 64 rows, and
-    a settable BLAS thread count. Returns the (get, set) pair in use."""
+    """split(k): k usable CPUs from now on, parts of at least 64 rows (and
+    1024 elements for cheap bodies), and a settable BLAS thread count.
+    Returns the (get, set) pair in use."""
     blas = parallel._blas_threads()
     if blas is None:
         fake = FakeBlas()
         blas = (fake.get, fake.put)
         monkeypatch.setattr(parallel, "_blas_threads", lambda: blas)
     monkeypatch.setattr(parallel, "MIN_PART_ROWS", 64)
+    monkeypatch.setattr(parallel, "MIN_PART_SIZE", 1024)
     previous = blas[0]()
 
     def use(k):
@@ -128,10 +135,130 @@ def test_node_straddling_a_cut_gets_the_unsplit_sum(split, counted):
     split(1)
     want = layer.attend(q, k, v, p, training=False).data
     split(2)
-    with parallel.prediction_threads():
+    with parallel.threads():
         got = layer.attend(q, k, v, p, training=False).data
     assert counted == [2]
     assert np.array_equal(got, want)
+
+
+def train_outputs() -> dict:
+    """Four pretraining steps and one fine-tuning epoch of a model at batch
+    4 on eight cells of 3 to 8 atoms (about 600 edges a batch, so weight
+    gradients sum over three 256-row blocks). Returns the loss lists, a
+    hash of the final parameters and batch-norm estimates, and the eval
+    predictions, as bits."""
+    model = MGTModel(RunConfig(pretrain_batch_size=4, finetune_batch_size=4))
+    structures = cells(8)
+    graphs = [(model.build_graph(s), f"c{i}") for i, s in enumerate(structures)]
+    pretrain = run_pretraining(model, graphs, epochs=2)
+    records = [Record(f"c{i}", s, float(i % 3)) for i, s in
+               enumerate(structures[:4])]
+    tuned = finetune(model, records, epochs=1)
+    state = hashlib.sha1()
+    for table in (model.store.params, model.store.buffers):
+        for name in sorted(table):
+            t = table[name]
+            state.update(getattr(t, "data", t).tobytes())
+    return {
+        "pretrain": [[float(h[k]).hex() for k in ("L_total", "L_contrast",
+                                                   "L_SE3", "L_SO3")]
+                     for h in pretrain],
+        "finetune": [float(h["train_mse"]).hex() for h in tuned.history],
+        "state": state.hexdigest(),
+        "predictions": [float(x).hex() for x in
+                        model.predict_batch(g for g, _ in graphs)[0]],
+    }
+
+
+def test_training_bitwise_equal_over_blas_threads():
+    """The same training in two processes, OpenBLAS at one and at two
+    threads. Inside a step BLAS is pinned to one thread when the pool runs;
+    outside it, and on a one-CPU box throughout, it runs at its count."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import test_parallel; "
+            "print(json.dumps(test_parallel.train_outputs()))")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code, here, src],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    assert runs[0] == runs[1]
+
+
+def test_training_bitwise_equal_over_part_counts(split, counted):
+    """One CPU runs every body inline with BLAS at its own count; two and
+    four cut forward and backward bodies into parts, BLAS on one thread."""
+    interval = sys.getswitchinterval()
+    try:
+        split(1)
+        want = train_outputs()
+        assert counted == []
+        sys.setswitchinterval(1e-5)
+        for k in (2, 4):
+            split(k)
+            assert train_outputs() == want
+            assert max(counted) == k
+            counted.clear()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_run_inside_a_part_runs_inline(split, counted):
+    """A body that calls `run` from inside a part: one handoff, and each
+    part's inner rows run on the thread that runs the part."""
+    split(2)
+    out = np.zeros(512)
+    threads = {}
+
+    def outer(lo, hi):
+        me = threading.get_ident()
+
+        def inner(a, b):
+            assert threading.get_ident() == me
+            out[lo + a:lo + b] += 1.0
+
+        threads[lo] = me
+        parallel.run(inner, hi - lo)
+
+    with parallel.threads():
+        parallel.run(outer, len(out))
+    assert counted == [2] and len(set(threads.values())) == 2
+    assert np.array_equal(out, np.ones(512))
+
+
+def test_part_error_in_training_raised_after_every_part(split, counted,
+                                                       monkeypatch):
+    """The caller's part of a training batch norm fails at once; the
+    step raises only after the pool's part has finished, the BLAS count
+    comes back, and the next step splits again."""
+    get, put = split(2)
+    put(2)
+    model = MGTModel(RunConfig(pretrain_batch_size=4))
+    batch = [(model.build_graph(s), f"c{i}") for i, s in enumerate(cells(4))]
+    opt = adamw_from_config(model.store.params, model.cfg, 1e-3)
+    rows = nn.Standardized.rows
+    finished = []
+
+    def failing(self, lo, hi):
+        if self.training and lo == 0:
+            raise FloatingPointError("part 0")
+        threading.Event().wait(0.05)
+        rows(self, lo, hi)
+        finished.append(lo)
+
+    monkeypatch.setattr(nn.Standardized, "rows", failing)
+    with pytest.raises(FloatingPointError, match="part 0"):
+        pretrain_step(model, batch, opt, np.random.default_rng(0))
+    # the failing run was the last split, and its pool part finished
+    assert counted[-1] == 2 and len(finished) == 1 and get() == 2
+    monkeypatch.setattr(nn.Standardized, "rows", rows)
+    counted.clear()
+    pretrain_step(model, batch, opt, np.random.default_rng(0))
+    assert max(counted) == 2 and get() == 2
 
 
 def test_blas_pinned_inside_and_restored_after(split):
@@ -165,7 +292,7 @@ def test_part_error_raised_after_every_part(split):
         threading.Event().wait(0.05)
         finished.append(lo)
 
-    with parallel.prediction_threads():
+    with parallel.threads():
         with pytest.raises(ValueError, match="part 0"):
             parallel.run(body, 300)
         assert sorted(finished) == [100, 200]
@@ -243,6 +370,7 @@ def test_forked_child_starts_its_own_pool(split, counted):
 
 def test_traced_prediction_opens_spans_on_the_main_thread(split, counted,
                                                            monkeypatch):
+    """Prediction, one pretraining step and one fine-tuning step."""
     monkeypatch.syspath_prepend(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from perfbench import tracing
@@ -265,12 +393,24 @@ def test_traced_prediction_opens_spans_on_the_main_thread(split, counted,
 
     tensor.Tensor.__init__ = recording_init
     try:
-        model = MGTModel(RunConfig())
-        rows = predict_records(model, [Record(f"c{i}", s)
-                                       for i, s in enumerate(cells(4))], None)
+        model = MGTModel(RunConfig(pretrain_batch_size=4,
+                                   finetune_batch_size=4))
+        records = [Record(f"c{i}", s, float(i)) for i, s in enumerate(cells(4))]
+        rows = predict_records(model, records, None)
+        assert len(rows) == 4 and counted
+        counted.clear()
+        # one pretraining step, through the module attribute the tracer wraps
+        run_pretraining(model, [(model.build_graph(r.structure), r.id)
+                                for r in records], max_steps=1)
+        assert counted
+        counted.clear()
+        finetune(model, records, epochs=1)  # one step
+        assert counted
     finally:
         tensor.Tensor.__init__ = counting
         tracer.uninstall()
-    assert len(rows) == 4 and tracer.missing == [] and counted
-    assert {s.name for s in tracer.spans} >= {"se3.forward", "so3.forward"}
+    assert tracer.missing == []
+    assert {s.name for s in tracer.spans} >= {
+        "se3.forward", "so3.forward", "pretrain.step", "tensor.backward",
+        "optim.step"}
     assert threads == {threading.main_thread()}

@@ -18,7 +18,8 @@ from crysfuse.rng import stream
 from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer
 from crysfuse.so3 import TensorProductLayer
 from crysfuse.tensor import (Tensor, _segment_rows, _softplus, _stable_sigmoid,
-                             concat, no_grad, segment_sum, set_default_dtype)
+                             _weight_grad, concat, no_grad, segment_sum,
+                             set_default_dtype)
 
 H = 1e-6
 
@@ -708,6 +709,24 @@ class TestBondPairSums:
         assert got.tobytes() == self.reduceat_sums(values, ids, 10).tobytes()
         np.testing.assert_allclose(got[4], values[ids == 4].sum(axis=0),
                                    rtol=1e-15)
+
+
+class TestBlockedWeightGradient:
+    """`_weight_grad` sums x.T @ g over fixed 256-row blocks in order."""
+
+    @pytest.mark.parametrize("rows", [1, 256, 257, 1100])
+    def test_matches_the_plain_product(self, rows):
+        gen = stream(11, f"weight-grad-{rows}")
+        x = gen.normal(size=(rows, 64))
+        g = gen.normal(size=(rows, 48))
+        got = _weight_grad(x, g)
+        want = x.T @ g
+        if rows <= 256:  # one block is the plain product
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+        blocks = [x[b:b + 256].T @ g[b:b + 256] for b in range(0, rows, 256)]
+        assert got.tobytes() == sum(blocks[1:], blocks[0]).tobytes()
 
 
 class TestSmallMlpOracle:
