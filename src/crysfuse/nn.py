@@ -49,14 +49,46 @@ class ParamStore:
             p.grad = None
 
 
-def _blocks(x) -> list[tuple[Tensor, np.ndarray | None]]:
-    """A layer input as `(tensor, rows)` blocks, rows None for a plain one."""
-    return [b if isinstance(b, tuple) else (b, None)
+def _block(b: tuple) -> tuple:
+    """A block as `(x, rows, pre)`, with None for what it leaves out."""
+    return b + (None,) * (3 - len(b))
+
+
+def _blocks(x) -> list[tuple[Tensor, np.ndarray | None, "Linear | None"]]:
+    """A layer input as `(tensor, rows, pre)` blocks (see `Linear`)."""
+    return [_block(b if isinstance(b, tuple) else (b,))
             for b in (x if isinstance(x, list) else [x])]
 
 
+def _parents(blocks) -> tuple[Tensor, ...]:
+    """The blocks' tensors and the parameters of the maps they go through."""
+    return (tuple(t for t, _, _ in blocks)
+            + tuple(p for _, _, pre in blocks if pre is not None
+                    for p in pre.params))
+
+
+def _gather_index(rows: np.ndarray, n: int) -> np.ndarray:
+    """The rows of a gathered block that n output rows read: `rows`, or,
+    where it has one entry per k output rows, row k·rows[i] + j for output
+    row k·i + j."""
+    if len(rows) == n:
+        return rows
+    k = n // len(rows)
+    return (k * rows[:, None] + np.arange(k)).ravel()
+
+
+def _gather_grad(g: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The gradient on a gathered block's n rows from the gradient `g` of
+    the rows it was gathered to (`_gather_index`): with k output rows per
+    entry of `rows`, a sum over (len(rows), k·width) rows by `rows`."""
+    if len(rows) == len(g):
+        return _segment_rows(g, rows, n)
+    k = len(g) // len(rows)
+    return _segment_rows(g.reshape(len(rows), -1), rows, n // k).reshape(n, -1)
+
+
 def _accumulate(blocks, grads):
-    for (t, _), gt in zip(blocks, grads):
+    for (t, _, _), gt in zip(blocks, grads):
         if gt is not None:
             t.accumulate_grad(gt)
 
@@ -96,12 +128,27 @@ class Linear:
     `x` may be a list of row-aligned blocks [x_1, ..., x_n] whose widths sum
     to fan_in. The result is then Σ x_i @ W[cols_i] + b, the map of their
     column concatenation, without building the concatenation. A block may
-    also be a pair `(x_i, rows)` that stands for `x_i.take(rows)`: its
-    product is taken on x_i's own rows and then gathered,
-    `(x_i @ W[cols_i])[rows]`, and backward sums the gradient onto x_i's rows
-    before its matmuls. So a block gathered from N node rows onto E edges
-    costs N-row matmuls, and the tape keeps x_i rather than its gather.
-    `(x_i, None)` is the plain block x_i.
+    also be a tuple `(x_i, rows)` or `(x_i, rows, pre)`:
+
+    - `rows` stands for `x_i.take(rows)`: the block's product is taken on
+      x_i's own rows and then gathered, `(x_i @ W[cols_i])[rows]`, and
+      backward sums the gradient onto x_i's rows before its matmuls. So a
+      block gathered from N node rows onto E edges costs N-row matmuls, and
+      the tape keeps x_i rather than its gather. None is no gather. `rows`
+      may also hold one entry per k output rows: output row k·i + j then
+      reads row k·rows[i] + j of x_i, and backward sums the gradient's
+      (len(rows), k·fan_out) view by `rows`, a sorted sum if `rows` is
+      sorted. So per-structure rows of k channels gather onto a stack of
+      k channels per bond by the bonds' structure ids.
+    - `pre`, a `Linear` with no nonlinearity after it, stands for
+      `pre(x_i)`: the two maps are composed per call, C = W_pre @ W[cols_i]
+      (a fan_in × fan_out product) and b_pre @ W[cols_i] joins the bias,
+      so the rows take one product x_i @ C instead of two, and the tape
+      keeps x_i rather than pre's output. Backward forms dC = x_i.T @ g and
+      hands it to both factors: W_pre's gradient is dC @ W[cols_i].T and
+      W[cols_i]'s is W_pre.T @ dC (plus b_pre ⊗ Σ g). Both stay parameters
+      of their own, so outputs move from the uncomposed maps' by rounding
+      only, and checkpoints do not change.
 
     `forward` and `vjp` are the node's array-level bodies; fused nodes such
     as `MLP2` call them, or `row_kernel` for a row-range body of the map.
@@ -117,21 +164,24 @@ class Linear:
                                                                  self.bias)
         self._col_cache: dict[tuple[int, ...], list[slice]] = {}
 
-    def __call__(self, x: Tensor | list[Tensor | tuple[Tensor, np.ndarray]]
-                 ) -> Tensor:
+    def __call__(self, x: Tensor | list[Tensor | tuple]) -> Tensor:
         blocks = _blocks(x)
-        arrays = [(t.data, rows) for t, rows in blocks]
+        arrays = [(t.data, rows, pre) for t, rows, pre in blocks]
 
         def back(g):
             _accumulate(blocks, self.vjp(g, arrays,
-                                         [t.needs_grad() for t, _ in blocks]))
+                                         [t.needs_grad() for t, _, _ in blocks]))
 
         return Tensor._result(self.forward(arrays),
-                              tuple(t for t, _ in blocks) + self.params, back)
+                              _parents(blocks) + self.params, back)
 
-    def _cols(self, blocks) -> list[slice]:
-        """Each block's rows of the weight, cached per tuple of widths."""
-        widths = tuple(x.shape[1] for x, _ in blocks)
+    def _weights(self, blocks) -> tuple[list[slice], list[np.ndarray],
+                                        np.ndarray | None]:
+        """Each block's rows of the weight (cached per tuple of widths), the
+        weight its rows are multiplied by, and the bias of the whole map,
+        mapped blocks' terms included."""
+        widths = tuple((x if pre is None else pre.weight.data).shape[1]
+                       for x, _, pre in blocks)
         cols = self._col_cache.get(widths)
         if cols is None:
             bounds = np.cumsum((0,) + widths)
@@ -140,27 +190,38 @@ class Linear:
                                  f"{self.weight.data.shape[0]}")
             cols = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
             self._col_cache[widths] = cols
-        return cols
+        w = self.weight.data
+        b = None if self.bias is None else self.bias.data
+        weights = []
+        for (_, _, pre), c in zip(blocks, cols):
+            if pre is None:
+                weights.append(w[c])
+                continue
+            weights.append(pre.weight.data @ w[c])
+            if pre.bias is not None:
+                term = pre.bias.data @ w[c]
+                b = term if b is None else b + term
+        return cols, weights, b
 
-    def forward(self, blocks: list[tuple[np.ndarray, np.ndarray | None]]
-                ) -> np.ndarray:
-        """The map of array blocks `(x_i, rows)`."""
+    def forward(self, blocks: list[tuple]) -> np.ndarray:
+        """The map of array blocks `(x_i, rows[, pre])`."""
         out, body = self.row_kernel(blocks)
         _run_rows(body, len(out), out.shape[1])
         return out
 
-    def row_kernel(self, blocks: list[tuple[np.ndarray, np.ndarray | None]]):
+    def row_kernel(self, blocks: list[tuple]):
         """(out, body): the map's empty output, and the body that writes its
         rows [lo, hi) (`parallel.run`). A gathered block's product is taken
         here, on the block's own rows; the body gathers it."""
-        w = self.weight.data
-        cols = self._cols(blocks)
-        own = [None if rows is None else _product(x, w[c])
-               for (x, rows), c in zip(blocks, cols)]
-        x0, rows0 = blocks[0]
-        out = np.empty((len(x0 if rows0 is None else rows0), w.shape[1]),
-                       dtype=np.result_type(w, *(x for x, _ in blocks)))
-        b = None if self.bias is None else self.bias.data
+        blocks = [_block(b) for b in blocks]
+        _, weights, b = self._weights(blocks)
+        x0, rows0, _ = blocks[0]
+        n = len(x0 if rows0 is None else rows0)
+        own = [None if rows is None else (_product(x, wb), _gather_index(rows, n))
+               for (x, rows, _), wb in zip(blocks, weights)]
+        out = np.empty((n, self.weight.data.shape[1]),
+                       dtype=np.result_type(self.weight.data,
+                                            *(x for x, _, _ in blocks)))
 
         def body(lo, hi):
             # the first product is written into the output and the others
@@ -168,12 +229,12 @@ class Linear:
             # given buffer copies through a temporary when it checks bounds)
             o = out[lo:hi]
             acc = None
-            for (x, rows), c, p in zip(blocks, cols, own):
+            for (x, rows, _), wb, p in zip(blocks, weights, own):
                 if rows is None:
-                    prod = np.matmul(x[lo:hi], w[c],
+                    prod = np.matmul(x[lo:hi], wb,
                                      out=o if acc is None else None)
                 else:
-                    prod = p.take(rows[lo:hi], axis=0)
+                    prod = p[0].take(p[1][lo:hi], axis=0)
                 acc = prod if acc is None else np.add(acc, prod, out=o)
             if b is not None:
                 np.add(acc, b, out=o)
@@ -182,27 +243,42 @@ class Linear:
 
         return out, body
 
-    def vjp(self, g: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray | None]],
-            need: list[bool]) -> list[np.ndarray | None]:
-        """Add the weight's and bias's gradients for the output gradient `g`
-        and return each block's gradient, None where `need` is False. The
-        weight's gradient is summed over fixed row blocks (`_weight_grad`)."""
+    def vjp(self, g: np.ndarray, blocks: list[tuple], need: list[bool]
+            ) -> list[np.ndarray | None]:
+        """Add the weight's and bias's gradients, and those of mapped
+        blocks' maps, for the output gradient `g`, and return each block's
+        gradient, None where `need` is False. Weight gradients are summed
+        over fixed row blocks (`_weight_grad`)."""
+        blocks = [_block(b) for b in blocks]
+        cols, weights, _ = self._weights(blocks)
         w = self.weight.data
         gw = np.empty_like(w)
+        gb = g.sum(axis=0)
         grads = []
-        for (x, rows), c, wanted in zip(blocks, self._cols(blocks), need):
-            gx = g if rows is None else _segment_rows(g, rows, len(x))
-            _weight_grad(x, gx, out=gw[c])
-            grads.append(_product(gx, w[c].T) if wanted else None)
+        for (x, rows, pre), c, wb, wanted in zip(blocks, cols, weights, need):
+            gx = g if rows is None else _gather_grad(g, rows, len(x))
+            if pre is None:
+                _weight_grad(x, gx, out=gw[c])
+            else:
+                gc = _weight_grad(x, gx)  # the composed weight's gradient
+                pre.weight._add_grad(gc @ w[c].T)
+                np.matmul(pre.weight.data.T, gc, out=gw[c])
+                if pre.bias is not None:
+                    pre.bias._add_grad(gb @ w[c].T)
+                    gw[c] += np.outer(pre.bias.data, gb)
+            grads.append(_product(gx, wb.T) if wanted else None)
         self.weight._add_grad(gw)
         if self.bias is not None:
-            self.bias._add_grad(g.sum(axis=0))
+            self.bias._add_grad(gb)
         return grads
 
 
 class MLP2:
     """lin2(softplus(lin1(x))) as one tape node; `x` may be a list of
-    blocks, gathered ones included, as for `Linear`.
+    blocks, gathered and mapped ones included, as for `Linear`. A block
+    mapped by `pre` runs one product with the composed weight, so the
+    node computes lin2(softplus(lin1([..., pre(x_i), ...]))) and keeps x_i,
+    not pre's output.
 
     The node keeps only the hidden activation y = softplus(lin1(x)): lin2's
     weight gradient reads y, and softplus's derivative is taken from y
@@ -219,7 +295,7 @@ class MLP2:
 
     def __call__(self, x: Tensor | list) -> Tensor:
         blocks = _blocks(x)
-        arrays = [(t.data, rows) for t, rows in blocks]
+        arrays = [(t.data, rows, pre) for t, rows, pre in blocks]
         y, first = self.lin1.row_kernel(arrays)
         out, second = self.lin2.row_kernel([(y, None)])
 
@@ -235,10 +311,10 @@ class MLP2:
             parallel.run(lambda lo, hi: _softplus_vjp(y[lo:hi], gy[lo:hi],
                                                       out=y[lo:hi]), len(y))
             _accumulate(blocks, self.lin1.vjp(
-                y, arrays, [t.needs_grad() for t, _ in blocks]))
+                y, arrays, [t.needs_grad() for t, _, _ in blocks]))
 
-        return Tensor._result(out, tuple(t for t, _ in blocks)
-                              + self.lin1.params + self.lin2.params, back)
+        return Tensor._result(out, _parents(blocks) + self.lin1.params
+                              + self.lin2.params, back)
 
 
 class BatchNorm:

@@ -23,7 +23,7 @@ import numpy as np
 from . import parallel
 from .nn import (MLP2, BatchNorm, Linear, ParamStore, ProjectionHead,
                  Standardized, mean_pool)
-from .tensor import Tensor, _segment_rows, _stable_sigmoid
+from .tensor import Tensor, _segment_rows, _stable_sigmoid, concat
 
 if TYPE_CHECKING:
     from .model import Pack
@@ -62,12 +62,22 @@ def _gate_param_grads(bn: BatchNorm, s: Standardized, ga: np.ndarray):
 class SE3EdgeLayer:
     """Update edge features from angle and lattice channels.
 
-    For each channel k of the three reference directions, key and value are
-    built from (edge ∥ lattice-k ∥ angle-k) through shared nonlinear blocks;
+    For each channel m of the three reference directions, key and value are
+    built from (edge ∥ lattice-m ∥ angle-m) through shared nonlinear blocks;
     the sigmoid-gated values of the channels are summed, batch-normalized,
     and added back residually. The angle map is shared between key and value
-    paths; the lattice maps are per-channel and separate for key/value. The
-    gating and the sum over channels are one tape node (`attend`).
+    paths; the lattice maps are per-channel and separate for key/value.
+
+    The channels run as one bond-major (3R, d) stack: row 3i + m is bond
+    i's channel m, so each φ MLP is one call over all channels. Its edge
+    block is the bond's row of `e`, gathered three times after φ's first
+    product, and its lattice block the structure's row of channel m,
+    gathered likewise. The edge, key-value and angle maps `f_k`, `f_v` and
+    `f_angle` meet no nonlinearity before φ's first layer, so each runs
+    composed with that layer's block (`nn.Linear`'s mapped blocks): the
+    stack takes one product per block, and the edge blocks' products run
+    on the R bond rows once, not once per channel. The gating and the sum
+    over channels are one tape node (`attend`).
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int, lattice_dim: int,
@@ -90,40 +100,42 @@ class SE3EdgeLayer:
         """`e` has one row per edge-scalar row of the pack `p`; training
         batch norms count row r `p.bond_weight[r]` times."""
         weight = p.bond_weight if training else None
+        rows = len(e.data)
         q = self.f_q(e)
-        ke = self.f_k(e)
-        ve = self.f_v(e)
-        keys = []
-        values = []
-        for m in range(3):
-            ang = self.f_angle(Tensor(p.se3_angle_rbf[:, m, :]))
-            # lattice key and value: one row per structure, gathered per edge
-            # after phi's first matmul
-            lat = Tensor(p.lattice_feats[:, m, :])
-            k_lat = (self.f_k_lat[m](lat), p.bond_graph)
-            v_lat = (self.f_v_lat[m](lat), p.bond_graph)
-            keys.append(self.phi_k([ke, k_lat, ang]))
-            values.append(self.phi_v([ve, v_lat, ang]))
-        msg = self.attend(q, keys, values, p, training, weight)
+        # row 3i + m of the stack reads bond i's row of e, and row 3b + m of
+        # the lattice maps' outputs, structure b's channel m
+        bond = np.repeat(np.arange(rows), 3)
+        lat = [Tensor(p.lattice_feats[:, m, :]) for m in range(3)]
+        ang = (Tensor(p.se3_angle_rbf.reshape(3 * rows, -1)), None,
+               self.f_angle)
+
+        def lattice(maps):
+            stack = concat([f(x) for f, x in zip(maps, lat)], axis=1)
+            return stack.reshape(-1, self.dim), p.bond_graph
+
+        k = self.phi_k([(e, bond, self.f_k), lattice(self.f_k_lat), ang])
+        v = self.phi_v([(e, bond, self.f_v), lattice(self.f_v_lat), ang])
+        msg = self.attend(q, k, v, p, training, weight)
         return (e + self.bn_msg(msg, p.bond_graph, training, weight)).softplus()
 
-    def attend(self, q: Tensor, keys: list[Tensor], values: list[Tensor],
-               p: Pack, training: bool, weight: np.ndarray | None) -> Tensor:
+    def attend(self, q: Tensor, k: Tensor, v: Tensor, p: Pack, training: bool,
+               weight: np.ndarray | None) -> Tensor:
         """Σ_m sigmoid(bn_attn(q * k_m * scale)) * v_m over the channels m,
-        as one tape node.
+        as one tape node, `q` with one row per bond and the keys `k` and
+        values `v` one per row of the bond-major (3R, d) stack.
 
-        The three channels' logits go into one bond-major (R, 3, d) buffer:
-        row 3i + m holds bond i's channel m, so each structure's rows stay
-        one contiguous group, and one batch norm covers all three channels,
-        counting row 3i + m `weight[i]` times. The node keeps the
-        standardized logits, the gate and bn_attn's statistics. Outputs and
-        gradients are bitwise those of the same expression composed from
-        tape operations (concatenating the channels).
+        The logits of row 3i + m, bond i's channel m, go into one (R, 3, d)
+        buffer, so each structure's rows stay one contiguous group, and one
+        batch norm covers all three channels, counting row 3i + m
+        `weight[i]` times. The node keeps the standardized logits, the gate
+        and bn_attn's statistics. Outputs and gradients are bitwise those of
+        the same expression composed from tape operations.
         """
         rows, d = q.data.shape
         scale = 1.0 / math.sqrt(self.dim)
-        logits = np.empty((rows, 3, d), dtype=q.data.dtype)
-        alpha = np.empty_like(logits)
+        keys, values = k.data.reshape(rows, 3, d), v.data.reshape(rows, 3, d)
+        logits = np.empty_like(keys)
+        alpha = np.empty_like(keys)
         msg = np.empty((rows, d), dtype=q.data.dtype)
         bn = self.bn_attn
         flat_logits, flat_alpha = logits.reshape(-1, d), alpha.reshape(-1, d)
@@ -137,61 +149,51 @@ class SE3EdgeLayer:
                             out=flat_logits)
 
         def body(lo, hi):
-            lg, a = logits[lo:hi], alpha[lo:hi]
-            for m, k in enumerate(keys):
-                np.multiply(q.data[lo:hi], k.data[lo:hi], out=lg[:, m])
-                lg[:, m] *= scale
+            lg, a, vr = logits[lo:hi], alpha[lo:hi], values[lo:hi]
+            np.multiply(q.data[lo:hi, None], keys[lo:hi], out=lg)
+            lg *= scale
             _gate_rows(bn, gate, flat_alpha, 3 * lo, 3 * hi)
             # Σ_m a_m * v_m, adding the channels in order as a sum over
             # the channel axis does
-            o = np.multiply(a[:, 0], values[0].data[lo:hi], out=msg[lo:hi])
+            o = np.multiply(a[:, 0], vr[:, 0], out=msg[lo:hi])
             for m in (1, 2):
-                o += a[:, m] * values[m].data[lo:hi]
+                o += a[:, m] * vr[:, m]
 
         parallel.run(body, rows, cuts)
         gate.fold()
 
         def back(g):
-            gv = (np.empty_like(alpha) if any(v.needs_grad() for v in values)
-                  else None)
-            ga = np.empty_like(alpha)
-            flat_ga = ga.reshape(-1, d)
-            gk = [np.empty_like(q.data) if k.needs_grad() else None
-                  for k in keys]
+            gv = np.empty_like(alpha) if v.needs_grad() else None
+            gk = np.empty_like(alpha) if k.needs_grad() else None
             gq = np.empty_like(q.data) if q.needs_grad() else None
+            ga = np.empty_like(alpha)
 
             def body(lo, hi):
-                gr = g[lo:hi]
+                gr = g[lo:hi, None]
                 if gv is not None:
-                    np.multiply(alpha[lo:hi], gr[:, None, :], out=gv[lo:hi])
-                for m, v in enumerate(values):
-                    np.multiply(gr, v.data[lo:hi], out=ga[lo:hi, m])
-                # the logits' gradient, over alpha
-                _gate_vjp_rows(bn, gate, flat_alpha, flat_ga, 3 * lo, 3 * hi)
-                for m, k in enumerate(keys):
-                    gm = alpha[lo:hi, m] * scale
-                    if gk[m] is not None:
-                        np.multiply(gm, q.data[lo:hi], out=gk[m][lo:hi])
-                    if gq is not None:
-                        gm *= k.data[lo:hi]
-                        if m == 0:
-                            gq[lo:hi] = gm
-                        else:
-                            gq[lo:hi] += gm
+                    np.multiply(alpha[lo:hi], gr, out=gv[lo:hi])
+                np.multiply(gr, values[lo:hi], out=ga[lo:hi])
+                _gate_vjp_rows(bn, gate, flat_alpha, ga.reshape(-1, d),
+                               3 * lo, 3 * hi)
+                gl = alpha[lo:hi]  # the logits' gradient
+                gl *= scale
+                if gk is not None:
+                    np.multiply(gl, q.data[lo:hi, None], out=gk[lo:hi])
+                if gq is not None:
+                    gl *= keys[lo:hi]
+                    np.add(gl[:, 0], gl[:, 1], out=gq[lo:hi])
+                    gq[lo:hi] += gl[:, 2]
 
             parallel.run(body, rows, cuts)
-            _gate_param_grads(bn, gate, flat_ga)
+            _gate_param_grads(bn, gate, ga.reshape(-1, d))
             if gv is not None:
-                for m, v in enumerate(values):
-                    v._add_grad(gv[:, m])
-            for k, gkm in zip(keys, gk):
-                if gkm is not None:
-                    k.accumulate_grad(gkm)
+                v.accumulate_grad(gv.reshape(-1, d))
+            if gk is not None:
+                k.accumulate_grad(gk.reshape(-1, d))
             if gq is not None:
                 q.accumulate_grad(gq)
 
-        return Tensor._result(msg, (q, *keys, *values, bn.gamma, bn.beta),
-                              back)
+        return Tensor._result(msg, (q, k, v, bn.gamma, bn.beta), back)
 
 
 class SE3NodeLayer:
@@ -201,9 +203,13 @@ class SE3NodeLayer:
     feature (center and neighbor have separate maps; the edge map is shared
     between key and value paths). Messages are summed per node, normalized,
     and added residually. The edge feature `e` may have one row per bond:
-    `edge_bond` then gives each directed edge's row, and the edge map runs
-    on the bond rows before the gather. The gating and the sum over each
-    node's edges are one tape node (`attend`).
+    `edge_bond` then gives each directed edge's row, and φ's first product
+    runs on the bond rows before the gather. The edge map `f_e` meets no
+    nonlinearity before φ's first layer, so it runs composed with that
+    layer's block (`nn.Linear`'s mapped blocks): one bond-row product per
+    φ, not three in all. The centre and neighbour maps run on node rows,
+    where composing saves little. The gating and the sum over each node's
+    edges are one tape node (`attend`).
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -221,9 +227,10 @@ class SE3NodeLayer:
 
     def __call__(self, h: Tensor, e: Tensor, p: Pack, training: bool) -> Tensor:
         q = self.f_q(h)
-        fe = (self.f_e(e), p.edge_bond)
+        fe = (e, p.edge_bond, self.f_e)
         # centre, neighbour and bond terms go through phi's first matmul per
-        # node or bond, then are gathered onto the edges
+        # node or bond, then are gathered onto the edges; the edge map runs
+        # composed with that matmul
         k = self.phi_k([(self.f_k_ctr(h), p.src), (self.f_k_nbr(h), p.dst), fe])
         v = self.phi_v([(self.f_v_ctr(h), p.src), (self.f_v_nbr(h), p.dst), fe])
         msg = self.attend(q, k, v, p, training)

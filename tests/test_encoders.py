@@ -437,17 +437,16 @@ def composed_node_attention(layer, q, k, v, p, training):
     return segment_sum(alpha * v, p.src, len(q.data))
 
 
-def composed_edge_attention(layer, q, keys, values, p, training, weight):
-    """SE3EdgeLayer.attend from tape primitives: bond-major rows through
-    concatenation, one batch norm over the three channels, summed."""
+def composed_edge_attention(layer, q, k, v, p, training, weight):
+    """SE3EdgeLayer.attend from tape primitives: q repeated onto the
+    bond-major (3R, d) stack of keys and values, one batch norm over the
+    three channels, summed."""
     d = layer.dim
-    logits = concat([q * k * (1.0 / math.sqrt(d)) for k in keys], axis=1)
-    alpha = layer.bn_attn(logits.reshape(-1, d), np.repeat(p.bond_graph, 3),
-                          training,
+    logits = concat([q] * 3, axis=1).reshape(-1, d) * k * (1.0 / math.sqrt(d))
+    alpha = layer.bn_attn(logits, np.repeat(p.bond_graph, 3), training,
                           None if weight is None else np.repeat(weight, 3)
                           ).sigmoid()
-    gated = alpha * concat(values, axis=1).reshape(-1, d)
-    return gated.reshape(-1, 3, d).sum(axis=1)
+    return (alpha * v).reshape(-1, 3, d).sum(axis=1)
 
 
 class TestFusedAttention:
@@ -538,17 +537,14 @@ class TestFusedAttention:
         leaves = []
         for _ in range(2):
             gen = stream(3, "edge-attention")
-            # the constant key or value is channel 1's
-            flags = [constant == "q"] + [constant == c and m == 1
-                                          for c in "kv" for m in range(3)]
-            t = self.tensors(gen, [(rows, d)] * 7, flags)
-            leaves.append(([t[0], t[1:4], t[4:7], p],
-                           gen.normal(size=(rows, d))))
+            args = self.tensors(gen, [(rows, d), (3 * rows, d), (3 * rows, d)],
+                                [constant == c for c in "qkv"])
+            leaves.append((args + [p], gen.normal(size=(rows, d))))
         self.compare(
             mode,
-            lambda l, q, ks, vs, p, t: l.attend(q, ks, vs, p, t, weight),
-            lambda l, q, ks, vs, p, t: composed_edge_attention(
-                l, q, ks, vs, p, t, weight),
+            lambda l, q, k, v, p, t: l.attend(q, k, v, p, t, weight),
+            lambda l, q, k, v, p, t: composed_edge_attention(
+                l, q, k, v, p, t, weight),
             leaves, layers)
 
 
@@ -690,6 +686,109 @@ class TestFusedTensorProduct:
                 assert grads[1][name] is None, name
             else:
                 assert_same_bits(got, grads[1][name])
+
+
+def uncomposed_edge_layer(layer, e, p, training):
+    """SE3EdgeLayer.__call__ with f_k, f_v and f_angle run as maps of their
+    own, and each φ run once per channel on (edge ∥ lattice-m ∥ angle-m),
+    as the layer ran before composing them; the channels' keys and values
+    are then stacked bond-major for `attend`."""
+    weight = p.bond_weight if training else None
+    q, ke, ve = layer.f_q(e), layer.f_k(e), layer.f_v(e)
+    keys, values = [], []
+    for m in range(3):
+        ang = layer.f_angle(Tensor(p.se3_angle_rbf[:, m, :]))
+        lat = Tensor(p.lattice_feats[:, m, :])
+        keys.append(layer.phi_k(
+            [ke, (layer.f_k_lat[m](lat), p.bond_graph), ang]))
+        values.append(layer.phi_v(
+            [ve, (layer.f_v_lat[m](lat), p.bond_graph), ang]))
+
+    def stack(channels):
+        return concat(channels, axis=1).reshape(-1, layer.dim)
+
+    msg = layer.attend(q, stack(keys), stack(values), p, training, weight)
+    return (e + layer.bn_msg(msg, p.bond_graph, training, weight)).softplus()
+
+
+def uncomposed_node_layer(layer, h, e, p, training):
+    """SE3NodeLayer.__call__ with f_e run as a map of its own."""
+    q = layer.f_q(h)
+    fe = (layer.f_e(e), p.edge_bond)
+    k = layer.phi_k([(layer.f_k_ctr(h), p.src), (layer.f_k_nbr(h), p.dst), fe])
+    v = layer.phi_v([(layer.f_v_ctr(h), p.src), (layer.f_v_nbr(h), p.dst), fe])
+    msg = layer.attend(q, k, v, p, training)
+    return (h + layer.bn_msg(msg, p.node_graph, training)).softplus()
+
+
+class TestComposedMaps:
+    """An edge layer and a node layer, whose edge-side maps run composed
+    with φ's first layer, against the same layers with those maps run on
+    their own: outputs within 1e-13, every parameter and input gradient
+    within 1e-12, each relative to its largest entry, and the batch-norm
+    running estimates within 1e-13, on clean and noisy-layout packs, in
+    training and in eval (frozen statistics, with gradients)."""
+
+    DIM = 16
+
+    @pytest.fixture(scope="class", params=["bonds", "edges"])
+    def pack(self, request):
+        model = MGTModel(TINY)
+        gen = stream(13, "composed-maps")
+        graphs = [model.build_graph(random_structure(gen, 2, 8))
+                  for _ in range(5)]
+        return (per_edge_pack(model, graphs) if request.param == "edges"
+                else model.make_inputs(graphs))
+
+    def run(self, p, training, composed):
+        """(outputs, parameter gradients, input gradients, buffers) of one
+        edge layer feeding one node layer."""
+        store = ParamStore(13)
+        d = self.DIM
+        edge = SE3EdgeLayer(store, "edge", d, p.lattice_feats.shape[2],
+                            p.se3_angle_rbf.shape[2])
+        node = SE3NodeLayer(store, "node", d)
+        gen = stream(13, "composed-maps-leaves")
+        for bn in (edge.bn_attn, edge.bn_msg, node.bn_attn, node.bn_msg):
+            bn.running_mean[:] = gen.normal(size=d)
+            bn.running_var[:] = gen.uniform(0.5, 2.0, d)
+        e = Tensor(gen.normal(size=(len(p.se3_edge_rbf), d)),
+                   requires_grad=True)
+        h = Tensor(gen.normal(size=(len(p.atom_feats), d)), requires_grad=True)
+        if composed:
+            e_out = edge(e, p, training)
+            h_out = node(h, e_out, p, training)
+        else:
+            e_out = uncomposed_edge_layer(edge, e, p, training)
+            h_out = uncomposed_node_layer(node, h, e_out, p, training)
+        ((e_out * Tensor(gen.normal(size=e_out.shape))).sum()
+         + (h_out * Tensor(gen.normal(size=h_out.shape))).sum()).backward()
+        return ([e_out.data, h_out.data],
+                {name: t.grad for name, t in store.params.items()},
+                [e.grad, h.grad], store.buffers)
+
+    @staticmethod
+    def assert_close(got, want, rtol):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_the_uncomposed_maps(self, pack, training):
+        (out, grads, inputs, bufs), (want_out, want_grads, want_inputs,
+                                     want_bufs) = (
+            self.run(pack, training, composed) for composed in (True, False))
+        for got, want in zip(out, want_out):
+            self.assert_close(got, want, 1e-13)
+        assert grads.keys() == want_grads.keys()
+        for name in ("edge.f_k", "edge.f_v", "edge.f_angle", "node.f_e"):
+            assert grads[name + ".weight"] is not None
+            assert grads[name + ".bias"] is not None
+        for name, want in want_grads.items():
+            self.assert_close(grads[name], want, 1e-12)
+        for got, want in zip(inputs, want_inputs):
+            self.assert_close(got, want, 1e-12)
+        for name, want in want_bufs.items():
+            self.assert_close(bufs[name], want, 1e-13)
 
 
 class TestSymmetrySpotChecks:

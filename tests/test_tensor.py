@@ -206,13 +206,14 @@ class TestKernelsAtExtremes:
         self.assert_grad(q.grad, self.reference_grad(q.data, "sigmoid"), q.data)
 
     def test_fused_edge_gate_keeps_the_sigmoid_bits(self, precision):
-        # channel 0's value is 1 and the others' 0: the sum is channel 0's gate
+        # channel 0's value is 1 and the others' 0 (rows 3i + m of the
+        # stack): the sum is channel 0's gate
         layer = SE3EdgeLayer(ParamStore(0), "e", 1, 1, 1)
         p = self.unit_gate(layer)
         q = Tensor(self.EXTREMES[:, None], requires_grad=True)
-        ones, zeros = Tensor(np.ones_like(q.data)), Tensor(np.zeros_like(q.data))
-        msg = layer.attend(q, [ones] * 3, [ones, zeros, zeros], p,
-                           training=False, weight=None)
+        keys = Tensor(np.ones((3 * len(q.data), 1)))
+        values = Tensor(np.tile([1.0, 0.0, 0.0], len(q.data))[:, None])
+        msg = layer.attend(q, keys, values, p, training=False, weight=None)
         assert np.array_equal(msg.data.view(np.uint8),
                               _stable_sigmoid(q.data).view(np.uint8))
         with np.errstate(invalid="ignore"):  # gamma's gradient at inf
