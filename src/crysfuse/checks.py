@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
+from .harmonics import spherical_harmonics
 from .model import MGTModel
 from .pretrain import NoisySample, inject_noise, noisy_pack, ssl_losses
 from .rng import stream
@@ -118,18 +119,32 @@ def degree1_rotation(rotation: np.ndarray) -> np.ndarray:
     return rotation[np.ix_(perm, perm)]
 
 
+def fitted_rotations(rotation: np.ndarray, l_max: int) -> list[np.ndarray]:
+    """Each degree's rotation D_l, Y_l(R u) = Y_l(u) @ D_l.T in the row
+    convention of `spherical_harmonics`, fitted by least squares on 64
+    fixed directions."""
+    u = stream(0, "check/so3/directions").normal(size=(64, 3))
+    return [np.linalg.lstsq(y, y_rot, rcond=None)[0].T
+            for y, y_rot in zip(spherical_harmonics(u, l_max),
+                                spherical_harmonics(u @ rotation.T, l_max))]
+
+
 def check_so3_equivariance(model: MGTModel, num_rotations: int, seed: int,
                            tol: float = 1e-8, vec_tol: float = 1e-10,
                            num_structures: int = 3) -> CheckResult:
-    """Degree-1 feature blocks must co-rotate with the crystal.
+    """Feature blocks of every degree must co-rotate with the crystal.
 
     A pure rotation leaves fractional coordinates untouched, so both graphs
     enumerate identical edges in identical order and blocks compare row by
-    row. Edge displacement vectors must follow the rotation exactly.
+    row. Edge displacement vectors must follow the rotation exactly. Degree
+    1 is checked against the rotation itself and every degree up to
+    `l_max` against its rotation fitted from the harmonics
+    (`fitted_rotations`), each relative to the block's largest entry.
     """
     gen = stream(seed, "check/so3")
     worst_rel = 0.0
     worst_vec = 0.0
+    worst_degree = [0.0] * (model.cfg.l_max + 1)
     for _ in range(num_structures):
         s = random_structure(gen, 2, 8)
         g = model.build_graph(s)
@@ -149,11 +164,18 @@ def check_so3_equivariance(model: MGTModel, num_rotations: int, seed: int,
             scale = max(np.max(np.abs(expected)), 1e-30)
             worst_rel = max(worst_rel,
                             np.max(np.abs(moved.so3.layer1[1].data - expected)) / scale)
+            for l, d in enumerate(fitted_rotations(rot, model.cfg.l_max)):
+                want = base.so3.layer1[l].data @ d.T
+                err = (np.max(np.abs(moved.so3.layer1[l].data - want))
+                       / max(np.max(np.abs(want)), 1e-30))
+                worst_degree[l] = max(worst_degree[l], err)
+    worst = max(worst_rel, *worst_degree)
     return CheckResult(
-        "so3_equivariance", max_err=float(worst_rel), tol=tol,
-        passed=bool(worst_rel < tol and worst_vec < vec_tol),
-        detail=f"block rel err {worst_rel:.3e}, "
-               f"vector err {worst_vec:.3e} (tol {vec_tol:g})")
+        "so3_equivariance", max_err=float(worst), tol=tol,
+        passed=bool(worst < tol and worst_vec < vec_tol),
+        detail=f"block rel err {worst_rel:.3e}, by degree "
+               + ", ".join(f"{e:.1e}" for e in worst_degree)
+               + f", vector err {worst_vec:.3e} (tol {vec_tol:g})")
 
 
 def check_permutation_invariance(model: MGTModel, num_structures: int,

@@ -65,8 +65,11 @@ class _Edges(NamedTuple):
         return cols if self.bond is None else cols[self.bond]
 
     def mean_in(self, msg: np.ndarray) -> np.ndarray:
-        """The mean of the edge rows `msg` over each node's incoming edges."""
-        out = _segment_rows(msg, self.src, len(self.inv_degree))
+        """The mean of the edge rows `msg` over each node's incoming edges,
+        summed in one call: the rounds' other per-degree work runs on the
+        calling thread, and splitting these sums alone across the pool
+        made a round slower."""
+        out = _segment_rows(msg, self.src, len(self.inv_degree), split=False)
         out *= self.inv_degree.reshape((-1,) + (1,) * (msg.ndim - 1))
         return out
 

@@ -115,16 +115,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _segment_rows(values: np.ndarray, ids: np.ndarray,
-                  num_segments: int) -> np.ndarray:
+def _segment_rows(values: np.ndarray, ids: np.ndarray, num_segments: int,
+                  split: bool = True) -> np.ndarray:
     """Sum the rows of `values` into `num_segments` buckets by `ids`.
 
     A stable argsort orders the rows by bucket, keeping their original
     order within one, and buckets no id names stay zero. Ids that are
     already non-decreasing, as a pack's `src` and node graph ids are, skip
-    the sort: its permutation would be the identity, and the rows are
-    split by `parallel.run` where the id changes, so each bucket is summed
-    within one part. When no bucket has more than two rows, as when a
+    the sort: its permutation would be the identity, and unless `split` is
+    False the rows are split by `parallel.run` where the id changes, so
+    each bucket is summed within one part. When no bucket has more than two rows, as when a
     bond's one or two directed edges sum onto it, a bucket's sum is its
     first row plus its second: two gathers through the sort order and one
     add, never a permuted copy of `values`. Longer runs go to
@@ -138,6 +138,8 @@ def _segment_rows(values: np.ndarray, ids: np.ndarray,
     if np.any(ids[1:] < ids[:-1]):
         order = np.argsort(ids, kind="stable")
         _sum_sorted(values, ids[order], out, order)
+    elif not split:
+        _sum_sorted(values, ids, out)
     else:
         parallel.run(lambda lo, hi: _sum_sorted(values[lo:hi], ids[lo:hi], out),
                      len(ids), ids, values.size)

@@ -10,11 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from crysfuse import parallel
 from crysfuse.checks import (
     check_permutation_invariance,
     check_periodicity,
     check_se3_invariance,
     check_so3_equivariance,
+    degree1_rotation,
+    fitted_rotations,
     random_rotation,
     random_structure,
 )
@@ -22,8 +25,9 @@ from crysfuse.config import RunConfig
 from crysfuse.featurize import rbf_expand, uniform_rbf
 from crysfuse.model import PREDICT_CHUNK, MGTModel
 from crysfuse.nn import ParamStore
+from crysfuse.optim import adamw_from_config
 from crysfuse.pipeline import transfer_encoder_params
-from crysfuse.pretrain import inject_noise, noisy_pack
+from crysfuse.pretrain import inject_noise, noisy_pack, pretrain_step
 from crysfuse.rng import stream
 from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer, lattice_scalars
 from crysfuse.so3 import TensorProductLayer
@@ -791,6 +795,49 @@ class TestComposedMaps:
             self.assert_close(bufs[name], want, 1e-13)
 
 
+class TestProductCount:
+    """Row products of a default-config model on a fixed 8-cell pack (1,158
+    bonds, 2,200 directed edges): the `np.matmul` calls whose first operand
+    has at least as many rows as the pack has bonds, with every kernel in
+    one part, so that the count does not depend on the CPU count. Weight
+    gradients' 256-row blocks fall below the bar. Composing the maps that
+    meet no nonlinearity and running the edge layer's channels as one stack
+    took an eval forward from 48 such products to 27, and a pretraining
+    step from 96 to 55; a change that adds one back fails here."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        model = MGTModel(RunConfig())
+        gen = stream(23, "product-count")
+        graphs = [model.build_graph(random_structure(gen, 4, 16))
+                  for _ in range(8)]
+        bonds = sum(g.num_bonds for g in graphs)
+        assert bonds == 1158
+        seen = []
+        matmul = np.matmul
+
+        def spy(a, *args, **kwargs):
+            if np.ndim(a) == 2 and len(a) >= bonds:
+                seen.append(len(a))
+            return matmul(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return model, graphs, seen
+
+    def test_eval_forward(self, counted):
+        model, graphs, seen = counted
+        model.predict_batch(graphs)
+        assert len(seen) == 27
+
+    def test_pretraining_step(self, counted):
+        model, graphs, seen = counted
+        opt = adamw_from_config(model.store.params, model.cfg, 1e-5)
+        pretrain_step(model, [(g, f"c{i}") for i, g in enumerate(graphs)],
+                      opt, stream(23, "product-count-noise"))
+        assert len(seen) == 55
+
+
 class TestSymmetrySpotChecks:
     """Tiny-size versions of the full audits (those run in acceptance)."""
 
@@ -803,6 +850,23 @@ class TestSymmetrySpotChecks:
         res = check_so3_equivariance(model, num_rotations=2, seed=1,
                                      num_structures=2)
         assert res.passed, res.detail
+
+    @pytest.mark.parametrize("l_max", [2, 3])
+    def test_so3_equivariance_at_every_degree(self, l_max):
+        model = MGTModel(dataclasses.replace(TINY, l_max=l_max))
+        res = check_so3_equivariance(model, num_rotations=2, seed=1,
+                                     num_structures=2)
+        assert res.passed, res.detail
+        by_degree = res.detail.split("by degree ")[1].split(", vector")[0]
+        assert len(by_degree.split(", ")) == l_max + 1
+
+    def test_fitted_rotations_are_the_degree_rotations(self):
+        rot = random_rotation(stream(1, "fitted-rotations"))
+        fitted = fitted_rotations(rot, 3)
+        assert fitted[0].shape == (1, 1) and abs(fitted[0][0, 0] - 1.0) < 1e-14
+        assert np.max(np.abs(fitted[1] - degree1_rotation(rot))) < 1e-14
+        for d in fitted:
+            assert np.max(np.abs(d @ d.T - np.eye(len(d)))) < 1e-13
 
     def test_permutation_invariance(self, model):
         res = check_permutation_invariance(model, num_structures=3, seed=1)
