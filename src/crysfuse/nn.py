@@ -73,7 +73,9 @@ def _gather_index(rows: np.ndarray, n: int) -> np.ndarray:
     row k·i + j."""
     if len(rows) == n:
         return rows
-    k = n // len(rows)
+    k, rest = divmod(n, len(rows))
+    if rest:
+        raise ValueError(f"{len(rows)} gathered rows do not divide {n} rows")
     return (k * rows[:, None] + np.arange(k)).ravel()
 
 

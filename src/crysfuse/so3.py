@@ -222,7 +222,9 @@ class SO3Result:
 
 class SO3Encoder:
     """Scalar projection, both tensor-product rounds, invariant readout,
-    node-wise transformer, mean pool, projection head."""
+    node-wise transformer, mean pool, projection head. The node-wise layers
+    are `se3.SE3NodeLayer`s on the radial bond rows, so their edge maps run
+    composed with φ's first layer there too."""
 
     def __init__(self, store: ParamStore, name: str, *, width: int,
                  atom_dim: int, num_rbf: int, l_max: int, node_layers: int):
