@@ -49,15 +49,11 @@ class ParamStore:
             p.grad = None
 
 
-def _block(b: tuple) -> tuple:
-    """A block as `(x, rows, pre)`, with None for what it leaves out."""
-    return b + (None,) * (3 - len(b))
-
-
-def _blocks(x) -> list[tuple[Tensor, np.ndarray | None, "Linear | None"]]:
-    """A layer input as `(tensor, rows, pre)` blocks (see `Linear`)."""
-    return [_block(b if isinstance(b, tuple) else (b,))
-            for b in (x if isinstance(x, list) else [x])]
+def _blocks(x) -> list[tuple]:
+    """A layer input, of tensors or of arrays, as `(x, rows, pre)` blocks,
+    with None for what a block leaves out (see `Linear`)."""
+    return [b + (None,) * (3 - len(b)) if isinstance(b, tuple)
+            else (b, None, None) for b in (x if isinstance(x, list) else [x])]
 
 
 def _parents(blocks) -> tuple[Tensor, ...]:
@@ -73,9 +69,7 @@ def _gather_index(rows: np.ndarray, n: int) -> np.ndarray:
     row k·i + j."""
     if len(rows) == n:
         return rows
-    k, rest = divmod(n, len(rows))
-    if rest:
-        raise ValueError(f"{len(rows)} gathered rows do not divide {n} rows")
+    k = n // len(rows)
     return (k * rows[:, None] + np.arange(k)).ravel()
 
 
@@ -215,7 +209,7 @@ class Linear:
         """(out, body): the map's empty output, and the body that writes its
         rows [lo, hi) (`parallel.run`). A gathered block's product is taken
         here, on the block's own rows; the body gathers it."""
-        blocks = [_block(b) for b in blocks]
+        blocks = _blocks(blocks)
         _, weights, b = self._weights(blocks)
         x0, rows0, _ = blocks[0]
         n = len(x0 if rows0 is None else rows0)
@@ -251,7 +245,7 @@ class Linear:
         blocks' maps, for the output gradient `g`, and return each block's
         gradient, None where `need` is False. Weight gradients are summed
         over fixed row blocks (`_weight_grad`)."""
-        blocks = [_block(b) for b in blocks]
+        blocks = _blocks(blocks)
         cols, weights, _ = self._weights(blocks)
         w = self.weight.data
         gw = np.empty_like(w)
