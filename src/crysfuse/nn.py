@@ -165,8 +165,8 @@ class Linear:
         arrays = [(t.data, rows, pre) for t, rows, pre in blocks]
 
         def back(g):
-            _accumulate(blocks, self.vjp(g, arrays,
-                                         [t.needs_grad() for t, _, _ in blocks]))
+            _accumulate(blocks, self.vjp(
+                g, arrays, [t.needs_grad() for t, _, _ in blocks]))
 
         return Tensor._result(self.forward(arrays),
                               _parents(blocks) + self.params, back)
@@ -213,7 +213,8 @@ class Linear:
         _, weights, b = self._weights(blocks)
         x0, rows0, _ = blocks[0]
         n = len(x0 if rows0 is None else rows0)
-        own = [None if rows is None else (_product(x, wb), _gather_index(rows, n))
+        own = [None if rows is None
+               else (_product(x, wb), _gather_index(rows, n))
                for (x, rows, _), wb in zip(blocks, weights)]
         out = np.empty((n, self.weight.data.shape[1]),
                        dtype=np.result_type(self.weight.data,

@@ -124,15 +124,15 @@ def _segment_rows(values: np.ndarray, ids: np.ndarray, num_segments: int,
     already non-decreasing, as a pack's `src` and node graph ids are, skip
     the sort: its permutation would be the identity, and unless `split` is
     False the rows are split by `parallel.run` where the id changes, so
-    each bucket is summed within one part. When no bucket has more than two rows, as when a
-    bond's one or two directed edges sum onto it, a bucket's sum is its
-    first row plus its second: two gathers through the sort order and one
-    add, never a permuted copy of `values`. Longer runs go to
-    `np.add.reduceat`, which adds a run's first row to the pairwise sum of
-    the others, so the last bits can differ from `np.add.at`'s running sum;
-    on runs of one or two rows both paths give the same bits. Sorted runs
-    all of the same 3 to 8 rows, as a bond's three channels, take
-    reduceat's bits by strided adds, without its per-run loop.
+    each bucket is summed within one part. When no bucket has more than
+    two rows, as when a bond's one or two directed edges sum onto it, a
+    bucket's sum is its first row plus its second: two gathers through the
+    sort order and one add, never a permuted copy of `values`. Longer runs
+    go to `np.add.reduceat`, which adds a run's first row to the pairwise
+    sum of the others, so the last bits can differ from `np.add.at`'s
+    running sum; on runs of one or two rows both paths give the same bits.
+    Sorted runs all of the same 3 to 8 rows, as a bond's three channels,
+    take reduceat's bits by strided adds, without its per-run loop.
     """
     out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
     if np.any(ids[1:] < ids[:-1]):

@@ -668,7 +668,8 @@ class TestSortedScatter:
 
 class TestBondPairSums:
     """`_segment_rows` on runs of one or two rows, a bond's directed edges,
-    sums them as pairs; the bits are `np.add.reduceat`'s."""
+    sums them as pairs, and on runs all of 3 to 8 rows, a bond's channels,
+    by strided adds; the bits are `np.add.reduceat`'s."""
 
     NUM = 42  # buckets 0 and 41 stay empty
 
@@ -710,6 +711,21 @@ class TestBondPairSums:
         assert got.tobytes() == self.reduceat_sums(values, ids, 10).tobytes()
         np.testing.assert_allclose(got[4], values[ids == 4].sum(axis=0),
                                    rtol=1e-15)
+
+
+    @pytest.mark.parametrize("k", [3, 5, 8, 9])
+    @pytest.mark.parametrize("tail", [(6,), (4, 5)])
+    def test_runs_all_of_k_rows_match_reduceat_bitwise(self, k, tail):
+        # a bond's k channels summed onto it; at 9 rows reduceat's pairwise
+        # sum takes over and the sums still match, by reduceat itself
+        gen = stream(11, f"bond-channels-{k}-{tail}")
+        ids = np.repeat(np.arange(1, self.NUM - 1), k)
+        values = gen.normal(size=(len(ids),) + tail) * 10.0 ** gen.uniform(
+            -8, 8, size=(len(ids),) + (1,) * len(tail))
+        got = _segment_rows(values, ids, self.NUM)
+        assert got.tobytes() == self.reduceat_sums(values, ids,
+                                                   self.NUM).tobytes()
+        assert not got[[0, self.NUM - 1]].any()
 
 
 class TestBlockedWeightGradient:
