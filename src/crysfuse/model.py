@@ -28,12 +28,15 @@ Pretraining's noisy views perturb each directed edge on its own, so their
 packs hold one row per edge and no bond map.
 
 In a training forward every `Linear`, batch norm and φ MLP (`nn.MLP2`) is
-one tape node, and so is each attention block (`SE3EdgeLayer.attend`,
-`SE3NodeLayer.attend`) and each round of the SO(3) tensor product
-(`so3.TensorProductLayer`). Each keeps only what its backward reads: a φ
-MLP its hidden activation, an attention block its standardized logits, its
-gate and its batch norm's per-structure statistics, a tensor-product round
-the bond rows of its weight map; no round keeps a per-edge array.
+one tape node, and so is each attention block and each round of the
+SO(3) tensor product (`so3.TensorProductLayer`). Each keeps only what its
+backward reads: a φ MLP its hidden activation, an attention block its
+standardized logits, its gate and its batch norm's per-structure
+statistics, a tensor-product round the bond rows of its weight map; no
+round keeps a per-edge array. Every attention block, in edge and node
+layers of both encoders, runs one kernel, `se3.gated_sum`: a
+sigmoid-gated sum of rows over their owner, a node owning its incoming
+edges and a bond its three edge-layer channels.
 
 Every forward runs both encoders once over a pack, and the encoders, their
 layers and the denoising heads read it. Pooling is a per-structure mean,
@@ -53,15 +56,16 @@ structures without recording a tape.
 
 Inside `predict_batch`, `pretrain.pretrain_step` and
 `pipeline.finetune_step` (`parallel.threads`) the φ MLPs, the `Linear`
-maps, softplus, batch norm and both attention blocks, and their backward,
+maps, softplus, batch norm and the attention kernel, and their backward,
 run as row-range bodies split across the usable CPUs: the calling thread
 computes one range and a pool thread each other range, with numpy's
-OpenBLAS pinned to one thread until the call returns. The node attention
-block's ranges hold whole nodes, since it sums each node's edges; in
-training every batch norm's ranges hold whole structures, since each is
-standardized by its own statistics. Every row is computed as in one call,
-and weight gradients are summed over fixed row blocks, so predictions and
-training are bitwise independent of the number of threads and of BLAS's.
+OpenBLAS pinned to one thread until the call returns. The attention
+kernel's ranges hold whole owners, nodes or bonds, since it sums each
+owner's rows; in training every batch norm's ranges hold whole
+structures, since each is standardized by its own statistics. Every row
+is computed as in one call, and weight gradients are summed over fixed
+row blocks, so predictions and training are bitwise independent of the
+number of threads and of BLAS's.
 """
 
 from __future__ import annotations
@@ -123,13 +127,6 @@ class EncodedPack:
     @property
     def e2(self) -> Tensor:
         return self.so3.pooled
-
-    @property
-    def se3_edges(self) -> Tensor:
-        """(E, d) final edge embeddings, one row per directed edge."""
-        if self.pack.edge_bond is None:
-            return self.se3_bonds
-        return self.se3_bonds.take(self.pack.edge_bond)
 
 
 @dataclass
@@ -281,10 +278,6 @@ class MGTModel:
         if not preds:
             return np.empty(0), np.empty((0, 2))
         return np.concatenate(preds), np.concatenate(scores)
-
-    def predict_raw(self, structures: list[CrystalStructure]) -> np.ndarray:
-        """Eval-mode normalized-space predictions, shape (B,)."""
-        return self.predict_batch(self.build_graph(s) for s in structures)[0]
 
     # -- denoising heads ----------------------------------------------------
 

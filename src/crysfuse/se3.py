@@ -11,6 +11,10 @@ neighbors.
 An edge and its reverse carry the same scalars, so the edge stack runs on
 one row per bond (`graph.PeriodicGraph`), and node layers gather its rows
 to the directed edges.
+
+Every attention block of both encoders is one kernel, `gated_sum`: a gated
+sum of rows over their owner, a node layer's edges over their `src` node,
+the edge layer's three channels per bond over the bond.
 """
 
 from __future__ import annotations
@@ -23,40 +27,79 @@ import numpy as np
 from . import parallel
 from .nn import (MLP2, BatchNorm, Linear, ParamStore, ProjectionHead,
                  Standardized, mean_pool)
-from .tensor import Tensor, _segment_rows, _stable_sigmoid, concat
+from .tensor import Tensor, _stable_sigmoid, _sum_sorted, concat
 
 if TYPE_CHECKING:
     from .model import Pack
 
 
-def _gate_rows(bn: BatchNorm, s: Standardized, alpha: np.ndarray,
-               lo: int, hi: int):
-    """Rows [lo, hi) of the gate sigmoid(bn(logits)), written into `alpha`;
-    `s` standardizes the logits."""
-    s.rows(lo, hi)
-    a = bn.affine(s.xhat[lo:hi], out=alpha[lo:hi])
-    _stable_sigmoid(a, out=a)
+def gated_sum(bn: BatchNorm, q: Tensor, k: Tensor, v: Tensor,
+              owner: np.ndarray, groups: np.ndarray, training: bool,
+              weight: np.ndarray | None = None) -> Tensor:
+    """segment_sum(sigmoid(bn(q[owner] * k * scale)) * v, owner), scale
+    1/sqrt(d), as one tape node: `q` has one row per owner, `k` and `v` one
+    per row, and `owner` is sorted. A training batch norm standardizes each
+    structure of `groups` apart, counting row r `weight[r]` times. The node
+    keeps the standardized logits, the gate and bn's statistics, and
+    gathers q again in backward. Parts hold whole owners, each summed into
+    its own rows of the output, and in training whole structures. Outputs and gradients are bitwise those of the same
+    expression composed from tape operations."""
+    scale = 1.0 / math.sqrt(q.data.shape[1])
+    logits, alpha = np.empty_like(k.data), np.empty_like(k.data)
+    msg = np.zeros_like(q.data)
+    gate = Standardized(bn, logits, groups, training, weight, out=logits)
+    cuts = groups if training else owner
 
+    def body(lo, hi):
+        o = owner[lo:hi]
+        lg = np.multiply(q.data[o], k.data[lo:hi], out=logits[lo:hi])
+        lg *= scale
+        gate.rows(lo, hi)
+        a = bn.affine(gate.xhat[lo:hi], out=alpha[lo:hi])
+        _stable_sigmoid(a, out=a)
+        _sum_sorted(a * v.data[lo:hi], o, msg)
 
-def _gate_vjp_rows(bn: BatchNorm, s: Standardized, alpha: np.ndarray,
-                   ga: np.ndarray, lo: int, hi: int):
-    """Rows [lo, hi) of the logits' gradient from the gate's gradient `ga`,
-    written over `alpha`. `ga` becomes bn's output gradient, and xhat that
-    times xhat: their sums over all rows (`_gate_param_grads`) are beta's
-    and gamma's gradients."""
-    gz, a = ga[lo:hi], alpha[lo:hi]
-    gz *= a
-    gz *= 1.0 - a
-    np.multiply(gz, bn.gamma.data, out=a)
-    s.to_x(alpha, lo, hi)
-    s.xhat[lo:hi] *= gz
+    parallel.run(body, len(owner), cuts)
+    gate.fold()
 
+    def back(g):
+        gv = np.empty_like(alpha) if v.needs_grad() else None
+        gk = np.empty_like(k.data) if k.needs_grad() else None
+        gq = np.zeros_like(q.data) if q.needs_grad() else None
+        ga = np.empty_like(alpha)
 
-def _gate_param_grads(bn: BatchNorm, s: Standardized, ga: np.ndarray):
-    """Add gamma's and beta's gradients once every range of
-    `_gate_vjp_rows` is done."""
-    bn.gamma._add_grad(s.xhat.sum(axis=0))
-    bn.beta._add_grad(ga.sum(axis=0))
+        def body(lo, hi):
+            o = owner[lo:hi]
+            gr = g[o]
+            if gv is not None:
+                np.multiply(gr, alpha[lo:hi], out=gv[lo:hi])
+            # ga, the gate's gradient, becomes bn's output gradient and xhat
+            # that times xhat: their sums are beta's and gamma's gradients
+            gz, gl = ga[lo:hi], alpha[lo:hi]
+            np.multiply(gr, v.data[lo:hi], out=gz)
+            gz *= gl
+            gz *= 1.0 - gl
+            np.multiply(gz, bn.gamma.data, out=gl)
+            gate.to_x(alpha, lo, hi)
+            gate.xhat[lo:hi] *= gz
+            gl *= scale  # the logits' gradient
+            if gk is not None:
+                np.multiply(gl, q.data[o], out=gk[lo:hi])
+            if gq is not None:
+                gl *= k.data[lo:hi]
+                _sum_sorted(gl, o, gq)
+
+        parallel.run(body, len(owner), cuts)
+        bn.gamma._add_grad(gate.xhat.sum(axis=0))
+        bn.beta._add_grad(ga.sum(axis=0))
+        if gv is not None:
+            v.accumulate_grad(gv)
+        if gk is not None:
+            k.accumulate_grad(gk)
+        if gq is not None:
+            q.accumulate_grad(gq)
+
+    return Tensor._result(msg, (q, k, v, bn.gamma, bn.beta), back)
 
 
 class SE3EdgeLayer:
@@ -77,7 +120,8 @@ class SE3EdgeLayer:
     composed with that layer's block (`nn.Linear`'s mapped blocks): the
     stack takes one product per block, and the edge blocks' products run
     on the R bond rows once, not once per channel. The gating and the sum
-    over channels are one tape node (`attend`).
+    over a bond's channels are one tape node, `gated_sum` over the stack
+    with the bond as each row's owner (`attend`).
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int, lattice_dim: int,
@@ -120,80 +164,13 @@ class SE3EdgeLayer:
 
     def attend(self, q: Tensor, k: Tensor, v: Tensor, p: Pack, training: bool,
                weight: np.ndarray | None) -> Tensor:
-        """Σ_m sigmoid(bn_attn(q * k_m * scale)) * v_m over the channels m,
-        as one tape node, `q` with one row per bond and the keys `k` and
-        values `v` one per row of the bond-major (3R, d) stack.
-
-        The logits of row 3i + m, bond i's channel m, go into one (R, 3, d)
-        buffer, so each structure's rows stay one contiguous group, and one
-        batch norm covers all three channels, counting row 3i + m
-        `weight[i]` times. The node keeps the standardized logits, the gate
-        and bn_attn's statistics. Outputs and gradients are bitwise those of
-        the same expression composed from tape operations.
-        """
-        rows, d = q.data.shape
-        scale = 1.0 / math.sqrt(self.dim)
-        keys, values = k.data.reshape(rows, 3, d), v.data.reshape(rows, 3, d)
-        logits = np.empty_like(keys)
-        alpha = np.empty_like(keys)
-        msg = np.empty((rows, d), dtype=q.data.dtype)
-        bn = self.bn_attn
-        flat_logits, flat_alpha = logits.reshape(-1, d), alpha.reshape(-1, d)
-        if training:
-            groups = np.repeat(p.bond_graph, 3)
-            weight = None if weight is None else np.repeat(weight, 3)
-            cuts = p.bond_graph
-        else:  # eval batch norm maps each row on its own
-            groups = weight = cuts = None
-        gate = Standardized(bn, flat_logits, groups, training, weight,
-                            out=flat_logits)
-
-        def body(lo, hi):
-            lg, a, vr = logits[lo:hi], alpha[lo:hi], values[lo:hi]
-            np.multiply(q.data[lo:hi, None], keys[lo:hi], out=lg)
-            lg *= scale
-            _gate_rows(bn, gate, flat_alpha, 3 * lo, 3 * hi)
-            # Σ_m a_m * v_m, adding the channels in order as a sum over
-            # the channel axis does
-            o = np.multiply(a[:, 0], vr[:, 0], out=msg[lo:hi])
-            for m in (1, 2):
-                o += a[:, m] * vr[:, m]
-
-        parallel.run(body, rows, cuts)
-        gate.fold()
-
-        def back(g):
-            gv = np.empty_like(alpha) if v.needs_grad() else None
-            gk = np.empty_like(alpha) if k.needs_grad() else None
-            gq = np.empty_like(q.data) if q.needs_grad() else None
-            ga = np.empty_like(alpha)
-
-            def body(lo, hi):
-                gr = g[lo:hi, None]
-                if gv is not None:
-                    np.multiply(alpha[lo:hi], gr, out=gv[lo:hi])
-                np.multiply(gr, values[lo:hi], out=ga[lo:hi])
-                _gate_vjp_rows(bn, gate, flat_alpha, ga.reshape(-1, d),
-                               3 * lo, 3 * hi)
-                gl = alpha[lo:hi]  # the logits' gradient
-                gl *= scale
-                if gk is not None:
-                    np.multiply(gl, q.data[lo:hi, None], out=gk[lo:hi])
-                if gq is not None:
-                    gl *= keys[lo:hi]
-                    np.add(gl[:, 0], gl[:, 1], out=gq[lo:hi])
-                    gq[lo:hi] += gl[:, 2]
-
-            parallel.run(body, rows, cuts)
-            _gate_param_grads(bn, gate, ga.reshape(-1, d))
-            if gv is not None:
-                v.accumulate_grad(gv.reshape(-1, d))
-            if gk is not None:
-                k.accumulate_grad(gk.reshape(-1, d))
-            if gq is not None:
-                q.accumulate_grad(gq)
-
-        return Tensor._result(msg, (q, k, v, bn.gamma, bn.beta), back)
+        """Σ_m sigmoid(bn_attn(q * k_m * scale)) * v_m over the channels m:
+        `gated_sum` over the bond-major (3R, d) stack of keys `k` and values
+        `v`, bond i owning rows 3i..3i+2 and weighting each `weight[i]`."""
+        return gated_sum(self.bn_attn, q, k, v,
+                         np.repeat(np.arange(len(q.data)), 3),
+                         np.repeat(p.bond_graph, 3), training,
+                         None if weight is None else np.repeat(weight, 3))
 
 
 class SE3NodeLayer:
@@ -209,7 +186,8 @@ class SE3NodeLayer:
     layer's block (`nn.Linear`'s mapped blocks): one bond-row product per
     φ, not three in all. The centre and neighbour maps run on node rows,
     where composing saves little. The gating and the sum over each node's
-    edges are one tape node (`attend`).
+    edges are one tape node, `gated_sum` with the edge's `src` as its
+    owner (`attend`).
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -238,72 +216,10 @@ class SE3NodeLayer:
 
     def attend(self, q: Tensor, k: Tensor, v: Tensor, p: Pack,
                training: bool) -> Tensor:
-        """segment_sum(sigmoid(bn_attn(q[src] * k * scale)) * v, src) as one
-        tape node, `q` with one row per node and `k`, `v` one per edge. The
-        node keeps the standardized logits, the gate and bn_attn's
-        statistics, and gathers q to the edges again in backward. Outputs
-        and gradients are bitwise those of the same expression composed
-        from tape operations."""
-        src, num_nodes = p.src, len(q.data)
-        scale = 1.0 / math.sqrt(self.dim)
-        logits = np.empty_like(k.data)
-        alpha = np.empty_like(k.data)
-        msg = np.zeros((num_nodes, k.data.shape[1]), dtype=k.data.dtype)
-        bn = self.bn_attn
-        gate = Standardized(bn, logits, p.edge_graph, training, out=logits)
-        # a part holds all edges of its nodes (src is sorted), and in
-        # training all edges of its structures
-        cuts = p.edge_graph if training else src
-
-        def nodes(lo, hi):
-            """The nodes of edges [lo, hi), widened to the pack's ends."""
-            return (src[lo] if lo > 0 else 0,
-                    src[hi - 1] + 1 if hi < len(src) else num_nodes)
-
-        def body(lo, hi):
-            s = src[lo:hi]
-            lg = np.multiply(q.data[s], k.data[lo:hi], out=logits[lo:hi])
-            lg *= scale
-            _gate_rows(bn, gate, alpha, lo, hi)
-            first, end = nodes(lo, hi)
-            msg[first:end] = _segment_rows(alpha[lo:hi] * v.data[lo:hi],
-                                           s - first, end - first)
-
-        parallel.run(body, len(src), cuts)
-        gate.fold()
-
-        def back(g):
-            gv = np.empty_like(alpha) if v.needs_grad() else None
-            gk = np.empty_like(k.data) if k.needs_grad() else None
-            gq = np.zeros_like(q.data) if q.needs_grad() else None
-            ga = np.empty_like(alpha)
-
-            def body(lo, hi):
-                s = src[lo:hi]
-                gr = g[s]
-                if gv is not None:
-                    np.multiply(gr, alpha[lo:hi], out=gv[lo:hi])
-                np.multiply(gr, v.data[lo:hi], out=ga[lo:hi])
-                _gate_vjp_rows(bn, gate, alpha, ga, lo, hi)
-                gl = alpha[lo:hi]  # the logits' gradient
-                gl *= scale
-                if gk is not None:
-                    np.multiply(gl, q.data[s], out=gk[lo:hi])
-                if gq is not None:
-                    gl *= k.data[lo:hi]
-                    first, end = nodes(lo, hi)
-                    gq[first:end] = _segment_rows(gl, s - first, end - first)
-
-            parallel.run(body, len(src), cuts)
-            _gate_param_grads(bn, gate, ga)
-            if gv is not None:
-                v.accumulate_grad(gv)
-            if gk is not None:
-                k.accumulate_grad(gk)
-            if gq is not None:
-                q.accumulate_grad(gq)
-
-        return Tensor._result(msg, (q, k, v, bn.gamma, bn.beta), back)
+        """segment_sum(sigmoid(bn_attn(q[src] * k * scale)) * v, src):
+        `gated_sum` over each node's incoming edges, `q` with one row per
+        node and `k`, `v` one per edge."""
+        return gated_sum(self.bn_attn, q, k, v, p.src, p.edge_graph, training)
 
 
 class SE3Encoder:

@@ -261,9 +261,6 @@ class Tensor:
         """
         self.grad = g if self.grad is None else self.grad + g
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ValueError(
@@ -365,17 +362,8 @@ class Tensor:
     def __sub__(self, other):
         return self + (-ensure(other))
 
-    def __radd__(self, other):
-        return self + other
-
     def __rmul__(self, other):
         return self * other
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __rtruediv__(self, other):
-        return ensure(other) / self
 
     def __matmul__(self, other):
         other = ensure(other)

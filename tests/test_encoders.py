@@ -96,7 +96,7 @@ class TestShapes:
         enc = model.encode(p, training=False)
         n, e = 2, len(p.src)
         assert enc.se3_nodes.shape == (n, 8)
-        assert enc.se3_edges.shape == (e, 8)
+        assert per_edge(p, enc.se3_bonds.data).shape == (e, 8)
         assert enc.e1.shape == (1, 8)
         assert enc.e2.shape == (1, 8)
         # l_max=1: degree blocks 0 and 1, channels = width // 4
@@ -113,9 +113,6 @@ class TestShapes:
         assert out.e2.shape == (3, 8)
         assert out.prediction.shape == (3, 1)
         assert out.scores.shape == (3, 2)
-
-    def test_predict_raw_is_flat(self, model):
-        assert model.predict_raw([NACL, NACL]).shape == (2,)
 
     def test_denoise_head_shapes(self, model):
         p = model.make_inputs([model.build_graph(NACL)])
@@ -270,10 +267,11 @@ class TestPerStructureNormalization:
                                      training=True)
         singles = [single_model.encode(single_model.make_inputs([g]),
                                        training=True) for g in mixed]
-        for get in (lambda enc: enc.e1, lambda enc: enc.e2,
-                    lambda enc: enc.se3_edges, lambda enc: enc.so3.nodes):
+        for get in (lambda enc: enc.e1.data, lambda enc: enc.e2.data,
+                    lambda enc: per_edge(enc.pack, enc.se3_bonds.data),
+                    lambda enc: enc.so3.nodes.data):
             np.testing.assert_allclose(
-                get(packed).data, np.concatenate([get(s).data for s in singles]),
+                get(packed), np.concatenate([get(s) for s in singles]),
                 rtol=1e-12, atol=0)
         # running statistics: one update per structure, in pack order
         for name, buf in packed_model.store.buffers.items():
@@ -382,7 +380,8 @@ class TestBondRows:
                 for edge_rows in (False, True))
             for a, b in ((pred, ref_pred), (enc.e1, ref.e1), (enc.e2, ref.e2)):
                 self.assert_close(a.data, b.data, 1e-15)
-        self.assert_close(enc.se3_edges.data, ref.se3_edges.data, 1e-15)
+        self.assert_close(per_edge(enc.pack, enc.se3_bonds.data),
+                          per_edge(ref.pack, ref.se3_bonds.data), 1e-15)
         self.assert_close(model.predict_distance_noise(enc).data,
                           model.predict_distance_noise(ref).data, 1e-15)
 
@@ -434,29 +433,26 @@ def assert_same_bits(got, want):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def composed_attention(layer, q, k, v, owner, groups, training,
+                       weight=None):
+    """se3.gated_sum from tape primitives: q gathered to the rows of its
+    owner, one batch norm over the rows' structures `groups`, summed per
+    owner."""
+    logits = q.take(owner) * k * (1.0 / math.sqrt(layer.dim))
+    alpha = layer.bn_attn(logits, groups, training, weight).sigmoid()
+    return segment_sum(alpha * v, owner, len(q.data))
+
+
 def composed_node_attention(layer, q, k, v, p, training):
-    """SE3NodeLayer.attend from tape primitives."""
-    logits = q.take(p.src) * k * (1.0 / math.sqrt(layer.dim))
-    alpha = layer.bn_attn(logits, p.edge_graph, training).sigmoid()
-    return segment_sum(alpha * v, p.src, len(q.data))
-
-
-def composed_edge_attention(layer, q, k, v, p, training, weight):
-    """SE3EdgeLayer.attend from tape primitives: q repeated onto the
-    bond-major (3R, d) stack of keys and values, one batch norm over the
-    three channels, summed."""
-    d = layer.dim
-    logits = concat([q] * 3, axis=1).reshape(-1, d) * k * (1.0 / math.sqrt(d))
-    alpha = layer.bn_attn(logits, np.repeat(p.bond_graph, 3), training,
-                          None if weight is None else np.repeat(weight, 3)
-                          ).sigmoid()
-    return (alpha * v).reshape(-1, 3, d).sum(axis=1)
+    """SE3NodeLayer.attend: rows are edges, owned by their `src`."""
+    return composed_attention(layer, q, k, v, p.src, p.edge_graph, training)
 
 
 class TestFusedAttention:
-    """Each layer's one-node attention block against its composition from
-    tape primitives, on real packs: outputs, the gradients of q, keys,
-    values, gamma and beta, and the running estimates, all bitwise."""
+    """Each layer's attention block, `se3.gated_sum`, against one
+    composition from tape primitives (`composed_attention`) on real packs:
+    outputs, the gradients of q, keys, values, gamma and beta, and the
+    running estimates, all bitwise."""
 
     DIM = 8
 
@@ -547,8 +543,10 @@ class TestFusedAttention:
         self.compare(
             mode,
             lambda l, q, k, v, p, t: l.attend(q, k, v, p, t, weight),
-            lambda l, q, k, v, p, t: composed_edge_attention(
-                l, q, k, v, p, t, weight),
+            lambda l, q, k, v, p, t: composed_attention(
+                l, q, k, v, np.repeat(np.arange(len(q.data)), 3),
+                np.repeat(p.bond_graph, 3), t,
+                None if weight is None else np.repeat(weight, 3)),
             leaves, layers)
 
 
@@ -925,7 +923,7 @@ class TestPrecisionSwitch:
             m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
             assert all(p.data.dtype == np.float32
                        for p in m32.store.params.values())
-            pred = m32.predict_raw([NACL])
+            pred = m32.predict_batch([m32.build_graph(NACL)])[0]
             assert pred.dtype == np.float32
         finally:
             set_default_dtype("f64")
@@ -935,15 +933,15 @@ class TestPrecisionSwitch:
         predictions nor the dtype an f64 model receives in a transfer."""
         try:
             m64, dst = MGTModel(TINY), MGTModel(TINY)
-            before = m64.predict_raw([NACL])
+            before = m64.predict_batch([m64.build_graph(NACL)])[0]
             m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
             transfer_encoder_params(dst, m32)
             assert all(p.data.dtype == np.float64
                        for p in dst.store.params.values())
-            after = m64.predict_raw([NACL])
+            after = m64.predict_batch([m64.build_graph(NACL)])[0]
             assert after.dtype == np.float64
             assert np.array_equal(after, before)
-            assert m32.predict_raw([NACL]).dtype == np.float32
+            assert m32.predict_batch([m32.build_graph(NACL)])[0].dtype == np.float32
         finally:
             set_default_dtype("f64")
 

@@ -21,7 +21,7 @@ from crysfuse.nn import ParamStore
 from crysfuse.optim import adamw_from_config
 from crysfuse.pipeline import Record, finetune, predict_records
 from crysfuse.pretrain import pretrain_step, run_pretraining
-from crysfuse.se3 import SE3NodeLayer
+from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer
 from crysfuse.structures import CrystalStructure
 from crysfuse.tensor import Tensor, set_default_dtype
 
@@ -139,6 +139,45 @@ def test_node_straddling_a_cut_gets_the_unsplit_sum(split, counted):
         got = layer.attend(q, k, v, p, training=False).data
     assert counted == [2]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("training,second,cut", [(False, 85, 255),
+                                                 (True, 85, 255),
+                                                 (True, 60, 180)])
+def test_bond_straddling_a_cut_gets_the_unsplit_sum(split, monkeypatch,
+                                                    training, second, cut):
+    """The edge layer's stack of 171 bonds has 513 rows, three per bond;
+    two even parts would meet at row 256, inside bond 85, so in eval the
+    cut moves to its first row, 255. In training it moves to the first row
+    of the structure holding row 256, which begins at bond `second`."""
+    seen = []
+    run = parallel._Pool.run
+
+    def spy(self, body, cuts):
+        seen.append(list(cuts))
+        return run(self, body, cuts)
+
+    monkeypatch.setattr(parallel._Pool, "run", spy)
+    bond_graph = (np.arange(171) >= second).astype(int)
+    gen = np.random.default_rng(0)
+    q = gen.normal(size=(171, 8))
+    k, v = gen.normal(size=(2, 513, 8))
+    weight = gen.integers(1, 3, 171).astype(float) if training else None
+    p = SimpleNamespace(bond_graph=bond_graph)
+    results = []
+    for parts in (1, 2):
+        split(parts)
+        layer = SE3EdgeLayer(ParamStore(0), "e", 8, 3, 3)
+        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        with parallel.threads():
+            msg = layer.attend(*leaves, p, training, weight)
+            (msg * msg).sum().backward()
+        results.append([msg.data, layer.bn_attn.running_mean,
+                        layer.bn_attn.running_var, layer.bn_attn.gamma.grad]
+                       + [t.grad for t in leaves])
+    assert seen == [[0, cut, 513]] * 2  # forward and backward
+    for got, want in zip(results[1], results[0]):
+        assert np.array_equal(got, want)
 
 
 def train_outputs() -> dict:
