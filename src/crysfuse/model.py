@@ -34,9 +34,13 @@ backward reads: a φ MLP its hidden activation, an attention block its
 standardized logits, its gate and its batch norm's per-structure
 statistics, a tensor-product round the bond rows of its weight map; no
 round keeps a per-edge array. Every attention block, in edge and node
-layers of both encoders, runs one kernel, `se3.gated_sum`: a
-sigmoid-gated sum of rows over their owner, a node owning its incoming
-edges and a bond its three edge-layer channels.
+layers of both encoders, runs as one chain, `se3.gated_sum`: φ_k, φ_v,
+the gate and a sum of rows over their owner, a node owning its incoming
+edges and a bond its three edge-layer channels, taken a tile of about
+`se3.TILE_ROWS` rows at a time. An eval forward keeps a tile's keys,
+values, logits and gates in scratch and never forms them for a whole
+layer; a training forward writes them into the arrays its tape nodes
+keep.
 
 Every forward runs both encoders once over a pack, and the encoders, their
 layers and the denoising heads read it. Pooling is a per-structure mean,
@@ -55,17 +59,18 @@ time. `predict_batch` runs eval forwards on packs of up to `PREDICT_CHUNK`
 structures without recording a tape.
 
 Inside `predict_batch`, `pretrain.pretrain_step` and
-`pipeline.finetune_step` (`parallel.threads`) the φ MLPs, the `Linear`
-maps, softplus, batch norm and the attention kernel, and their backward,
-run as row-range bodies split across the usable CPUs: the calling thread
+`pipeline.finetune_step` (`parallel.threads`) the `Linear` maps, softplus,
+batch norm and the attention chains, and their backward, run as
+row-range bodies split across the usable CPUs: the calling thread
 computes one range and a pool thread each other range, with numpy's
-OpenBLAS pinned to one thread until the call returns. The attention
-kernel's ranges hold whole owners, nodes or bonds, since it sums each
-owner's rows; in training every batch norm's ranges hold whole
-structures, since each is standardized by its own statistics. Every row
-is computed as in one call, and weight gradients are summed over fixed
-row blocks, so predictions and training are bitwise independent of the
-number of threads and of BLAS's.
+OpenBLAS pinned to one thread until the call returns. An attention
+chain's ranges are unions of whole tiles, and a tile holds whole owners,
+nodes or bonds, since the chain sums each owner's rows; in training it
+holds whole structures, as does every batch norm's range, since each is
+standardized by its own statistics. Tiles depend on the rows alone, every
+row is computed as in one call, and weight gradients are summed over
+fixed row blocks, so predictions and training are bitwise independent of
+the number of threads and of BLAS's.
 """
 
 from __future__ import annotations

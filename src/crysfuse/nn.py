@@ -83,6 +83,11 @@ def _gather_grad(g: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return _segment_rows(g.reshape(len(rows), -1), rows, n // k).reshape(n, -1)
 
 
+def _dtype(weight: Tensor, blocks) -> np.dtype:
+    """The dtype of a map's output: its weight's and its array blocks'."""
+    return np.result_type(weight.data, *(x for x, _, _ in _blocks(blocks)))
+
+
 def _accumulate(blocks, grads):
     for (t, _, _), gt in zip(blocks, grads):
         if gt is not None:
@@ -94,7 +99,10 @@ def _accumulate(blocks, grads):
 # (numpy 2.4.6 with scipy-openblas 0.3.31 on AVX-512, one BLAS thread,
 # parts of 2 rows or more, aligned or not) that held where the output width
 # is a multiple of 16, and failed for some part sizes at widths such as 8,
-# 12, 17, 40 and 100, so products of other widths run in one call.
+# 12, 17, 40 and 100, so products of other widths run in one call. An
+# attention chain (`se3.gated_sum`) cuts its φ products by its tiles at any
+# width: tiles depend on the rows alone, so the bits do not depend on the
+# number of parts.
 _SPLIT_WIDTH = 16
 
 
@@ -147,7 +155,9 @@ class Linear:
       only, and checkpoints do not change.
 
     `forward` and `vjp` are the node's array-level bodies; fused nodes such
-    as `MLP2` call them, or `row_kernel` for a row-range body of the map.
+    as `MLP2` call them. `row_kernel` is the map as a row-range body that
+    writes into a buffer its caller gives, which `MLP2` and the attention
+    chains (`se3.gated_sum`) fill a tile at a time.
     """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, fan_out: int,
@@ -201,14 +211,18 @@ class Linear:
 
     def forward(self, blocks: list[tuple]) -> np.ndarray:
         """The map of array blocks `(x_i, rows[, pre])`."""
-        out, body = self.row_kernel(blocks)
-        _run_rows(body, len(out), out.shape[1])
+        n, body = self.row_kernel(blocks)
+        out = np.empty((n, self.weight.data.shape[1]),
+                       dtype=_dtype(self.weight, blocks))
+        _run_rows(lambda lo, hi: body(lo, hi, out[lo:hi]), n, out.shape[1])
         return out
 
     def row_kernel(self, blocks: list[tuple]):
-        """(out, body): the map's empty output, and the body that writes its
-        rows [lo, hi) (`parallel.run`). A gathered block's product is taken
-        here, on the block's own rows; the body gathers it."""
+        """(n, body): the map's row count, and the body that writes its rows
+        [lo, hi) into `out`, an array of hi - lo rows: `out[lo:hi]` of a
+        whole output, or a tile's scratch (`se3.gated_sum`). A gathered
+        block's product is taken here, on the block's own rows; the body
+        gathers it."""
         blocks = _blocks(blocks)
         _, weights, b = self._weights(blocks)
         x0, rows0, _ = blocks[0]
@@ -216,15 +230,11 @@ class Linear:
         own = [None if rows is None
                else (_product(x, wb), _gather_index(rows, n))
                for (x, rows, _), wb in zip(blocks, weights)]
-        out = np.empty((n, self.weight.data.shape[1]),
-                       dtype=np.result_type(self.weight.data,
-                                            *(x for x, _, _ in blocks)))
 
-        def body(lo, hi):
+        def body(lo, hi, o):
             # the first product is written into the output and the others
             # are added to it (a gather takes a fresh array: np.take into a
             # given buffer copies through a temporary when it checks bounds)
-            o = out[lo:hi]
             acc = None
             for (x, rows, _), wb, p in zip(blocks, weights, own):
                 if rows is None:
@@ -238,7 +248,7 @@ class Linear:
             elif acc is not o:
                 o[...] = acc
 
-        return out, body
+        return n, body
 
     def vjp(self, g: np.ndarray, blocks: list[tuple], need: list[bool]
             ) -> list[np.ndarray | None]:
@@ -283,6 +293,10 @@ class MLP2:
     place and no backward needs it; backward then overwrites y with lin1's
     output gradient. Outputs and gradients are bitwise those of the
     composition `lin2(lin1(x).softplus())`.
+
+    `row_kernel` is the forward as a row-range body, and `node` the tape
+    node over arrays that body filled: `__call__` runs both, and the
+    attention chain (`se3.gated_sum`) runs the body tile by tile itself.
     """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, hidden: int,
@@ -293,15 +307,34 @@ class MLP2:
     def __call__(self, x: Tensor | list) -> Tensor:
         blocks = _blocks(x)
         arrays = [(t.data, rows, pre) for t, rows, pre in blocks]
-        y, first = self.lin1.row_kernel(arrays)
-        out, second = self.lin2.row_kernel([(y, None)])
+        n, body = self.row_kernel(arrays)
+        dtype = _dtype(self.lin1.weight, arrays)
+        y = np.empty((n, self.lin1.weight.data.shape[1]), dtype=dtype)
+        out = np.empty((n, self.lin2.weight.data.shape[1]), dtype=dtype)
+        _run_rows(lambda lo, hi: body(lo, hi, y[lo:hi], out[lo:hi]), n,
+                  y.shape[1], out.shape[1])
+        return self.node(blocks, y, out)
 
-        def body(lo, hi):
-            first(lo, hi)
-            _softplus(y[lo:hi], out=y[lo:hi])
-            second(lo, hi)
+    def row_kernel(self, blocks: list[tuple]):
+        """(n, body) for array blocks: `body(lo, hi, y, out)` writes rows
+        [lo, hi) of the hidden activation into `y` and of the output into
+        `out`, each an array of hi - lo rows."""
+        n, first = self.lin1.row_kernel(blocks)
+        w, b = self.lin2.weight.data, self.lin2.bias.data
 
-        _run_rows(body, len(y), y.shape[1], out.shape[1])
+        def body(lo, hi, y, out):
+            first(lo, hi, y)
+            _softplus(y, out=y)
+            np.matmul(y, w, out=out)
+            out += b
+
+        return n, body
+
+    def node(self, x: Tensor | list, y: np.ndarray, out: np.ndarray) -> Tensor:
+        """The tape node of the map of `x`, whose hidden activation `y` and
+        output `out` `row_kernel`'s body has written."""
+        blocks = _blocks(x)
+        arrays = [(t.data, rows, pre) for t, rows, pre in blocks]
 
         def back(g):
             (gy,) = self.lin2.vjp(g, [(y, None)], [True])
@@ -336,7 +369,7 @@ class BatchNorm:
     gamma's and beta's gradients keep their form.
 
     `Standardized` and `affine` are the node's array-level bodies; the
-    fused attention nodes of `se3.py` use them too.
+    attention chains of `se3.py` use them too.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int,
@@ -386,27 +419,31 @@ class Standardized:
     and differentiated a range of rows at a time (`parallel.run` bodies).
 
     Eval mode maps each row on its own. In training a range must hold whole
-    groups (`cuts`): `rows` writes its groups' statistics into shared (G, d)
-    arrays, and `fold`, called once after every range is done, folds them
-    into the running estimates in group order. `out` may be `x` itself,
-    which then holds xhat.
+    groups (`cuts`): `standardize` writes its groups' statistics into
+    shared (G, d) arrays, and `fold`, called once after every range is
+    done, folds them into the running estimates in group order. `rows`
+    standardizes rows of `x` into `xhat`; `x` may be None where every range
+    comes through `standardize` instead, and `out` may be `x` itself, which
+    then holds xhat. Backward (`to_x`) reads xhat.
     """
 
-    def __init__(self, bn: BatchNorm, x: np.ndarray, groups: np.ndarray | None,
-                 training: bool, weight: np.ndarray | None = None,
+    def __init__(self, bn: BatchNorm, x: np.ndarray | None,
+                 groups: np.ndarray | None, training: bool,
+                 weight: np.ndarray | None = None,
                  out: np.ndarray | None = None):
         self.bn, self.x, self.training = bn, x, training
-        self.xhat = np.empty_like(x) if out is None else out
+        self.xhat = np.empty_like(x) if out is None and x is not None else out
         if not training:
             self.cuts = None
             self.scale = 1.0 / np.sqrt(bn.running_var + bn.eps)
             return
+        dtype = (bn.gamma.data if x is None else x).dtype
         self.cuts = groups  # where a range may start
-        self.w = None if weight is None else weight[:, None].astype(x.dtype)
-        self.counts = np.bincount(groups, weights=weight)[:, None].astype(x.dtype)
+        self.w = None if weight is None else weight[:, None].astype(dtype)
+        self.counts = np.bincount(groups, weights=weight)[:, None].astype(dtype)
         starts = np.flatnonzero(np.diff(groups, prepend=-1))
-        self.runs = list(zip(starts.tolist(), starts[1:].tolist() + [len(x)]))
-        self.mu = np.empty((len(starts), x.shape[1]), dtype=x.dtype)
+        self.runs = list(zip(starts.tolist(), starts[1:].tolist() + [len(groups)]))
+        self.mu = np.empty((len(starts), bn.gamma.data.shape[0]), dtype=dtype)
         self.var = np.empty_like(self.mu)
         self.std = np.empty_like(self.mu)
 
@@ -420,18 +457,22 @@ class Standardized:
         return a if self.w is None else a * self.w[lo:hi]
 
     def rows(self, lo: int, hi: int):
-        """Standardize rows [lo, hi) into xhat: by the running estimates in
-        eval, else each group by its own statistics."""
-        xhat = self.xhat
+        """Standardize rows [lo, hi) of x into xhat."""
+        self.standardize(self.x[lo:hi], self.xhat[lo:hi], lo, hi)
+
+    def standardize(self, x: np.ndarray, out: np.ndarray, lo: int, hi: int):
+        """Standardize rows [lo, hi), held in `x`, into `out` (which may be
+        `x`): by the running estimates in eval, else each group by its own
+        statistics."""
         if not self.training:
-            np.subtract(self.x[lo:hi], self.bn.running_mean, out=xhat[lo:hi])
-            xhat[lo:hi] *= self.scale
+            np.subtract(x, self.bn.running_mean, out=out)
+            out *= self.scale
             return
         for g, a, b in self._groups(lo, hi):
-            x, xh, count = self.x[a:b], xhat[a:b], self.counts[g]
-            np.add.reduce(self._weighted(x, a, b), axis=0, out=self.mu[g])
+            xg, xh, count = x[a - lo:b - lo], out[a - lo:b - lo], self.counts[g]
+            np.add.reduce(self._weighted(xg, a, b), axis=0, out=self.mu[g])
             self.mu[g] /= count
-            np.subtract(x, self.mu[g], out=xh)
+            np.subtract(xg, self.mu[g], out=xh)
             np.add.reduce(self._weighted(xh * xh, a, b), axis=0,
                           out=self.var[g])
             self.var[g] /= count

@@ -12,9 +12,10 @@ An edge and its reverse carry the same scalars, so the edge stack runs on
 one row per bond (`graph.PeriodicGraph`), and node layers gather its rows
 to the directed edges.
 
-Every attention block of both encoders is one kernel, `gated_sum`: a gated
-sum of rows over their owner, a node layer's edges over their `src` node,
-the edge layer's three channels per bond over the bond.
+Every attention block of both encoders is one chain, `gated_sum`: φ_k and
+φ_v, the gate and a gated sum of rows over their owner (a node layer's
+edges over their `src` node, the edge layer's three channels per bond
+over the bond), run a tile of rows at a time in one body.
 """
 
 from __future__ import annotations
@@ -26,41 +27,142 @@ import numpy as np
 
 from . import parallel
 from .nn import (MLP2, BatchNorm, Linear, ParamStore, ProjectionHead,
-                 Standardized, mean_pool)
-from .tensor import Tensor, _stable_sigmoid, _sum_sorted, concat
+                 Standardized, _blocks, _parents, mean_pool)
+from .tensor import Tensor, _stable_sigmoid, _sum_sorted, concat, recording
 
 if TYPE_CHECKING:
     from .model import Pack
 
 
-def gated_sum(bn: BatchNorm, q: Tensor, k: Tensor, v: Tensor,
-              owner: np.ndarray, groups: np.ndarray, training: bool,
+# Most rows in a tile of an attention chain (`gated_sum`). An eval forward
+# holds a tile's φ activations, keys, values, logits and gates, not the
+# layer's.
+TILE_ROWS = 512
+
+
+def _tile_bounds(starts: np.ndarray, n: int) -> np.ndarray:
+    """Where the tiles of n rows begin, and n. The rows are cut into the
+    fewest equal tiles of at most TILE_ROWS rows whose count is a power
+    of two, and each cut moves back to the last of the sorted run
+    `starts` at or before it. So the tiles depend on the rows alone, none
+    splits a run, and where `parallel.run` cuts the rows into two or four
+    even parts of whole tiles, the parts keep even: with tiles cut
+    elsewhere they came out up to a tile apart."""
+    count = 1 << max(0, math.ceil(math.log2(max(n, 1) / TILE_ROWS)))
+    grid = np.arange(1, count) * n // count
+    return np.unique(np.concatenate(
+        ([0], starts[np.searchsorted(starts, grid, side="right") - 1], [n])))
+
+
+class _Rows:
+    """The keys or the values of `gated_sum`: a Tensor of rows, or a pair
+    (φ, x) of an `nn.MLP2` and its input blocks, whose rows the chain
+    computes a tile at a time."""
+
+    def __init__(self, x):
+        self.given = x if isinstance(x, Tensor) else None
+        if self.given is not None:
+            self.parents = (x,)
+            return
+        self.phi, self.x = x
+        blocks = _blocks(self.x)
+        self.parents = (_parents(blocks) + self.phi.lin1.params
+                        + self.phi.lin2.params)
+        _, self.body = self.phi.row_kernel([(t.data, rows, pre)
+                                            for t, rows, pre in blocks])
+
+    def buffers(self, n: int, d: int, dtype) -> list[np.ndarray | None]:
+        """Arrays of n rows for φ's hidden activation and output; Nones
+        for given rows."""
+        if self.given is not None:
+            return [None, None]
+        hidden = self.phi.lin1.weight.data.shape[1]
+        return [np.empty((n, hidden), dtype), np.empty((n, d), dtype)]
+
+    def rows(self, lo: int, hi: int, y: np.ndarray | None,
+             out: np.ndarray | None) -> np.ndarray:
+        """Rows [lo, hi): the given ones, or φ's, written into `y` and
+        `out`."""
+        if self.given is not None:
+            return self.given.data[lo:hi]
+        self.body(lo, hi, y, out)
+        return out
+
+    def tensor(self, y: np.ndarray | None, out: np.ndarray | None) -> Tensor:
+        """The rows as a tape node, from the whole arrays `rows` wrote."""
+        return self.given if self.given is not None else self.phi.node(
+            self.x, y, out)
+
+
+def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
+              groups: np.ndarray, training: bool,
               weight: np.ndarray | None = None) -> Tensor:
     """segment_sum(sigmoid(bn(q[owner] * k * scale)) * v, owner), scale
-    1/sqrt(d), as one tape node: `q` has one row per owner, `k` and `v` one
-    per row, and `owner` is sorted. A training batch norm standardizes each
-    structure of `groups` apart, counting row r `weight[r]` times. The node
-    keeps the standardized logits, the gate and bn's statistics, and
-    gathers q again in backward. Parts hold whole owners, each summed into
-    its own rows of the output, and in training whole structures. Outputs and gradients are bitwise those of the same
-    expression composed from tape operations."""
-    scale = 1.0 / math.sqrt(q.data.shape[1])
-    logits, alpha = np.empty_like(k.data), np.empty_like(k.data)
-    msg = np.zeros_like(q.data)
-    gate = Standardized(bn, logits, groups, training, weight, out=logits)
+    1/sqrt(d), a whole attention block as one chain: `q` has one row per
+    owner, `owner` is sorted, and the keys `k` and values `v` have one row
+    per entry of `owner`. Each is a Tensor of those rows, or a pair
+    (φ, x) of an `nn.MLP2` and its input blocks, which the chain runs
+    itself. A training batch norm standardizes each structure of `groups`
+    apart, counting row r `weight[r]` times.
+
+    The rows run in tiles of at most about `TILE_ROWS` (`_tile_bounds`): a
+    tile ends at an owner, and in training at a structure, so each is
+    summed and standardized whole. One body takes a tile through φ_k,
+    φ_v, the logits, the gate and the sum into its owners' rows of the
+    output. A pass that records no tape writes a tile's values into
+    scratch of its part, three (tile × d) arrays since φ's hidden width
+    is d, and keeps only the sums. One that does writes them into whole
+    arrays and keeps them: φ's tape nodes (`nn.MLP2.node`) their hidden
+    activations, and the chain's node the standardized logits, the gate
+    and bn's statistics, gathering q again in backward. Parts are unions
+    of whole tiles, so φ's products are cut the same way at any part
+    count; given keys and values leave no product, and parts then cut at
+    any owner (in training, structure). Outputs and gradients are bitwise
+    those of the same expression composed from tape operations."""
+    n, d = len(owner), q.data.shape[1]
+    dtype = q.data.dtype
+    scale = 1.0 / math.sqrt(d)
+    k, v = _Rows(k), _Rows(v)
+    keep = recording((q, bn.gamma, bn.beta) + k.parents + v.parents)
     cuts = groups if training else owner
+    bounds = _tile_bounds(np.flatnonzero(np.diff(cuts, prepend=-1)), n)
+    msg = np.zeros_like(q.data)
+    if keep:
+        logits, alpha = np.empty((n, d), dtype), np.empty((n, d), dtype)
+        kept = (k.buffers(n, d, dtype) + v.buffers(n, d, dtype)
+                + [logits, alpha])
+    gate = Standardized(bn, None, groups, training, weight,
+                        out=logits if keep else None)
 
     def body(lo, hi):
-        o = owner[lo:hi]
-        lg = np.multiply(q.data[o], k.data[lo:hi], out=logits[lo:hi])
-        lg *= scale
-        gate.rows(lo, hi)
-        a = bn.affine(gate.xhat[lo:hi], out=alpha[lo:hi])
-        _stable_sigmoid(a, out=a)
-        _sum_sorted(a * v.data[lo:hi], o, msg)
+        edges = [lo, *bounds[(bounds > lo) & (bounds < hi)].tolist(), hi]
+        if keep:
+            buffers = kept
+        else:  # φ's hidden activations (d wide), the logits and the gate
+            # take turns in one scratch array
+            m = max(b - a for a, b in zip(edges, edges[1:]))
+            y, kk, vv = np.empty((3, m, d), dtype)
+            buffers = [y, kk, y, vv, y, y]
+        for a, b in zip(edges, edges[1:]):
+            i, j = (a, b) if keep else (0, b - a)
+            yk, kk, yv, vv, lg, al = (None if x is None else x[i:j]
+                                      for x in buffers)
+            o = owner[a:b]
+            kt, vt = k.rows(a, b, yk, kk), v.rows(a, b, yv, vv)
+            np.multiply(q.data[o], kt, out=lg)
+            lg *= scale
+            gate.standardize(lg, lg, a, b)
+            bn.affine(lg, out=al)
+            _stable_sigmoid(al, out=al)
+            _sum_sorted(al * vt, o, msg)
 
-    parallel.run(body, len(owner), cuts)
+    tiles = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    parallel.run(body, n, tiles if k.given is None or v.given is None
+                 else cuts)
     gate.fold()
+    if not keep:
+        return Tensor(msg)
+    k, v = k.tensor(*kept[:2]), v.tensor(*kept[2:4])
 
     def back(g):
         gv = np.empty_like(alpha) if v.needs_grad() else None
@@ -119,9 +221,9 @@ class SE3EdgeLayer:
     `f_angle` meet no nonlinearity before φ's first layer, so each runs
     composed with that layer's block (`nn.Linear`'s mapped blocks): the
     stack takes one product per block, and the edge blocks' products run
-    on the R bond rows once, not once per channel. The gating and the sum
-    over a bond's channels are one tape node, `gated_sum` over the stack
-    with the bond as each row's owner (`attend`).
+    on the R bond rows once, not once per channel. φ_k, φ_v, the gating
+    and the sum over a bond's channels are one chain, `gated_sum` over the
+    stack with the bond as each row's owner (`attend`).
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int, lattice_dim: int,
@@ -157,8 +259,8 @@ class SE3EdgeLayer:
             stack = concat([f(x) for f, x in zip(maps, lat)], axis=1)
             return stack.reshape(-1, self.dim), p.bond_graph
 
-        k = self.phi_k([(e, bond, self.f_k), lattice(self.f_k_lat), ang])
-        v = self.phi_v([(e, bond, self.f_v), lattice(self.f_v_lat), ang])
+        k = (self.phi_k, [(e, bond, self.f_k), lattice(self.f_k_lat), ang])
+        v = (self.phi_v, [(e, bond, self.f_v), lattice(self.f_v_lat), ang])
         msg = self.attend(q, k, v, p, training, weight)
         return (e + self.bn_msg(msg, p.bond_graph, training, weight)).softplus()
 
@@ -185,9 +287,9 @@ class SE3NodeLayer:
     nonlinearity before φ's first layer, so it runs composed with that
     layer's block (`nn.Linear`'s mapped blocks): one bond-row product per
     φ, not three in all. The centre and neighbour maps run on node rows,
-    where composing saves little. The gating and the sum over each node's
-    edges are one tape node, `gated_sum` with the edge's `src` as its
-    owner (`attend`).
+    where composing saves little. φ_k, φ_v, the gating and the sum over
+    each node's edges are one chain, `gated_sum` with the edge's `src` as
+    its owner (`attend`).
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -209,8 +311,10 @@ class SE3NodeLayer:
         # centre, neighbour and bond terms go through phi's first matmul per
         # node or bond, then are gathered onto the edges; the edge map runs
         # composed with that matmul
-        k = self.phi_k([(self.f_k_ctr(h), p.src), (self.f_k_nbr(h), p.dst), fe])
-        v = self.phi_v([(self.f_v_ctr(h), p.src), (self.f_v_nbr(h), p.dst), fe])
+        k = (self.phi_k,
+             [(self.f_k_ctr(h), p.src), (self.f_k_nbr(h), p.dst), fe])
+        v = (self.phi_v,
+             [(self.f_v_ctr(h), p.src), (self.f_v_nbr(h), p.dst), fe])
         msg = self.attend(q, k, v, p, training)
         return (h + self.bn_msg(msg, p.node_graph, training)).softplus()
 

@@ -61,6 +61,12 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
+def recording(parents) -> bool:
+    """Whether an op over `parents` records a tape node (`Tensor._result`):
+    outside `no_grad`, with a parent that needs a gradient."""
+    return _GRAD_ENABLED and any(p.requires_grad or p._prev for p in parents)
+
+
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None
                     ) -> np.ndarray:
     """e^min(x, 0) / (1 + e^-|x|): never exponentiates a positive number,

@@ -6,6 +6,7 @@ same checks at tiny sizes plus the structural details the sweeps can't see.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -795,13 +796,17 @@ class TestComposedMaps:
 
 class TestProductCount:
     """Row products of a default-config model on a fixed 8-cell pack (1,158
-    bonds, 2,200 directed edges): the `np.matmul` calls whose first operand
-    has at least as many rows as the pack has bonds, with every kernel in
-    one part, so that the count does not depend on the CPU count. Weight
-    gradients' 256-row blocks fall below the bar. Composing the maps that
-    meet no nonlinearity and running the edge layer's channels as one stack
-    took an eval forward from 48 such products to 27, and a pretraining
-    step from 96 to 55; a change that adds one back fails here."""
+    bonds, 2,200 directed edges): the rows of every `np.matmul` whose first
+    operand is row-major, summed, with every kernel in one part, so that
+    the sum does not depend on the CPU count. Weight gradients (x.T @ g)
+    are left out; products of two weights add their 64 or so rows. An
+    eval forward multiplies 52,618 rows (45.44 in bond-row units) and a
+    pretraining step 154,824 (133.70). Cutting a product into tiles moves
+    no row, and a change that adds a product back fails here. Counted as
+    calls over at least 1,158 rows, composing the maps that meet no
+    nonlinearity and stacking the edge layer's channels took an eval
+    forward from 48 products to 27 and a pretraining step from 96 to 55,
+    or 55.2 to 42.2 and 182.4 to 127.3 bond rows."""
 
     @pytest.fixture()
     def counted(self, monkeypatch):
@@ -810,13 +815,12 @@ class TestProductCount:
         gen = stream(23, "product-count")
         graphs = [model.build_graph(random_structure(gen, 4, 16))
                   for _ in range(8)]
-        bonds = sum(g.num_bonds for g in graphs)
-        assert bonds == 1158
+        assert sum(g.num_bonds for g in graphs) == 1158
         seen = []
         matmul = np.matmul
 
         def spy(a, *args, **kwargs):
-            if np.ndim(a) == 2 and len(a) >= bonds:
+            if np.ndim(a) == 2 and a.strides[0] >= a.strides[1]:
                 seen.append(len(a))
             return matmul(a, *args, **kwargs)
 
@@ -826,14 +830,40 @@ class TestProductCount:
     def test_eval_forward(self, counted):
         model, graphs, seen = counted
         model.predict_batch(graphs)
-        assert len(seen) == 27
+        assert sum(seen) == 52_618
 
     def test_pretraining_step(self, counted):
         model, graphs, seen = counted
         opt = adamw_from_config(model.store.params, model.cfg, 1e-5)
         pretrain_step(model, [(g, f"c{i}") for i, g in enumerate(graphs)],
                       opt, stream(23, "product-count-noise"))
-        assert len(seen) == 55
+        assert sum(seen) == 154_824
+
+
+class TestEvalMemory:
+
+    def test_traced_peak_per_edge_of_an_eval_forward(self, monkeypatch):
+        """The tracemalloc peak of one eval forward over TestProductCount's
+        8 cells (2,200 directed edges) at one usable CPU, per directed
+        edge: 3,248 bytes, where one (E x width) float64 array is 512.
+        With each attention block's φ keys and values, logits and gates
+        held as whole arrays, before they were run a tile at a time, it
+        was 6,456."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        model = MGTModel(RunConfig())
+        gen = stream(23, "product-count")
+        graphs = [model.build_graph(random_structure(gen, 4, 16))
+                  for _ in range(8)]
+        edges = sum(g.num_edges for g in graphs)
+        model.predict_batch(graphs)  # caches and tables built once
+        tracemalloc.start()
+        try:
+            model.predict_batch(graphs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges == 2200
+        assert peak / edges < 3_600
 
 
 class TestSymmetrySpotChecks:

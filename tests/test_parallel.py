@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crysfuse import nn, parallel
+from crysfuse import nn, parallel, se3
 from crysfuse.config import RunConfig
 from crysfuse.model import MGTModel
 from crysfuse.nn import ParamStore
@@ -178,6 +178,133 @@ def test_bond_straddling_a_cut_gets_the_unsplit_sum(split, monkeypatch,
     assert seen == [[0, cut, 513]] * 2  # forward and backward
     for got, want in zip(results[1], results[0]):
         assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def tile(monkeypatch):
+    """tile(size): attention chains cut their rows into tiles of at most
+    about `size` rows from now on."""
+    return lambda size: monkeypatch.setattr(se3, "TILE_ROWS", size)
+
+
+def straddling_pack(gen, dim):
+    """A node layer's inputs over 200 edges, whose owners hold rows 0, 20,
+    45, 60, 110 and 140 on; owners 0 to 2 form structure 0 and owners 3
+    to 5 structure 1."""
+    src = np.repeat(np.arange(6), [20, 25, 15, 50, 30, 60])
+    graph = np.repeat([0, 1], 3)
+    p = SimpleNamespace(src=src, dst=gen.integers(0, 6, len(src)),
+                        edge_bond=None, node_graph=graph, edge_graph=graph[src])
+    return (Tensor(gen.normal(size=(6, dim)), requires_grad=True),
+            Tensor(gen.normal(size=(len(src), dim)), requires_grad=True), p)
+
+
+@pytest.mark.parametrize("training,bounds", [(False, [0, 45, 60, 140, 200]),
+                                             (True, [0, 60, 200])])
+def test_owner_straddling_a_grid_point_gets_the_untiled_sum(
+        split, tile, monkeypatch, training, bounds):
+    """At most 64 rows a tile, 200 rows are cut at rows 50, 100 and 150,
+    which owners 2, 3 and 5 straddle: each cut moves back to the start of
+    its owner, and in training to the start of its structure. Three even
+    parts would meet at rows 66 and 133; as runs of whole tiles they meet
+    at row 60 alone. The layer's outputs, gradients and running estimates
+    are those of one tile over all rows in one part."""
+    starts = np.array([0, 60]) if training else np.array([0, 20, 45, 60,
+                                                          110, 140])
+    tile(64)
+    assert se3._tile_bounds(starts, 200).tolist() == bounds
+    seen = []
+    run = parallel._Pool.run
+
+    def spy(self, body, cuts):
+        seen.append(list(cuts))
+        return run(self, body, cuts)
+
+    monkeypatch.setattr(parallel._Pool, "run", spy)
+    results = []
+    for size, parts in ((64, 3), (10 ** 6, 1)):
+        tile(size)
+        split(parts)
+        store = ParamStore(5)
+        layer = SE3NodeLayer(store, "n", 16)
+        h, e, p = straddling_pack(np.random.default_rng(5), 16)
+        with parallel.threads():
+            out = layer(h, e, p, training)
+            if parts == 3:
+                assert seen == [[0, 60, 200]]  # the chain, the forward's one split
+            (out * out).sum().backward()
+        results.append([out.data, h.grad, e.grad]
+                       + [t.grad for t in store.params.values()]
+                       + list(store.buffers.values()))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def encoder_bits(cfg, graphs) -> list:
+    """A training forward and backward of a new model over a clean pack,
+    then eval predictions: the embeddings, every parameter gradient, the
+    batch-norm running estimates and the predictions."""
+    model = MGTModel(cfg)
+    with parallel.threads():
+        enc = model.encode(model.make_inputs(graphs), training=True)
+        loss = ((enc.e1 * enc.e2).sum()
+                + model.predict_distance_noise(enc).sum())
+        loss.backward()
+    return ([enc.e1.data, enc.e2.data]
+            + [t.grad for t in model.store.params.values()
+               if t.grad is not None]
+            + list(model.store.buffers.values())
+            + list(model.predict_batch(graphs)))
+
+
+@pytest.mark.parametrize("precision,width", [("f64", 64), ("f32", 40)])
+@pytest.mark.parametrize("size", [64, 512])
+def test_tiled_chains_bitwise_equal_over_part_counts(split, counted, tile,
+                                                     size, precision, width):
+    """Width 40 gives φ products 40 wide, whose bits may change where a
+    product is cut, so a part must not cut a tile."""
+    tile(size)
+    cfg = RunConfig(precision=precision, width=width)
+    try:
+        graphs = [MGTModel(cfg).build_graph(s) for s in cells()]
+        split(1)
+        want = encoder_bits(cfg, graphs)
+        assert counted == []
+        for k in (2, 3, 4):
+            split(k)
+            got = encoder_bits(cfg, graphs)
+            assert max(counted) == k
+            counted.clear()
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    finally:
+        set_default_dtype("f64")
+
+
+def test_training_tiles_never_split_a_structure(split, tile, monkeypatch):
+    """Every range a training batch norm standardizes in a pretraining
+    step, a chain's tiles among them, holds whole structures, at 64-row
+    tiles and two parts."""
+    split(2)
+    tile(64)
+    seen = []
+    standardize = nn.Standardized.standardize
+
+    def spy(self, x, out, lo, hi):
+        if self.training:
+            ids = self.cuts
+            seen.append((lo == 0 or ids[lo - 1] != ids[lo])
+                        and (hi == len(ids) or ids[hi - 1] != ids[hi]))
+        standardize(self, x, out, lo, hi)
+
+    monkeypatch.setattr(nn.Standardized, "standardize", spy)
+    model = MGTModel(RunConfig(pretrain_batch_size=4))
+    batch = [(model.build_graph(s), f"c{i}") for i, s in enumerate(cells(4))]
+    opt = adamw_from_config(model.store.params, model.cfg, 1e-3)
+    pretrain_step(model, batch, opt, np.random.default_rng(0))
+    assert len(seen) > 20 and all(seen)
 
 
 def train_outputs() -> dict:
