@@ -30,17 +30,19 @@ packs hold one row per edge and no bond map.
 In a training forward every `Linear`, batch norm and φ MLP (`nn.MLP2`) is
 one tape node, and so is each attention block and each round of the
 SO(3) tensor product (`so3.TensorProductLayer`). Each keeps only what its
-backward reads: a φ MLP its hidden activation, an attention block its
-standardized logits, its gate and its batch norm's per-structure
-statistics, a tensor-product round the bond rows of its weight map; no
-round keeps a per-edge array. Every attention block, in edge and node
-layers of both encoders, runs as one chain, `se3.gated_sum`: φ_k, φ_v,
-the gate and a sum of rows over their owner, a node owning its incoming
-edges and a bond its three edge-layer channels, taken a tile of about
-`se3.TILE_ROWS` rows at a time. An eval forward keeps a tile's keys,
-values, logits and gates in scratch and never forms them for a whole
-layer; a training forward writes them into the arrays its tape nodes
-keep.
+backward reads, or what is costly to form again: a φ MLP its hidden
+activation, an attention block its standardized logits, its gate and its
+batch norm's per-structure statistics, a tensor-product round the bond
+rows of its weight map; no round keeps a per-edge array. Every attention
+block, in edge and node layers of both encoders, runs as one chain,
+`se3.gated_sum`: φ_k, φ_v, the gate and a sum of rows over their owner, a
+node owning its incoming edges and a bond its three edge-layer channels,
+taken a tile of about `se3.TILE_ROWS` rows at a time. Every forward keeps
+a tile's keys and values in scratch and never forms them for a whole
+layer; backward recomputes them a tile at a time from φ's hidden
+activations, one product each. An eval forward keeps the tile's φ
+activations, logits and gates in scratch too, where a training forward
+writes them into the arrays its tape nodes keep.
 
 Every forward runs both encoders once over a pack, and the encoders, their
 layers and the denoising heads read it. Pooling is a per-structure mean,

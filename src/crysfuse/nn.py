@@ -297,6 +297,9 @@ class MLP2:
     `row_kernel` is the forward as a row-range body, and `node` the tape
     node over arrays that body filled: `__call__` runs both, and the
     attention chain (`se3.gated_sum`) runs the body tile by tile itself.
+    In training the chain's φ nodes keep no output either, only y: the
+    chain recomputes its keys and values from y in backward (`output`),
+    and the nodes' backward is the one `__call__`'s nodes run.
     """
 
     def __init__(self, store: ParamStore, name: str, fan_in: int, hidden: int,
@@ -318,21 +321,35 @@ class MLP2:
     def row_kernel(self, blocks: list[tuple]):
         """(n, body) for array blocks: `body(lo, hi, y, out)` writes rows
         [lo, hi) of the hidden activation into `y` and of the output into
-        `out`, each an array of hi - lo rows."""
+        `out`, each an array of hi - lo rows, and returns `out`."""
         n, first = self.lin1.row_kernel(blocks)
-        w, b = self.lin2.weight.data, self.lin2.bias.data
 
         def body(lo, hi, y, out):
             first(lo, hi, y)
             _softplus(y, out=y)
-            np.matmul(y, w, out=out)
-            out += b
+            return self.output(y, out)
 
         return n, body
 
-    def node(self, x: Tensor | list, y: np.ndarray, out: np.ndarray) -> Tensor:
+    def output(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """lin2 of the hidden rows `y`, written into `out`: the last step of
+        `row_kernel`'s body. The attention chain's backward calls it again
+        on the forward's tiles, so its keys and values come out bit for
+        bit as the forward's."""
+        np.matmul(y, self.lin2.weight.data, out=out)
+        out += self.lin2.bias.data
+        return out
+
+    def node(self, x: Tensor | list, y: np.ndarray,
+             out: np.ndarray | None = None) -> Tensor:
         """The tape node of the map of `x`, whose hidden activation `y` and
-        output `out` `row_kernel`'s body has written."""
+        output `out` `row_kernel`'s body has written. Without `out` the
+        node keeps no output: its consumer, an attention chain, recomputes
+        it from `y` (`output`), and the node's data is a read-only view of
+        one nan in the output's shape."""
+        if out is None:
+            out = np.broadcast_to(np.array(np.nan, y.dtype),
+                                  (len(y), self.lin2.weight.data.shape[1]))
         blocks = _blocks(x)
         arrays = [(t.data, rows, pre) for t, rows, pre in blocks]
 

@@ -34,9 +34,9 @@ if TYPE_CHECKING:
     from .model import Pack
 
 
-# Most rows in a tile of an attention chain (`gated_sum`). An eval forward
-# holds a tile's φ activations, keys, values, logits and gates, not the
-# layer's.
+# Most rows in a tile of an attention chain (`gated_sum`). A forward holds
+# a tile's keys and values, not the layer's, and without a tape its φ
+# activations, logits and gates too.
 TILE_ROWS = 512
 
 
@@ -50,48 +50,66 @@ def _tile_bounds(starts: np.ndarray, n: int) -> np.ndarray:
     elsewhere they came out up to a tile apart."""
     count = 1 << max(0, math.ceil(math.log2(max(n, 1) / TILE_ROWS)))
     grid = np.arange(1, count) * n // count
-    return np.unique(np.concatenate(
-        ([0], starts[np.searchsorted(starts, grid, side="right") - 1], [n])))
+    bounds = np.concatenate(
+        ([0], starts[np.searchsorted(starts, grid, side="right") - 1], [n]))
+    # sorted already, so dropping repeats is all np.unique would do (and
+    # it imports numpy.ma)
+    return bounds[np.diff(bounds, prepend=-1) != 0]
 
 
 class _Rows:
     """The keys or the values of `gated_sum`: a Tensor of rows, or a pair
     (φ, x) of an `nn.MLP2` and its input blocks, whose rows the chain
-    computes a tile at a time."""
+    computes a tile at a time, and in backward again from φ's hidden
+    activation."""
 
     def __init__(self, x):
         self.given = x if isinstance(x, Tensor) else None
+        self.hidden = None
         if self.given is not None:
             self.parents = (x,)
             return
         self.phi, self.x = x
-        blocks = _blocks(self.x)
-        self.parents = (_parents(blocks) + self.phi.lin1.params
+        self.parents = (_parents(_blocks(self.x)) + self.phi.lin1.params
                         + self.phi.lin2.params)
-        _, self.body = self.phi.row_kernel([(t.data, rows, pre)
-                                            for t, rows, pre in blocks])
 
-    def buffers(self, n: int, d: int, dtype) -> list[np.ndarray | None]:
-        """Arrays of n rows for φ's hidden activation and output; Nones
-        for given rows."""
+    def kernel(self):
+        """The forward, `rows(lo, hi, y, out)`: rows [lo, hi), the given
+        ones, or φ's, its hidden activation written into `y` and its output
+        into `out`."""
         if self.given is not None:
-            return [None, None]
-        hidden = self.phi.lin1.weight.data.shape[1]
-        return [np.empty((n, hidden), dtype), np.empty((n, d), dtype)]
+            data = self.given.data
+            return lambda lo, hi, y, out: data[lo:hi]
+        return self.phi.row_kernel([(t.data, rows, pre)
+                                    for t, rows, pre in _blocks(self.x)])[1]
 
-    def rows(self, lo: int, hi: int, y: np.ndarray | None,
-             out: np.ndarray | None) -> np.ndarray:
-        """Rows [lo, hi): the given ones, or φ's, written into `y` and
-        `out`."""
+    def keep_hidden(self, n: int, dtype) -> np.ndarray | None:
+        """An array of n rows for φ's hidden activation, which a forward
+        that records a tape fills; None for given rows."""
+        if self.given is None:
+            width = self.phi.lin1.weight.data.shape[1]
+            self.hidden = np.empty((n, width), dtype)
+        return self.hidden
+
+    def again(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows [lo, hi) in backward: the given ones, or φ's output of the
+        kept hidden activation written into `out` by the call that wrote
+        it in the forward, so the bits match where [lo, hi) is a tile."""
         if self.given is not None:
             return self.given.data[lo:hi]
-        self.body(lo, hi, y, out)
-        return out
+        return self.phi.output(self.hidden[lo:hi], out)
 
-    def tensor(self, y: np.ndarray | None, out: np.ndarray | None) -> Tensor:
-        """The rows as a tape node, from the whole arrays `rows` wrote."""
+    def tensor(self) -> Tensor:
+        """The rows' tape node: the given one, or φ's over the kept hidden
+        activation, which keeps no output (`nn.MLP2.node`)."""
         return self.given if self.given is not None else self.phi.node(
-            self.x, y, out)
+            self.x, self.hidden)
+
+
+def _tiles(bounds: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The tiles of `bounds` in rows [lo, hi), cut at lo and hi too."""
+    edges = [lo, *bounds[(bounds > lo) & (bounds < hi)].tolist(), hi]
+    return list(zip(edges, edges[1:]))
 
 
 def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
@@ -109,12 +127,19 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
     tile ends at an owner, and in training at a structure, so each is
     summed and standardized whole. One body takes a tile through φ_k,
     φ_v, the logits, the gate and the sum into its owners' rows of the
-    output. A pass that records no tape writes a tile's values into
-    scratch of its part, three (tile × d) arrays since φ's hidden width
-    is d, and keeps only the sums. One that does writes them into whole
-    arrays and keeps them: φ's tape nodes (`nn.MLP2.node`) their hidden
-    activations, and the chain's node the standardized logits, the gate
-    and bn's statistics, gathering q again in backward. Parts are unions
+    output. The tile's keys and values go into scratch of its part, and
+    only the sums are written out. A pass that records no tape puts φ's
+    hidden activations (d wide), the logits and the gate into one more
+    scratch array. One that does writes them into whole arrays instead:
+    φ's tape nodes (`nn.MLP2.node`) keep the hidden activations and no
+    output, and the chain's node the standardized logits, the gate and
+    bn's statistics, gathering q again in backward. Backward runs the
+    forward's tiles again, recomputes each tile's keys and values from the
+    hidden activations by the call that formed them (`nn.MLP2.output`),
+    and hands the whole key and value gradients to φ's nodes. Those stay
+    nodes of their own so that the tape runs them where it ran them when
+    they kept their outputs: a shared input, such as the edge layer's
+    features, then sums its gradients in the same order. Parts are unions
     of whole tiles, so φ's products are cut the same way at any part
     count; given keys and values leave no product, and parts then cut at
     any owner (in training, structure). Outputs and gradients are bitwise
@@ -126,29 +151,31 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
     keep = recording((q, bn.gamma, bn.beta) + k.parents + v.parents)
     cuts = groups if training else owner
     bounds = _tile_bounds(np.flatnonzero(np.diff(cuts, prepend=-1)), n)
+    if k.given is None or v.given is None:
+        cuts = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    krows, vrows = k.kernel(), v.kernel()
     msg = np.zeros_like(q.data)
     if keep:
         logits, alpha = np.empty((n, d), dtype), np.empty((n, d), dtype)
-        kept = (k.buffers(n, d, dtype) + v.buffers(n, d, dtype)
-                + [logits, alpha])
+        kept = [k.keep_hidden(n, dtype), v.keep_hidden(n, dtype), logits,
+                alpha]
     gate = Standardized(bn, None, groups, training, weight,
                         out=logits if keep else None)
 
     def body(lo, hi):
-        edges = [lo, *bounds[(bounds > lo) & (bounds < hi)].tolist(), hi]
-        if keep:
-            buffers = kept
-        else:  # φ's hidden activations (d wide), the logits and the gate
-            # take turns in one scratch array
-            m = max(b - a for a, b in zip(edges, edges[1:]))
-            y, kk, vv = np.empty((3, m, d), dtype)
-            buffers = [y, kk, y, vv, y, y]
-        for a, b in zip(edges, edges[1:]):
-            i, j = (a, b) if keep else (0, b - a)
-            yk, kk, yv, vv, lg, al = (None if x is None else x[i:j]
-                                      for x in buffers)
+        tiles = _tiles(bounds, lo, hi)
+        # the tile's keys and values, and without a tape φ's hidden
+        # activations, the logits and the gate taking turns in a third
+        scratch = np.empty((2 if keep else 3, max(b - a for a, b in tiles),
+                            d), dtype)
+        kk, vv = scratch[:2]
+        for a, b in tiles:
+            if keep:
+                yk, yv, lg, al = (None if x is None else x[a:b] for x in kept)
+            else:
+                yk = yv = lg = al = scratch[2, :b - a]
             o = owner[a:b]
-            kt, vt = k.rows(a, b, yk, kk), v.rows(a, b, yv, vv)
+            kt, vt = krows(a, b, yk, kk[:b - a]), vrows(a, b, yv, vv[:b - a])
             np.multiply(q.data[o], kt, out=lg)
             lg *= scale
             gate.standardize(lg, lg, a, b)
@@ -156,21 +183,22 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
             _stable_sigmoid(al, out=al)
             _sum_sorted(al * vt, o, msg)
 
-    tiles = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    parallel.run(body, n, tiles if k.given is None or v.given is None
-                 else cuts)
+    parallel.run(body, n, cuts)
     gate.fold()
     if not keep:
         return Tensor(msg)
-    k, v = k.tensor(*kept[:2]), v.tensor(*kept[2:4])
+    kt, vt = k.tensor(), v.tensor()
 
     def back(g):
-        gv = np.empty_like(alpha) if v.needs_grad() else None
-        gk = np.empty_like(k.data) if k.needs_grad() else None
+        gv = np.empty_like(alpha) if vt.needs_grad() else None
+        gk = np.empty_like(alpha) if kt.needs_grad() else None
         gq = np.zeros_like(q.data) if q.needs_grad() else None
         ga = np.empty_like(alpha)
 
         def body(lo, hi):
+            tiles = _tiles(bounds, lo, hi)
+            # a tile's values, then its keys, recomputed
+            rows = np.empty((max(b - a for a, b in tiles), d), dtype)
             o = owner[lo:hi]
             gr = g[o]
             if gv is not None:
@@ -178,7 +206,9 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
             # ga, the gate's gradient, becomes bn's output gradient and xhat
             # that times xhat: their sums are beta's and gamma's gradients
             gz, gl = ga[lo:hi], alpha[lo:hi]
-            np.multiply(gr, v.data[lo:hi], out=gz)
+            for a, b in tiles:
+                np.multiply(gr[a - lo:b - lo], v.again(a, b, rows[:b - a]),
+                            out=gz[a - lo:b - lo])
             gz *= gl
             gz *= 1.0 - gl
             np.multiply(gz, bn.gamma.data, out=gl)
@@ -188,20 +218,21 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
             if gk is not None:
                 np.multiply(gl, q.data[o], out=gk[lo:hi])
             if gq is not None:
-                gl *= k.data[lo:hi]
+                for a, b in tiles:
+                    gl[a - lo:b - lo] *= k.again(a, b, rows[:b - a])
                 _sum_sorted(gl, o, gq)
 
-        parallel.run(body, len(owner), cuts)
+        parallel.run(body, n, cuts)
         bn.gamma._add_grad(gate.xhat.sum(axis=0))
         bn.beta._add_grad(ga.sum(axis=0))
         if gv is not None:
-            v.accumulate_grad(gv)
+            vt.accumulate_grad(gv)
         if gk is not None:
-            k.accumulate_grad(gk)
+            kt.accumulate_grad(gk)
         if gq is not None:
             q.accumulate_grad(gq)
 
-    return Tensor._result(msg, (q, k, v, bn.gamma, bn.beta), back)
+    return Tensor._result(msg, (q, kt, vt, bn.gamma, bn.beta), back)
 
 
 class SE3EdgeLayer:

@@ -801,12 +801,14 @@ class TestProductCount:
     the sum does not depend on the CPU count. Weight gradients (x.T @ g)
     are left out; products of two weights add their 64 or so rows. An
     eval forward multiplies 52,618 rows (45.44 in bond-row units) and a
-    pretraining step 154,824 (133.70). Cutting a product into tiles moves
-    no row, and a change that adds a product back fails here. Counted as
-    calls over at least 1,158 rows, composing the maps that meet no
-    nonlinearity and stacking the edge layer's channels took an eval
-    forward from 48 products to 27 and a pretraining step from 96 to 55,
-    or 55.2 to 42.2 and 182.4 to 127.3 bond rows."""
+    pretraining step 185,624 (160.30). 30,800 of those, 14 per directed
+    edge, recompute the attention chains' keys and values in backward: a
+    step that kept them took 154,824 (133.70). Cutting a product into
+    tiles moves no row, and a change that adds a product back fails here.
+    Counted as calls over at least 1,158 rows, composing the maps that
+    meet no nonlinearity and stacking the edge layer's channels took an
+    eval forward from 48 products to 27 and a pretraining step from 96 to
+    55, or 55.2 to 42.2 and 182.4 to 127.3 bond rows."""
 
     @pytest.fixture()
     def counted(self, monkeypatch):
@@ -837,7 +839,7 @@ class TestProductCount:
         opt = adamw_from_config(model.store.params, model.cfg, 1e-5)
         pretrain_step(model, [(g, f"c{i}") for i, g in enumerate(graphs)],
                       opt, stream(23, "product-count-noise"))
-        assert sum(seen) == 154_824
+        assert sum(seen) == 185_624
 
 
 class TestEvalMemory:

@@ -307,6 +307,94 @@ def test_training_tiles_never_split_a_structure(split, tile, monkeypatch):
     assert len(seen) > 20 and all(seen)
 
 
+def chain_pack(gen, dim):
+    """A node layer's inputs over 1,622 edges of 64 nodes, 6 to 46 edges
+    each, in 32 structures of 2 nodes."""
+    src = np.repeat(np.arange(64), 6 + (np.arange(64) * 7) % 41)
+    graph = np.repeat(np.arange(32), 2)
+    p = SimpleNamespace(src=src, dst=gen.integers(0, 64, len(src)),
+                        edge_bond=None, node_graph=graph, edge_graph=graph[src])
+    return (Tensor(gen.normal(size=(64, dim)), requires_grad=True),
+            Tensor(gen.normal(size=(len(src), dim)), requires_grad=True), p)
+
+
+def tiled_rows(pair, bounds: np.ndarray) -> Tensor:
+    """φ's rows of a (φ, blocks) pair as a tape node of their own, each
+    tile of `bounds` computed by one call of `MLP2.row_kernel`'s body."""
+    phi, x = pair
+    arrays = [(t.data, rows, pre) for t, rows, pre in nn._blocks(x)]
+    n, body = phi.row_kernel(arrays)
+    dtype = nn._dtype(phi.lin1.weight, arrays)
+    y = np.empty((n, phi.lin1.weight.data.shape[1]), dtype)
+    out = np.empty((n, phi.lin2.weight.data.shape[1]), dtype)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        body(a, b, y[a:b], out[a:b])
+    return phi.node(x, y, out)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_backward_recomputes_keys_and_values_on_the_forward_tiles(
+        split, counted, tile, parts):
+    """A training chain keeps φ's hidden activations, not its keys and
+    values, and recomputes those in backward. At width 40 a product's bits
+    may depend on where its rows are cut (with OpenBLAS 0.3.31 in f32, a
+    product of some 700 rows or more took other bits than the same rows
+    in tiles of up to 64), so unless backward cuts them at the forward's
+    tiles, whatever the part count, the gradients and running estimates
+    differ from those of keys and values built tile by tile and handed to
+    the chain as tensors."""
+    tile(64)
+    split(parts)
+    set_default_dtype("f32")
+    try:
+        results = []
+        for given in (False, True):
+            store = ParamStore(11)
+            layer = SE3NodeLayer(store, "n", 40)
+            h, e, p = chain_pack(np.random.default_rng(11), 40)
+            if given:
+                attend = layer.attend
+                bounds = se3._tile_bounds(
+                    np.flatnonzero(np.diff(p.edge_graph, prepend=-1)),
+                    len(p.src))
+                assert len(bounds) > 8
+                layer.attend = lambda q, k, v, p, training: attend(
+                    q, tiled_rows(k, bounds), tiled_rows(v, bounds), p,
+                    training)
+            with parallel.threads():
+                out = layer(h, e, p, training=True)
+                (out * out).sum().backward()
+            results.append([out.data, h.grad, e.grad]
+                           + [t.grad for t in store.params.values()]
+                           + list(store.buffers.values()))
+        assert max(counted, default=1) == parts
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    finally:
+        set_default_dtype("f64")
+
+
+def test_chains_leave_numpy_ma_unimported():
+    """An eval and a training chain in a fresh process: finding the tiles
+    imports nothing more (`np.unique` imports `numpy.ma`, 1.3 MB)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import numpy as np; import test_parallel; "
+            "from crysfuse.nn import ParamStore; "
+            "from crysfuse.se3 import SE3NodeLayer; "
+            "layer = SE3NodeLayer(ParamStore(0), 'n', 8); "
+            "h, e, p = test_parallel.chain_pack(np.random.default_rng(0), 8); "
+            "layer(h, e, p, training=False); "
+            "layer(h, e, p, training=True).sum().backward(); "
+            "print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, here, src],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.split() == ["False"]
+
+
 def train_outputs() -> dict:
     """Four pretraining steps and one fine-tuning epoch of a model at batch
     4 on eight cells of 3 to 8 atoms (about 600 edges a batch, so weight

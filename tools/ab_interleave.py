@@ -4,36 +4,54 @@
 
 Each checkout's `src/crysfuse` is imported under its own package name
 (`crysfuse_a`, `crysfuse_b`), so both live in one interpreter, on the same
-inputs and the same machine state. The tool first checks that the two
+inputs and the same machine state.
+
+For `predict-small` and `predict-large` the tool first checks that the two
 trees predict every cell of the workload's seed bit for bit alike, then
 runs passes of the workload from the two trees alternately (A, B, B, A,
 ...) and prints the median per-pass time ratio B/A and how many pairs B
 won. A pass is one predict-small call over 128 cells of 1-8 atoms, or one
 predict-large pass of 40 single-cell calls on cells of 24-64 atoms: the
 inputs and the default-config model of `perfbench`, without its timers,
-gate or memory readings. The exit status is 1 when predictions differ.
+gate or memory readings.
+
+For `train` each tree builds the model of perfbench's train workload
+(batch 16) and the first 16 cells of its seed, and a pass is one
+pretraining step and one fine-tuning step on those 16 cells, from the two
+trees alternately. Every step's losses and a hash of every parameter
+gradient must be bitwise the same in both trees. The tool prints, per
+kind of step, the median time ratio B/A, how many pairs B won, and each
+tree's tracemalloc peak in one step, traced after one untimed pass.
+
+The exit status is 1 when predictions, losses or gradients differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from perfbench.inputs import CellSpec, make_dataset, write_jsonl  # noqa: E402
 
-# the cells of perfbench's predict workloads (`perfbench/workloads.py`)
+# the cells of perfbench's workloads (`perfbench/workloads.py`): all of
+# the predict workloads', the first batch of the train workload's
 WORKLOADS = {
     "predict-small": [CellSpec(1 + i % 8) for i in range(128)],
     "predict-large": [CellSpec(24 + (17 * i) % 41, thin=(i % 4 == 3))
                       for i in range(40)],
+    "train": [CellSpec(4 + i % 13) for i in range(16)],
 }
 
 
@@ -73,6 +91,97 @@ class Arm:
         return time.perf_counter() - t0
 
 
+class TrainArm:
+    """One tree's model, optimizers and batch for the train workload."""
+
+    def __init__(self, checkout: str, name: str, data: Path, seed: int):
+        load_tree(checkout, name)
+        module = lambda m: sys.modules[f"{name}.{m}"]  # noqa: E731
+        pipeline, optim = module("pipeline"), module("optim")
+        cfg = module("config").RunConfig(pretrain_batch_size=16,
+                                         finetune_batch_size=16)
+        self.model = module("model").MGTModel(cfg)
+        records = pipeline.load_jsonl(str(data))
+        self.batch = [(self.model.build_graph(r.structure), r.id)
+                      for r in records]
+        targets = [r.target for r in records]
+        self.targets = pipeline.Normalizer.fit(targets).normalize(targets)
+        params = self.model.store.params
+        self.optimizers = {
+            "pretrain": optim.adamw_from_config(params, cfg, cfg.pretrain_lr),
+            "finetune": optim.adamw_from_config(params, cfg, cfg.finetune_lr)}
+        self.noise = np.random.default_rng(seed)
+        self.pretrain_step = module("pretrain").pretrain_step
+        self.finetune_step = pipeline.finetune_step
+
+    def step(self, kind: str) -> tuple[float, list[str]]:
+        """One pretraining or fine-tuning step: its time, and its losses
+        and the sha1 of every parameter gradient, as strings."""
+        opt = self.optimizers[kind]
+        t0 = time.perf_counter()
+        if kind == "pretrain":
+            parts = self.pretrain_step(self.model, self.batch, opt, self.noise)
+            losses = [parts.total, parts.contrast, parts.se3, parts.so3]
+        else:
+            losses = self.finetune_step(
+                self.model, [g for g, _ in self.batch], self.targets,
+                [sid for _, sid in self.batch], opt)
+        seconds = time.perf_counter() - t0
+        grads = hashlib.sha1()
+        for name in sorted(self.model.store.params):
+            grad = self.model.store.params[name].grad
+            if grad is not None:
+                grads.update(name.encode() + np.ascontiguousarray(grad).tobytes())
+        return seconds, [float(x).hex() for x in losses] + [grads.hexdigest()]
+
+
+def traced_peak(arm: TrainArm, kind: str) -> tuple[float, list[str]]:
+    """The tracemalloc peak of one step in MB, and the step's bits."""
+    tracemalloc.start()
+    try:
+        _, bits = arm.step(kind)
+        return tracemalloc.get_traced_memory()[1] / 1e6, bits
+    finally:
+        tracemalloc.stop()
+
+
+def compare_training(a: str, b: str, data: Path, seed: int,
+                     passes: int) -> int:
+    """Alternate training steps of the two trees; 1 if any step's bits
+    differ."""
+    arms = [TrainArm(a, "crysfuse_a", data, seed),
+            TrainArm(b, "crysfuse_b", data, seed)]
+    kinds = ("pretrain", "finetune")
+    same = True
+    for kind in kinds:  # untimed, so first-call costs stay out of the peak
+        same &= arms[0].step(kind)[1] == arms[1].step(kind)[1]
+    for kind in kinds:
+        (peak_a, bits_a), (peak_b, bits_b) = (traced_peak(arm, kind)
+                                              for arm in arms)
+        same &= bits_a == bits_b
+        print(f"{kind} step: tracemalloc peak A {peak_a:.1f} MB, "
+              f"B {peak_b:.1f} MB")
+    ratios = {kind: [] for kind in kinds}
+    for i in range(passes):
+        order = arms if i % 2 == 0 else arms[::-1]
+        for kind in kinds:
+            steps = {id(arm): arm.step(kind) for arm in order}
+            (ta, bits_a), (tb, bits_b) = (steps[id(arm)] for arm in arms)
+            same &= bits_a == bits_b
+            ratios[kind].append(tb / ta)
+    print(f"losses and gradient hashes bitwise equal in every step: {same}")
+    for kind in kinds:
+        report(f"{kind} step", ratios[kind])
+    return 0 if same else 1
+
+
+def report(what: str, ratios: list[float]):
+    wins = sum(r < 1.0 for r in ratios)
+    low, median, high = statistics.quantiles(ratios, n=4)
+    print(f"B/A time per {what}: median x{median:.3f} over {len(ratios)} "
+          f"pairs, B faster in {wins}; quartiles x{low:.3f}-x{high:.3f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a", help="checkout A (the baseline)")
@@ -90,6 +199,9 @@ def main(argv=None) -> int:
         data = Path(tmp) / "data.jsonl"
         write_jsonl(make_dataset(args.seed, args.workload,
                                  WORKLOADS[args.workload]), data)
+        if args.workload == "train":
+            return compare_training(args.a, args.b, data, args.seed,
+                                    args.passes)
         arms = [Arm(args.a, "crysfuse_a", data), Arm(args.b, "crysfuse_b", data)]
     pa, pb = (arm.predict(batched) for arm in arms)
     same = sum(x.hex() == y.hex() for x, y in zip(pa, pb))
@@ -101,10 +213,7 @@ def main(argv=None) -> int:
         order = arms if i % 2 == 0 else arms[::-1]
         times = {id(arm): arm.timed(batched) for arm in order}
         ratios.append(times[id(arms[1])] / times[id(arms[0])])
-    wins = sum(r < 1.0 for r in ratios)
-    low, median, high = statistics.quantiles(ratios, n=4)
-    print(f"B/A time per pass: median x{median:.3f} over {len(ratios)} "
-          f"pairs, B faster in {wins}; quartiles x{low:.3f}-x{high:.3f}")
+    report("pass", ratios)
     return 0 if same == len(pa) else 1
 
 
