@@ -20,6 +20,16 @@ Survivors are computed from the same offsets and with the same formula as a
 scan of the whole box would use, so the edge set and every bit of every
 edge array equal the unpruned scan's. Sources are taken `_BLOCK` at a time,
 so the scan's temporaries stay O(_BLOCK * N), never O(N^2).
+
+Most nodes hit the neighbour cap well inside r, so the scan runs at two
+radii. The first pass uses r1 = min(r, (3 * _FILL * max_neighbors * V /
+(4 pi n))^(1/3)), the radius of a sphere that holds `_FILL` times the cap at
+the cell's mean density, over the same r box and with the same formula. A
+node that gets its full cap within r1 keeps that list: every edge within r1
+was enumerated, ties included, and every edge in (r1, r] is longer than the
+last one kept, so the capped list within r is the same list, bit for bit.
+Only the other nodes are scanned again at r. So r1 changes the work done,
+never the graph.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ _INDEP_TOL = 1e-10
 _SLACK = 1e-9
 # source nodes per scan block
 _BLOCK = 64
+# the first scan's sphere holds this many times max_neighbors atoms at the
+# cell's mean density; it sets only how much is rescanned, never the graph
+_FILL = 2.0
 
 
 class GraphError(ValueError):
@@ -112,11 +125,27 @@ class PeriodicGraph:
         }
 
 
+def _norms(v_t: np.ndarray) -> np.ndarray:
+    """Lengths of the columns of a (3, ...) array. The squares are added in
+    the order ``np.linalg.norm(v, axis=-1)`` adds a row's, so the lengths
+    carry its bits."""
+    sq = v_t * v_t
+    return np.sqrt((sq[0] + sq[1]) + sq[2])
+
+
+def _volume_and_widths(lattice: np.ndarray) -> tuple[float, np.ndarray]:
+    a, b, c = lattice.tolist()
+    # the faces b x c, c x a, a x b; Python floats round as np.cross does
+    faces = [[u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+              u[0] * v[1] - u[1] * v[0]] for u, v in ((b, c), (c, a), (a, b))]
+    volume = abs(float(np.linalg.det(lattice)))
+    return volume, volume / _norms(np.array(faces).T)
+
+
 def perpendicular_widths(lattice: np.ndarray) -> np.ndarray:
     """Distance between opposite cell faces along each lattice direction:
     the volume over the area of the face the other two vectors span."""
-    cross = np.cross(lattice[[1, 2, 0]], lattice[[2, 0, 1]])
-    return abs(float(np.linalg.det(lattice))) / np.linalg.norm(cross, axis=1)
+    return _volume_and_widths(lattice)[1]
 
 
 def _image_grid(bounds: np.ndarray) -> np.ndarray:
@@ -136,8 +165,16 @@ def _cached_grid(bounds: tuple[int, ...]) -> np.ndarray:
     return grid.astype(np.min_scalar_type(-1 - max(bounds)))
 
 
-def _check_budget(bounds: np.ndarray, budget: int):
-    count = int(np.prod(2 * bounds + 1))
+@functools.lru_cache(maxsize=32)
+def _translation_grid(bounds: tuple[int, ...]) -> np.ndarray:
+    """The box of `_cached_grid` without its zero row, in descending
+    (k1, k2, k3) order (narrow and shared: callers must not write it)."""
+    grid = _cached_grid(bounds)[::-1]
+    return np.delete(grid, len(grid) // 2, axis=0)
+
+
+def _check_budget(bounds, budget: int):
+    count = math.prod(2 * int(b) + 1 for b in bounds)
     if count > budget:
         raise GraphError(
             f"image budget exceeded: scan of {count} periodic images is over the "
@@ -151,13 +188,6 @@ def _scan_bounds(r: float, widths: np.ndarray) -> np.ndarray:
     return np.array([math.ceil(r / w) + 1 for w in widths], dtype=np.int64)
 
 
-def _expand(lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate ``lo + t`` for t in [0, count) per row: (row index, value)."""
-    row = np.repeat(np.arange(len(count)), count)
-    run_start = np.cumsum(count) - count
-    return row, lo[row] + (np.arange(len(row)) - run_start[row])
-
-
 def _node_candidates(rows, frac, cart, images, offsets, reach, r, max_neighbors):
     """Nearest edges (src, dst, image, vector, distance) of the source nodes
     `rows` (ascending) within radius r, at most `max_neighbors` per source,
@@ -168,33 +198,61 @@ def _node_candidates(rows, frac, cart, images, offsets, reach, r, max_neighbors)
     each pair's image ranges get a displacement. The displacement is
     (cart_j - cart_i) + offset, so the +k and -k images of a self edge are
     exact negations — their distances tie bitwise, which keeps the sort and
-    the neighbor cap deterministic under rigid motions of the cell.
+    the neighbor cap deterministic under rigid motions of the cell. Rows
+    are gathered with ``take``, which is faster than fancy indexing here.
     """
     n = len(frac)
     bounds = images[-1]
     df = frac[None, :, :] - frac[rows, None, :]  # (B, N, 3)
     lo = np.maximum(np.ceil(-reach - df), -bounds).astype(np.int64).reshape(-1, 3)
     hi = np.minimum(np.floor(reach - df), bounds).astype(np.int64).reshape(-1, 3)
-    pair = np.flatnonzero(np.all(hi >= lo, axis=1))
-    src, dst, lo, count = rows[pair // n], pair % n, lo[pair], (hi - lo + 1)[pair]
-    # expand the ranges axis by axis: p is the pair, cell the row of the box
-    p = np.arange(len(pair))
-    cell = np.zeros(len(pair), dtype=np.int64)
-    for m in range(3):
-        row, k = _expand(lo[p, m], count[p, m])
-        p = p[row]
-        cell = cell[row] * (2 * bounds[m] + 1) + (k + bounds[m])
-    vec = (cart[dst] - cart[src])[p] + offsets[cell]
-    dist = np.linalg.norm(vec, axis=-1)
+    count = hi - lo + 1
+    pair = np.flatnonzero(count.min(axis=1) > 0)
+    src, dst, count = rows[pair // n], pair % n, count.take(pair, axis=0)
+    # Each pair's ranges are a sub-box of the box; t counts through it with
+    # k3 fastest, so q = (t // (c2 c3), t // c3 % c2, t % c3) ascends in
+    # (k1, k2, k3). p is the pair, cell the row of the box.
+    stride = np.array([(2 * bounds[1] + 1) * (2 * bounds[2] + 1),
+                       2 * bounds[2] + 1, 1])
+    size = count[:, 0] * count[:, 1] * count[:, 2]
+    p = np.repeat(np.arange(len(pair)), size)
+    t = np.arange(len(p)) - np.repeat(np.cumsum(size) - size, size)
+    q1, t = np.divmod(t, (count[:, 1] * count[:, 2])[p])
+    q2, q3 = np.divmod(t, count[:, 2][p])
+    corner = (lo.take(pair, axis=0) + bounds) @ stride
+    cell = corner[p] + q1 * stride[0] + q2 * stride[1] + q3
+    vec = ((cart.take(dst, axis=0) - cart.take(src, axis=0)).take(p, axis=0)
+           + offsets.take(cell, axis=0))
+    dist = _norms(vec.T)
     # the zero offset is the box's centre row; no zero-offset self edge
     keep = np.flatnonzero((dist <= r) & ((cell != len(images) // 2) | (src != dst)[p]))
-    # candidates come in (src, dst, k1, k2, k3) order and box rows ascend in
-    # (k1, k2, k3), so a stable sort on (src, distance) gives the edge order
-    order = keep[np.lexsort((dist[keep], src[p[keep]]))]
+    # Candidates come in (src, dst, k1, k2, k3) order and box rows ascend in
+    # (k1, k2, k3), so a stable sort on (src, distance) gives the edge order.
+    # A complex key sorts by its real part, then its imaginary part.
+    key = np.empty(len(keep), dtype=complex)
+    key.real, key.imag = src[p[keep]], dist[keep]
+    order = keep[np.argsort(key, kind="stable")]
     source = src[p[order]]
     order = order[np.arange(len(order)) - np.searchsorted(source, source) < max_neighbors]
-    return (src[p[order]], dst[p[order]], images[cell[order]], vec[order],
-            dist[order])
+    return (src[p[order]], dst[p[order]], images.take(cell[order], axis=0),
+            vec.take(order, axis=0), dist[order])
+
+
+def _independent_picks(v: np.ndarray) -> list[int] | None:
+    """Where in `v` (translations, shortest first) the pick loop picks: the
+    first vector, the first one not collinear with it, and the first one
+    after that off their plane; None when `v` runs out first. The picks
+    come early, so rows are read a few at a time."""
+    rows = (row for b in range(0, len(v), 16) for row in v[b:b + 16].tolist())
+    (a0, a1, a2), second = next(rows), None
+    for i, (x0, x1, x2) in enumerate(rows, 1):
+        if second is None:
+            normal = (a1 * x2 - a2 * x1, a2 * x0 - a0 * x2, a0 * x1 - a1 * x0)
+            if math.hypot(*normal) > _INDEP_TOL:
+                second = i
+        elif abs(normal[0] * x0 + normal[1] * x1 + normal[2] * x2) > _INDEP_TOL:
+            return [0, second, i]
+    return None
 
 
 def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUDGET,
@@ -217,37 +275,32 @@ def reference_vectors(lattice: np.ndarray, image_budget: int = DEFAULT_IMAGE_BUD
     # longer than the longest of them and a box covering that length needs
     # no regrowth. A skewed basis can make that box huge; then start from
     # the unit box and grow.
-    longest = float(np.max(np.linalg.norm(lattice, axis=1)))
-    bounds = np.array([math.ceil(longest / w) for w in widths], dtype=np.int64)
-    if np.prod(2 * bounds + 1) > image_budget:
-        bounds = np.array([1, 1, 1], dtype=np.int64)
+    widths = widths.tolist()
+    # Python floats round as numpy's elementwise ops do
+    longest = max(math.sqrt((x * x + y * y) + z * z) for x, y, z in lattice.tolist())
+    bounds = tuple(math.ceil(longest / w) for w in widths)
+    if math.prod(2 * b + 1 for b in bounds) > image_budget:
+        bounds = (1, 1, 1)
     while True:
         _check_budget(bounds, image_budget)
-        ks = _image_grid(bounds)
-        ks = ks[np.any(ks != 0, axis=1)]
+        # descending (k1, k2, k3), so a stable sort by length breaks ties
+        # towards the largest offset
+        ks = _translation_grid(bounds)
         vecs = ks @ lattice
-        lengths = np.linalg.norm(vecs, axis=1)
-        order = np.lexsort((-ks[:, 2], -ks[:, 1], -ks[:, 0], lengths))
+        lengths = _norms(vecs.T)
+        order = np.argsort(lengths, kind="stable")
 
-        v = vecs[order]
-        area = np.linalg.norm(np.cross(v[0], v[1:]), axis=1)
-        seconds = 1 + np.flatnonzero(area > _INDEP_TOL)
-        if len(seconds):
-            b = seconds[0]
-            frames = np.empty((len(v) - b - 1, 3, 3))
-            frames[:, 0], frames[:, 1], frames[:, 2] = v[0], v[b], v[b + 1:]
-            thirds = b + 1 + np.flatnonzero(np.abs(np.linalg.det(frames)) > _INDEP_TOL)
-        if not len(seconds) or not len(thirds):
-            bounds = bounds + 1
+        picked = _independent_picks(vecs[order])
+        if picked is None:
+            bounds = tuple(b + 1 for b in bounds)
             continue
-        picked = order[[0, seconds[0], thirds[0]]]
+        picked = order[picked]
 
         # box must cover every translation no longer than the third pick
-        needed = np.array(
-            [math.ceil(lengths[picked[2]] / w) for w in widths], dtype=np.int64)
-        if np.all(bounds >= needed):
-            return vecs[picked].copy(), ks[picked].copy()
-        bounds = np.maximum(needed, bounds + 1)
+        needed = [math.ceil(float(lengths[picked[2]]) / w) for w in widths]
+        if all(b >= m for b, m in zip(bounds, needed)):
+            return vecs[picked], ks[picked].astype(np.int64)
+        bounds = tuple(max(m, b + 1) for b, m in zip(bounds, needed))
 
 
 def _bond_map(src: np.ndarray, dst: np.ndarray, image: np.ndarray,
@@ -266,11 +319,13 @@ def _bond_map(src: np.ndarray, dst: np.ndarray, image: np.ndarray,
         raise GraphError(
             f"bond keys of {num_nodes} nodes over images up to "
             f"+-{span.tolist()} overflow int64")
-    key = np.ravel_multi_index((src, dst, *(image + span).T), dims)
-    rev = np.ravel_multi_index((dst, src, *(span - image).T), dims)
+    # flat indices of (src, dst, image + span) and (dst, src, span - image)
+    stride = np.array([dims[3] * dims[4], dims[4], 1])
+    k, centre, box = image @ stride, int(span @ stride), math.prod(dims[2:])
+    key = (src * num_nodes + dst) * box + (centre + k)
+    rev = (dst * num_nodes + src) * box + (centre - k)
     order = np.argsort(key, kind="stable")
-    found = order[np.minimum(np.searchsorted(key, rev, sorter=order),
-                             len(key) - 1)]
+    found = order[np.minimum(np.searchsorted(key[order], rev), len(key) - 1)]
     rep = np.where(key[found] == rev, np.minimum(edges, found), edges)
     bond_edges = np.flatnonzero(rep == edges)
     return np.searchsorted(bond_edges, rep), bond_edges
@@ -294,7 +349,10 @@ def build_graph(
     The search computes a displacement only for the images that a pair's
     per-axis ranges allow (see the module docstring), `_BLOCK` sources at a
     time, and gives bitwise the edges of a scan over the whole
-    ``_scan_bounds`` box.
+    ``_scan_bounds`` box. It scans every node first at the smaller radius
+    r1 of the module docstring and again at r only the nodes that r1 left
+    short of `max_neighbors`; a node full at r1 has the capped list it
+    would have at r, so the graph and its bits do not depend on r1.
     """
     if r <= 0:
         raise ValueError(f"cutoff radius must be positive, got {r}")
@@ -304,10 +362,11 @@ def build_graph(
     n = len(s)
     frac = s.frac_coords
     cart = s.cart_coords()
-    widths = perpendicular_widths(s.lattice)  # once per cell
+    volume, widths = _volume_and_widths(s.lattice)  # once per cell
 
-    def scan(rows, radius):
-        bounds = _scan_bounds(radius, widths)
+    def scan(rows, radius, box_radius):
+        # the box, its offsets and the budget check come from box_radius
+        bounds = _scan_bounds(box_radius, widths)
         _check_budget(bounds, image_budget)
         images = _image_grid(bounds)
         offsets = images @ s.lattice
@@ -315,18 +374,30 @@ def build_graph(
         blocks = [_node_candidates(rows[b:b + _BLOCK], frac, cart, images, offsets,
                                    reach, radius, max_neighbors)
                   for b in range(0, len(rows), _BLOCK)]
+        if len(blocks) == 1:
+            return blocks[0]
         return [np.concatenate(arrays) for arrays in zip(*blocks)]
 
-    parts = [scan(np.arange(n), r)]
-    # isolated at this radius: grow the radius for those nodes only
-    pending = np.flatnonzero(np.bincount(parts[0][0], minlength=n) == 0)
-    r_i = r
-    while len(pending):
-        r_i *= 1.5
-        parts.append(scan(pending, r_i))
-        pending = pending[np.bincount(parts[-1][0], minlength=n)[pending] == 0]
-    src, dst, image, vector, distance = (np.concatenate(a) for a in zip(*parts))
-    if len(parts) > 1:
+    rows, parts = np.arange(n), []
+    r1 = (3 * _FILL * max_neighbors * volume / (4 * math.pi * n)) ** (1 / 3)
+    if r1 < r:
+        first = scan(rows, r1, r)
+        short = np.bincount(first[0], minlength=n) < max_neighbors
+        rows = np.flatnonzero(short)
+        parts.append([a[~short[first[0]]] for a in first] if len(rows) else first)
+    if len(rows):
+        parts.append(scan(rows, r, r))
+        # isolated at this radius: grow the radius for those nodes only
+        pending = rows[np.bincount(parts[-1][0], minlength=n)[rows] == 0]
+        r_i = r
+        while len(pending):
+            r_i *= 1.5
+            parts.append(scan(pending, r_i, r_i))
+            pending = pending[np.bincount(parts[-1][0], minlength=n)[pending] == 0]
+    if len(parts) == 1:
+        src, dst, image, vector, distance = parts[0]
+    else:
+        src, dst, image, vector, distance = (np.concatenate(a) for a in zip(*parts))
         order = np.argsort(src, kind="stable")
         src, dst, image, vector, distance = (
             src[order], dst[order], image[order], vector[order], distance[order])
@@ -339,12 +410,12 @@ def build_graph(
             f"{image[e].tolist()}): a zero-length edge has no direction")
 
     refs, _ = reference_vectors(s.lattice, image_budget, widths)
-    ref_norms = np.linalg.norm(refs, axis=1)
+    ref_norms = _norms(refs.T)
     cosines = (vector @ refs.T) / (distance[:, None] * ref_norms[None, :])
     # Line angles, not vector angles: a reference translation and its negation
     # are the same self-image axis, so the sign carries no geometry. Folding
     # keeps the features independent of how that sign was canonicalized.
-    angles = np.arccos(np.clip(np.abs(cosines), 0.0, 1.0))
+    angles = np.arccos(np.minimum(np.abs(cosines), 1.0))
     edge_bond, bond_edges = _bond_map(src, dst, image, n)
 
     return PeriodicGraph(

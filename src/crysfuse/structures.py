@@ -8,7 +8,6 @@ coordinates are always stored wrapped into [0, 1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,10 +96,6 @@ class GroupAction:
         trans.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
-
-    def inverse(self) -> "GroupAction":
-        # x' = x R^T + b  =>  x = x' R - b R
-        return GroupAction(self.rotation.T, -self.translation @ self.rotation)
 
 
 def apply_group_action(s: CrystalStructure, g: GroupAction) -> CrystalStructure:
@@ -259,18 +254,3 @@ def structure_from_dict(obj: dict) -> CrystalStructure:
         raise StructureError(f"lattice must be 3 x 3, got shape {lattice.shape}")
     return CrystalStructure(tuple(species), frac, lattice)
 
-
-def parse_json_structure(text: str) -> CrystalStructure:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"invalid JSON: {exc}") from None
-    return structure_from_dict(obj)
-
-
-def structure_to_dict(s: CrystalStructure) -> dict:
-    return {
-        "species": list(s.species),
-        "frac_coords": s.frac_coords.tolist(),
-        "lattice": s.lattice.tolist(),
-    }

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from crysfuse.errors import DataError
 from crysfuse.graph import GraphError, build_graph
+from crysfuse.pipeline import load_jsonl
 from crysfuse.structures import (CrystalStructure, GroupAction, StructureError,
-                                 apply_group_action, parse_json_structure,
-                                 parse_poscar, serialize_poscar,
-                                 structure_from_dict, structure_to_dict,
+                                 apply_group_action, parse_poscar,
+                                 serialize_poscar, structure_from_dict,
                                  wrap_frac)
 
 CUBIC = np.eye(3) * 4.0
@@ -97,9 +100,12 @@ class TestGroupAction:
         rot = np.array([[np.cos(theta), -np.sin(theta), 0],
                         [np.sin(theta), np.cos(theta), 0],
                         [0, 0, 1.0]])
-        g = GroupAction(rot, np.array([1.0, -2.0, 0.5]))
+        shift = np.array([1.0, -2.0, 0.5])
+        g = GroupAction(rot, shift)
+        # x' = x R^T + b  =>  x = x' R - b R
+        inverse = GroupAction(rot.T, -shift @ rot)
         s = CrystalStructure((6, 8), [[0.1, 0.2, 0.3], [0.7, 0.1, 0.9]], CUBIC)
-        back = apply_group_action(apply_group_action(s, g), g.inverse())
+        back = apply_group_action(apply_group_action(s, g), inverse)
         assert np.allclose(back.frac_coords, s.frac_coords, atol=1e-12)
         assert np.allclose(back.lattice, s.lattice, atol=1e-12)
 
@@ -190,12 +196,20 @@ class TestJsonSchema:
         with pytest.raises(StructureError, match="lattice"):
             structure_from_dict({"species": [1], "frac_coords": [[0, 0, 0]]})
 
-    def test_to_dict_round_trip(self):
-        s = CrystalStructure((11, 17), [[0, 0, 0], [0.5, 0.5, 0.5]], CUBIC)
-        again = structure_from_dict(structure_to_dict(s))
+    def test_json_round_trip(self):
+        # the dataset rows' form: a JSON object per structure
+        s = CrystalStructure((11, 17), [[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]],
+                             np.array([[5.1, 0.2, 0.0], [0.0, 4.7, 0.1], [0.3, 0.0, 6.2]]))
+        text = json.dumps({"species": list(s.species),
+                           "frac_coords": s.frac_coords.tolist(),
+                           "lattice": s.lattice.tolist()})
+        again = structure_from_dict(json.loads(text))
         assert again.species == s.species
-        assert np.array_equal(again.frac_coords, s.frac_coords)
+        assert again.frac_coords.tobytes() == s.frac_coords.tobytes()
+        assert again.lattice.tobytes() == s.lattice.tobytes()
 
-    def test_parse_json_structure_rejects_garbage(self):
-        with pytest.raises(StructureError, match="JSON"):
-            parse_json_structure("{not json")
+    def test_load_jsonl_rejects_garbage(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text("{not json\n")
+        with pytest.raises(DataError, match="line 1: invalid JSON"):
+            load_jsonl(str(path))

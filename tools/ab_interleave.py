@@ -23,7 +23,17 @@ gradient must be bitwise the same in both trees. The tool prints, per
 kind of step, the median time ratio B/A, how many pairs B won, and each
 tree's tracemalloc peak in one step, traced after one untimed pass.
 
-The exit status is 1 when predictions, losses or gradients differ.
+For `graphs` each tree builds the neighbour graph of every cell of the
+three workloads' seed (128 predict-small, 40 predict-large and the 36
+cells of the train workload's pretraining and validation sets), and all
+nine `PeriodicGraph` arrays (dtype, shape and bytes) and every raised
+error (type and message) must be the same in both trees. A pass then
+builds every cell once, from the two trees alternately, timing each
+workload's cells on their own; the tool prints per workload the median
+time ratio B/A and how many pairs B won.
+
+The exit status is 1 when predictions, losses, gradients or graphs
+differ.
 """
 
 from __future__ import annotations
@@ -53,6 +63,11 @@ WORKLOADS = {
                       for i in range(40)],
     "train": [CellSpec(4 + i % 13) for i in range(16)],
 }
+# every cell of each workload's dataset; train's 32 pretraining cells and
+# 4 validation cells
+GRAPH_CELLS = {**WORKLOADS, "train": [CellSpec(4 + i % 13) for i in range(36)]}
+GRAPH_ARRAYS = ("src", "dst", "image", "vector", "distance", "angles",
+                "ref_vectors", "edge_bond", "bond_edges")
 
 
 def load_tree(checkout: str, name: str):
@@ -175,6 +190,69 @@ def compare_training(a: str, b: str, data: Path, seed: int,
     return 0 if same else 1
 
 
+class GraphArm:
+    """One tree's structures of every graphs cell, by workload."""
+
+    def __init__(self, checkout: str, name: str, rows: dict[str, list[dict]]):
+        load_tree(checkout, name)
+        from_dict = sys.modules[name + ".structures"].structure_from_dict
+        self.build_graph = sys.modules[name + ".graph"].build_graph
+        self.cells = {workload: [from_dict({key: row[key] for key in
+                                            ("species", "frac_coords", "lattice")})
+                                 for row in batch]
+                      for workload, batch in rows.items()}
+
+    def build(self, s):
+        """The graph of `s`, or the error building it raised."""
+        try:
+            return self.build_graph(s)
+        except Exception as exc:  # noqa: BLE001 -- compared, not handled
+            return exc
+
+    def outcomes(self, workload: str) -> list[tuple]:
+        """Per cell: the nine arrays' dtype, shape and bytes, or the error's
+        type and message."""
+        out = []
+        for g in map(self.build, self.cells[workload]):
+            if isinstance(g, Exception):
+                out.append((type(g).__name__, str(g)))
+            else:
+                out.append(tuple((a.dtype.str, a.shape, a.tobytes()) for a in
+                                 (getattr(g, name) for name in GRAPH_ARRAYS)))
+        return out
+
+    def timed(self, workload: str) -> float:
+        t0 = time.perf_counter()
+        for s in self.cells[workload]:
+            self.build(s)
+        return time.perf_counter() - t0
+
+
+def compare_graphs(a: str, b: str, seed: int, passes: int) -> int:
+    """Alternate graph-build passes of the two trees; 1 if any graph or
+    error differs."""
+    rows = {workload: make_dataset(seed, workload, specs)
+            for workload, specs in GRAPH_CELLS.items()}
+    arms = [GraphArm(a, "crysfuse_a", rows), GraphArm(b, "crysfuse_b", rows)]
+    same = True
+    for workload in GRAPH_CELLS:
+        got_a, got_b = (arm.outcomes(workload) for arm in arms)
+        equal = sum(x == y for x, y in zip(got_a, got_b))
+        errors = sum(len(x) == 2 for x in got_a)
+        same &= equal == len(got_a)
+        print(f"{workload}: {equal}/{len(got_a)} cells with all nine graph "
+              f"arrays or the error bitwise equal ({errors} errors)")
+    ratios = {workload: [] for workload in GRAPH_CELLS}
+    for i in range(passes):
+        order = arms if i % 2 == 0 else arms[::-1]
+        for workload in GRAPH_CELLS:
+            times = {id(arm): arm.timed(workload) for arm in order}
+            ratios[workload].append(times[id(arms[1])] / times[id(arms[0])])
+    for workload in GRAPH_CELLS:
+        report(f"{workload} graph pass", ratios[workload])
+    return 0 if same else 1
+
+
 def report(what: str, ratios: list[float]):
     wins = sum(r < 1.0 for r in ratios)
     low, median, high = statistics.quantiles(ratios, n=4)
@@ -186,7 +264,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a", help="checkout A (the baseline)")
     parser.add_argument("b", help="checkout B (the change)")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS),
+    parser.add_argument("--workload", choices=sorted([*WORKLOADS, "graphs"]),
                         default="predict-small")
     parser.add_argument("--passes", type=int, default=40,
                         help="timed passes per tree")
@@ -194,6 +272,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.passes < 2 or args.seed < 0:
         parser.error("--passes must be at least 2 and --seed non-negative")
+    if args.workload == "graphs":
+        return compare_graphs(args.a, args.b, args.seed, args.passes)
     batched = args.workload == "predict-small"
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.jsonl"
