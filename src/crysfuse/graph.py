@@ -363,6 +363,10 @@ def build_graph(
     frac = s.frac_coords
     cart = s.cart_coords()
     volume, widths = _volume_and_widths(s.lattice)  # once per cell
+    if not all(0.0 < w < math.inf for w in widths.tolist()):
+        # a lattice so large that its face areas or volume overflow
+        raise GraphError(f"cell widths {widths.tolist()} are not finite "
+                         "and positive")
 
     def scan(rows, radius, box_radius):
         # the box, its offsets and the budget check come from box_radius

@@ -57,70 +57,20 @@ def _tile_bounds(starts: np.ndarray, n: int) -> np.ndarray:
     return bounds[np.diff(bounds, prepend=-1) != 0]
 
 
-class _Rows:
-    """The keys or the values of `gated_sum`: a Tensor of rows, or a pair
-    (φ, x) of an `nn.MLP2` and its input blocks, whose rows the chain
-    computes a tile at a time, and in backward again from φ's hidden
-    activation."""
-
-    def __init__(self, x):
-        self.given = x if isinstance(x, Tensor) else None
-        self.hidden = None
-        if self.given is not None:
-            self.parents = (x,)
-            return
-        self.phi, self.x = x
-        self.parents = (_parents(_blocks(self.x)) + self.phi.lin1.params
-                        + self.phi.lin2.params)
-
-    def kernel(self):
-        """The forward, `rows(lo, hi, y, out)`: rows [lo, hi), the given
-        ones, or φ's, its hidden activation written into `y` and its output
-        into `out`."""
-        if self.given is not None:
-            data = self.given.data
-            return lambda lo, hi, y, out: data[lo:hi]
-        return self.phi.row_kernel([(t.data, rows, pre)
-                                    for t, rows, pre in _blocks(self.x)])[1]
-
-    def keep_hidden(self, n: int, dtype) -> np.ndarray | None:
-        """An array of n rows for φ's hidden activation, which a forward
-        that records a tape fills; None for given rows."""
-        if self.given is None:
-            width = self.phi.lin1.weight.data.shape[1]
-            self.hidden = np.empty((n, width), dtype)
-        return self.hidden
-
-    def again(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Rows [lo, hi) in backward: the given ones, or φ's output of the
-        kept hidden activation written into `out` by the call that wrote
-        it in the forward, so the bits match where [lo, hi) is a tile."""
-        if self.given is not None:
-            return self.given.data[lo:hi]
-        return self.phi.output(self.hidden[lo:hi], out)
-
-    def tensor(self) -> Tensor:
-        """The rows' tape node: the given one, or φ's over the kept hidden
-        activation, which keeps no output (`nn.MLP2.node`)."""
-        return self.given if self.given is not None else self.phi.node(
-            self.x, self.hidden)
-
-
 def _tiles(bounds: np.ndarray, lo: int, hi: int) -> list[tuple[int, int]]:
     """The tiles of `bounds` in rows [lo, hi), cut at lo and hi too."""
     edges = [lo, *bounds[(bounds > lo) & (bounds < hi)].tolist(), hi]
     return list(zip(edges, edges[1:]))
 
 
-def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
-              groups: np.ndarray, training: bool,
+def gated_sum(bn: BatchNorm, q: Tensor, k: tuple, v: tuple,
+              owner: np.ndarray, groups: np.ndarray, training: bool,
               weight: np.ndarray | None = None) -> Tensor:
     """segment_sum(sigmoid(bn(q[owner] * k * scale)) * v, owner), scale
     1/sqrt(d), a whole attention block as one chain: `q` has one row per
-    owner, `owner` is sorted, and the keys `k` and values `v` have one row
-    per entry of `owner`. Each is a Tensor of those rows, or a pair
-    (φ, x) of an `nn.MLP2` and its input blocks, which the chain runs
-    itself. A training batch norm standardizes each structure of `groups`
+    owner, `owner` is sorted, and the keys `k` and values `v`, each a pair
+    (φ, x) of an `nn.MLP2` and its input blocks, have one row per entry of
+    `owner`. A training batch norm standardizes each structure of `groups`
     apart, counting row r `weight[r]` times.
 
     The rows run in tiles of at most about `TILE_ROWS` (`_tile_bounds`): a
@@ -139,26 +89,30 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
     and hands the whole key and value gradients to φ's nodes. Those stay
     nodes of their own so that the tape runs them where it ran them when
     they kept their outputs: a shared input, such as the edge layer's
-    features, then sums its gradients in the same order. Parts are unions
+    features, then sums its gradients in the same order. Parts are runs
     of whole tiles, so φ's products are cut the same way at any part
-    count; given keys and values leave no product, and parts then cut at
-    any owner (in training, structure). Outputs and gradients are bitwise
-    those of the same expression composed from tape operations."""
+    count. Outputs and gradients are bitwise those of the same expression
+    composed from tape operations."""
     n, d = len(owner), q.data.shape[1]
     dtype = q.data.dtype
     scale = 1.0 / math.sqrt(d)
-    k, v = _Rows(k), _Rows(v)
-    keep = recording((q, bn.gamma, bn.beta) + k.parents + v.parents)
-    cuts = groups if training else owner
-    bounds = _tile_bounds(np.flatnonzero(np.diff(cuts, prepend=-1)), n)
-    if k.given is None or v.given is None:
-        cuts = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    krows, vrows = k.kernel(), v.kernel()
+    (phi_k, xk), (phi_v, xv) = k, v
+    bk, bv = _blocks(xk), _blocks(xv)
+    keep = recording((q, bn.gamma, bn.beta) + _parents(bk) + _parents(bv)
+                     + phi_k.lin1.params + phi_k.lin2.params
+                     + phi_v.lin1.params + phi_v.lin2.params)
+    bounds = _tile_bounds(np.flatnonzero(np.diff(
+        groups if training else owner, prepend=-1)), n)
+    tile_ids = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    krows, vrows = (phi.row_kernel([(t.data, rows, pre)
+                                    for t, rows, pre in b])[1]
+                    for phi, b in ((phi_k, bk), (phi_v, bv)))
     msg = np.zeros_like(q.data)
     if keep:
         logits, alpha = np.empty((n, d), dtype), np.empty((n, d), dtype)
-        kept = [k.keep_hidden(n, dtype), v.keep_hidden(n, dtype), logits,
-                alpha]
+        hk, hv = (np.empty((n, phi.lin1.weight.data.shape[1]), dtype)
+                  for phi in (phi_k, phi_v))
+        kept = [hk, hv, logits, alpha]
     gate = Standardized(bn, None, groups, training, weight,
                         out=logits if keep else None)
 
@@ -171,7 +125,7 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
         kk, vv = scratch[:2]
         for a, b in tiles:
             if keep:
-                yk, yv, lg, al = (None if x is None else x[a:b] for x in kept)
+                yk, yv, lg, al = (x[a:b] for x in kept)
             else:
                 yk = yv = lg = al = scratch[2, :b - a]
             o = owner[a:b]
@@ -183,11 +137,11 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
             _stable_sigmoid(al, out=al)
             _sum_sorted(al * vt, o, msg)
 
-    parallel.run(body, n, cuts)
+    parallel.run(body, n, tile_ids)
     gate.fold()
     if not keep:
         return Tensor(msg)
-    kt, vt = k.tensor(), v.tensor()
+    kt, vt = phi_k.node(xk, hk), phi_v.node(xv, hv)
 
     def back(g):
         gv = np.empty_like(alpha) if vt.needs_grad() else None
@@ -207,7 +161,8 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
             # that times xhat: their sums are beta's and gamma's gradients
             gz, gl = ga[lo:hi], alpha[lo:hi]
             for a, b in tiles:
-                np.multiply(gr[a - lo:b - lo], v.again(a, b, rows[:b - a]),
+                np.multiply(gr[a - lo:b - lo],
+                            phi_v.output(hv[a:b], rows[:b - a]),
                             out=gz[a - lo:b - lo])
             gz *= gl
             gz *= 1.0 - gl
@@ -219,10 +174,10 @@ def gated_sum(bn: BatchNorm, q: Tensor, k, v, owner: np.ndarray,
                 np.multiply(gl, q.data[o], out=gk[lo:hi])
             if gq is not None:
                 for a, b in tiles:
-                    gl[a - lo:b - lo] *= k.again(a, b, rows[:b - a])
+                    gl[a - lo:b - lo] *= phi_k.output(hk[a:b], rows[:b - a])
                 _sum_sorted(gl, o, gq)
 
-        parallel.run(body, n, cuts)
+        parallel.run(body, n, tile_ids)
         bn.gamma._add_grad(gate.xhat.sum(axis=0))
         bn.beta._add_grad(ga.sum(axis=0))
         if gv is not None:
@@ -254,7 +209,7 @@ class SE3EdgeLayer:
     stack takes one product per block, and the edge blocks' products run
     on the R bond rows once, not once per channel. φ_k, φ_v, the gating
     and the sum over a bond's channels are one chain, `gated_sum` over the
-    stack with the bond as each row's owner (`attend`).
+    stack with the bond as each row's owner.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int, lattice_dim: int,
@@ -292,18 +247,12 @@ class SE3EdgeLayer:
 
         k = (self.phi_k, [(e, bond, self.f_k), lattice(self.f_k_lat), ang])
         v = (self.phi_v, [(e, bond, self.f_v), lattice(self.f_v_lat), ang])
-        msg = self.attend(q, k, v, p, training, weight)
+        # Σ_m sigmoid(bn_attn(q * k_m * scale)) * v_m over the channels m:
+        # bond i owns rows 3i..3i+2 of the stack, each weighing weight[i]
+        msg = gated_sum(self.bn_attn, q, k, v, bond,
+                        np.repeat(p.bond_graph, 3), training,
+                        None if weight is None else np.repeat(weight, 3))
         return (e + self.bn_msg(msg, p.bond_graph, training, weight)).softplus()
-
-    def attend(self, q: Tensor, k: Tensor, v: Tensor, p: Pack, training: bool,
-               weight: np.ndarray | None) -> Tensor:
-        """Σ_m sigmoid(bn_attn(q * k_m * scale)) * v_m over the channels m:
-        `gated_sum` over the bond-major (3R, d) stack of keys `k` and values
-        `v`, bond i owning rows 3i..3i+2 and weighting each `weight[i]`."""
-        return gated_sum(self.bn_attn, q, k, v,
-                         np.repeat(np.arange(len(q.data)), 3),
-                         np.repeat(p.bond_graph, 3), training,
-                         None if weight is None else np.repeat(weight, 3))
 
 
 class SE3NodeLayer:
@@ -320,7 +269,7 @@ class SE3NodeLayer:
     φ, not three in all. The centre and neighbour maps run on node rows,
     where composing saves little. φ_k, φ_v, the gating and the sum over
     each node's edges are one chain, `gated_sum` with the edge's `src` as
-    its owner (`attend`).
+    its owner.
     """
 
     def __init__(self, store: ParamStore, name: str, dim: int):
@@ -346,15 +295,8 @@ class SE3NodeLayer:
              [(self.f_k_ctr(h), p.src), (self.f_k_nbr(h), p.dst), fe])
         v = (self.phi_v,
              [(self.f_v_ctr(h), p.src), (self.f_v_nbr(h), p.dst), fe])
-        msg = self.attend(q, k, v, p, training)
+        msg = gated_sum(self.bn_attn, q, k, v, p.src, p.edge_graph, training)
         return (h + self.bn_msg(msg, p.node_graph, training)).softplus()
-
-    def attend(self, q: Tensor, k: Tensor, v: Tensor, p: Pack,
-               training: bool) -> Tensor:
-        """segment_sum(sigmoid(bn_attn(q[src] * k * scale)) * v, src):
-        `gated_sum` over each node's incoming edges, `q` with one row per
-        node and `k`, `v` one per edge."""
-        return gated_sum(self.bn_attn, q, k, v, p.src, p.edge_graph, training)
 
 
 class SE3Encoder:

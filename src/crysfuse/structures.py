@@ -216,6 +216,13 @@ def serialize_poscar(s: CrystalStructure, comment: str = "crysfuse") -> str:
 _ALLOWED_KEYS = {"species", "frac_coords", "lattice", "target", "id"}
 
 
+def _float_array(obj: dict, key: str) -> np.ndarray:
+    try:
+        return np.array(obj[key], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows, strings, objects
+        raise StructureError(f"{key} must be rows of numbers") from None
+
+
 def structure_from_dict(obj: dict) -> CrystalStructure:
     """Build a structure from the JSON object schema.
 
@@ -232,6 +239,8 @@ def structure_from_dict(obj: dict) -> CrystalStructure:
         if key not in obj:
             raise StructureError(f"missing structure key {key!r}")
 
+    if not isinstance(obj["species"], list):
+        raise StructureError(f"species must be a list, got {obj['species']!r}")
     species = []
     for item in obj["species"]:
         if isinstance(item, str):
@@ -243,13 +252,13 @@ def structure_from_dict(obj: dict) -> CrystalStructure:
         else:
             raise StructureError(f"species entries must be int or symbol, got {item!r}")
 
-    frac = np.array(obj["frac_coords"], dtype=np.float64)
+    frac, lattice = (_float_array(obj, key)
+                     for key in ("frac_coords", "lattice"))
     if frac.ndim != 2 or frac.shape[1] != 3:
         raise StructureError(f"frac_coords must be N x 3, got shape {frac.shape}")
     if frac.shape[0] != len(species):
         raise StructureError(
             f"{len(species)} species but {frac.shape[0]} frac_coords rows")
-    lattice = np.array(obj["lattice"], dtype=np.float64)
     if lattice.shape != (3, 3):
         raise StructureError(f"lattice must be 3 x 3, got shape {lattice.shape}")
     return CrystalStructure(tuple(species), frac, lattice)

@@ -179,6 +179,28 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "line 2" in err and "frac_coords holds non-finite" in err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("frac_coords", [[0, 0, 0], [0.5, 0.5]], "line 2: frac_coords must"),
+        ("frac_coords", [[0, 0, 0], [0.5, "x", 0.5]],
+         "line 2: frac_coords must"),
+        ("frac_coords", {"x": 0}, "line 2: frac_coords must"),
+        ("lattice", [[3, 0, 0], [0, "x", 0], [0, 0, 3]],
+         "line 2: lattice must"),
+        ("species", 11, "line 2: species must be a list"),
+        # face areas overflow, so the widths are 0; then the volume, so nan
+        ("lattice", (np.eye(3) * 1e100).tolist(), "record bad: cell widths"),
+        ("lattice", (np.eye(3) * 1e103).tolist(), "record bad: cell widths"),
+    ], ids=["ragged", "string-coordinate", "object-coordinates",
+            "string-lattice", "number-species", "huge-lattice",
+            "overflowing-lattice"])
+    def test_malformed_field(self, workdir, capsys, key, value, message):
+        row = {"id": "bad", "species": [11, 17],
+               "frac_coords": [[0, 0, 0], [0.5, 0.5, 0.5]],
+               "lattice": [[3, 0, 0], [0, 3, 0], [0, 0, 3]], key: value}
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert self.predict(workdir, row) == 3
+        assert message in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_pass_lines(self, workdir, capsys):

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crysfuse import parallel
+from crysfuse import parallel, se3
 from crysfuse.checks import (
     check_permutation_invariance,
     check_periodicity,
@@ -434,26 +434,29 @@ def assert_same_bits(got, want):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def composed_attention(layer, q, k, v, owner, groups, training,
-                       weight=None):
-    """se3.gated_sum from tape primitives: q gathered to the rows of its
-    owner, one batch norm over the rows' structures `groups`, summed per
-    owner."""
-    logits = q.take(owner) * k * (1.0 / math.sqrt(layer.dim))
-    alpha = layer.bn_attn(logits, groups, training, weight).sigmoid()
+def composed_attention(bn, q, k, v, owner, groups, training, weight=None):
+    """se3.gated_sum from tape primitives, with key and value tensors: q
+    gathered to the rows of its owner, one batch norm over the rows'
+    structures `groups`, summed per owner."""
+    logits = q.take(owner) * k * (1.0 / math.sqrt(q.data.shape[1]))
+    alpha = bn(logits, groups, training, weight).sigmoid()
     return segment_sum(alpha * v, owner, len(q.data))
 
 
-def composed_node_attention(layer, q, k, v, p, training):
-    """SE3NodeLayer.attend: rows are edges, owned by their `src`."""
-    return composed_attention(layer, q, k, v, p.src, p.edge_graph, training)
+def composed_gated_sum(bn, q, k, v, owner, groups, training, weight=None):
+    """`composed_attention` on se3.gated_sum's arguments: the (φ, x) pairs
+    of keys and values run through `MLP2.__call__` first."""
+    return composed_attention(bn, q, k[0](k[1]), v[0](v[1]), owner, groups,
+                              training, weight)
 
 
 class TestFusedAttention:
-    """Each layer's attention block, `se3.gated_sum`, against one
-    composition from tape primitives (`composed_attention`) on real packs:
-    outputs, the gradients of q, keys, values, gamma and beta, and the
-    running estimates, all bitwise."""
+    """`se3.gated_sum` with each layer's owners, structures, weights and φ
+    MLPs, against its composition from tape primitives
+    (`composed_gated_sum`) on real packs: outputs, the gradients of q, of
+    φ's inputs and parameters, of gamma and beta, and the running
+    estimates, all bitwise. A constant key or value comes from a φ whose
+    input and parameters ask for no gradient."""
 
     DIM = 8
 
@@ -471,84 +474,73 @@ class TestFusedAttention:
         return p
 
     @staticmethod
-    def layers(cls, *args):
-        """Two identical layers, one per side, with moved batch-norm state."""
-        out = []
-        for _ in range(2):
-            layer = cls(ParamStore(3), "layer", *args)
-            gen = stream(3, "bn-state")
-            bn = layer.bn_attn
-            bn.gamma.data[:] = gen.uniform(0.5, 1.5, bn.gamma.shape)
-            bn.beta.data[:] = gen.uniform(-0.5, 0.5, bn.beta.shape)
-            bn.running_mean[:] = gen.normal(size=bn.running_mean.shape)
-            bn.running_var[:] = gen.uniform(0.5, 2.0, bn.running_var.shape)
-            out.append(layer)
-        return out
+    def layer(cls, *args):
+        """A new layer with moved batch-norm state."""
+        layer = cls(ParamStore(3), "layer", *args)
+        gen = stream(3, "bn-state")
+        bn = layer.bn_attn
+        bn.gamma.data[:] = gen.uniform(0.5, 1.5, bn.gamma.shape)
+        bn.beta.data[:] = gen.uniform(-0.5, 0.5, bn.beta.shape)
+        bn.running_mean[:] = gen.normal(size=bn.running_mean.shape)
+        bn.running_var[:] = gen.uniform(0.5, 2.0, bn.running_var.shape)
+        return layer
 
-    @staticmethod
-    def tensors(gen, shapes, constant):
-        return [Tensor(gen.normal(size=s), requires_grad=not c)
-                for s, c in zip(shapes, constant)]
-
-    @staticmethod
-    def compare(mode, fused, composed, leaves, layers):
-        """Run both sides in `mode`, backpropagate one probe, compare."""
+    def compare(self, mode, constant, new_layer, owner, groups, weight):
+        """Run both sides in `mode` on one new layer each, with q of one
+        row per owner and φ's inputs of one per row, backpropagate one
+        probe, compare."""
         training = mode == "train"
+        d = self.DIM
         results = []
-        for side, layer, (args, probe) in zip((fused, composed), layers,
-                                              leaves):
+        for side in (se3.gated_sum, composed_gated_sum):
+            layer = new_layer()
+            phis = (layer.phi_k, layer.phi_v)
+            gen = stream(3, "attention-leaves")
+            q, xk, xv = (Tensor(gen.normal(size=(n, w)),
+                                requires_grad=c != constant)
+                         for n, w, c in ((owner[-1] + 1, d, "q"),
+                                         (len(owner), 3 * d, "k"),
+                                         (len(owner), 3 * d, "v")))
+            params = [t for phi in phis
+                      for t in phi.lin1.params + phi.lin2.params]
+            for c, phi in zip("kv", phis):
+                for t in phi.lin1.params + phi.lin2.params:
+                    t.requires_grad = c != constant
+            args = (layer.bn_attn, q, (layer.phi_k, [xk]),
+                    (layer.phi_v, [xv]), owner, groups, training,
+                    weight if training else None)
             if mode == "eval":
                 with no_grad():
-                    results.append([side(layer, *args, training).data])
+                    results.append([side(*args).data])
                 continue
-            out = side(layer, *args, training)
-            (out * Tensor(probe)).sum().backward()
-            flat = [t for a in args for t in (a if isinstance(a, list) else [a])
-                    if isinstance(t, Tensor)]
+            out = side(*args)
+            (out * Tensor(gen.normal(size=out.shape))).sum().backward()
+            leaves = [q, xk, xv] + params
+            assert all((t.grad is None) != t.requires_grad for t in leaves)
             bn = layer.bn_attn
             results.append([out.data, bn.gamma.grad, bn.beta.grad,
                             bn.running_mean, bn.running_var]
-                           + [t.grad for t in flat if t.requires_grad])
-            assert all(t.grad is None for t in flat if not t.requires_grad)
+                           + [t.grad for t in leaves if t.requires_grad])
+        assert len(results[0]) == len(results[1])
         for got, want in zip(*results):
             assert_same_bits(got, want)
 
     @pytest.mark.parametrize("mode", ["train", "frozen", "eval"])
     @pytest.mark.parametrize("constant", [None, "q", "k", "v"])
     def test_node_layer(self, precision, pack, mode, constant):
-        p, d = pack, self.DIM
-        nodes, edges = len(p.atom_feats), len(p.src)
-        layers = self.layers(SE3NodeLayer, d)
-        leaves = []
-        for _ in range(2):
-            gen = stream(3, "node-attention")
-            args = self.tensors(gen, [(nodes, d), (edges, d), (edges, d)],
-                                [constant == c for c in "qkv"])
-            leaves.append((args + [p], gen.normal(size=(nodes, d))))
-        self.compare(mode, lambda l, q, k, v, p, t: l.attend(q, k, v, p, t),
-                     composed_node_attention, leaves, layers)
+        self.compare(mode, constant,
+                     lambda: self.layer(SE3NodeLayer, self.DIM),
+                     pack.src, pack.edge_graph, None)
 
     @pytest.mark.parametrize("mode", ["train", "frozen", "eval"])
     @pytest.mark.parametrize("constant", [None, "q", "k", "v"])
     def test_edge_layer(self, precision, pack, mode, constant):
-        p, d = pack, self.DIM
-        rows = len(p.se3_edge_rbf)
-        weight = p.bond_weight if mode == "train" else None
-        layers = self.layers(SE3EdgeLayer, d, 3, 3)
-        leaves = []
-        for _ in range(2):
-            gen = stream(3, "edge-attention")
-            args = self.tensors(gen, [(rows, d), (3 * rows, d), (3 * rows, d)],
-                                [constant == c for c in "qkv"])
-            leaves.append((args + [p], gen.normal(size=(rows, d))))
-        self.compare(
-            mode,
-            lambda l, q, k, v, p, t: l.attend(q, k, v, p, t, weight),
-            lambda l, q, k, v, p, t: composed_attention(
-                l, q, k, v, np.repeat(np.arange(len(q.data)), 3),
-                np.repeat(p.bond_graph, 3), t,
-                None if weight is None else np.repeat(weight, 3)),
-            leaves, layers)
+        weight = pack.bond_weight
+        self.compare(mode, constant,
+                     lambda: self.layer(SE3EdgeLayer, self.DIM, 3, 3),
+                     np.repeat(np.arange(len(pack.se3_edge_rbf)), 3),
+                     np.repeat(pack.bond_graph, 3),
+                     None if weight is None else np.repeat(weight, 3))
 
 
 def composed_tensor_product(layer, h0, sh, edge_rbf, src, dst,
@@ -695,7 +687,8 @@ def uncomposed_edge_layer(layer, e, p, training):
     """SE3EdgeLayer.__call__ with f_k, f_v and f_angle run as maps of their
     own, and each φ run once per channel on (edge ∥ lattice-m ∥ angle-m),
     as the layer ran before composing them; the channels' keys and values
-    are then stacked bond-major for `attend`."""
+    are then stacked bond-major for the attention, composed from tape
+    operations."""
     weight = p.bond_weight if training else None
     q, ke, ve = layer.f_q(e), layer.f_k(e), layer.f_v(e)
     keys, values = [], []
@@ -710,27 +703,34 @@ def uncomposed_edge_layer(layer, e, p, training):
     def stack(channels):
         return concat(channels, axis=1).reshape(-1, layer.dim)
 
-    msg = layer.attend(q, stack(keys), stack(values), p, training, weight)
+    msg = composed_attention(
+        layer.bn_attn, q, stack(keys), stack(values),
+        np.repeat(np.arange(len(q.data)), 3), np.repeat(p.bond_graph, 3),
+        training, None if weight is None else np.repeat(weight, 3))
     return (e + layer.bn_msg(msg, p.bond_graph, training, weight)).softplus()
 
 
 def uncomposed_node_layer(layer, h, e, p, training):
-    """SE3NodeLayer.__call__ with f_e run as a map of its own."""
+    """SE3NodeLayer.__call__ with f_e run as a map of its own, and the
+    attention composed from tape operations."""
     q = layer.f_q(h)
     fe = (layer.f_e(e), p.edge_bond)
     k = layer.phi_k([(layer.f_k_ctr(h), p.src), (layer.f_k_nbr(h), p.dst), fe])
     v = layer.phi_v([(layer.f_v_ctr(h), p.src), (layer.f_v_nbr(h), p.dst), fe])
-    msg = layer.attend(q, k, v, p, training)
+    msg = composed_attention(layer.bn_attn, q, k, v, p.src, p.edge_graph,
+                             training)
     return (h + layer.bn_msg(msg, p.node_graph, training)).softplus()
 
 
 class TestComposedMaps:
     """An edge layer and a node layer, whose edge-side maps run composed
     with φ's first layer, against the same layers with those maps run on
-    their own: outputs within 1e-13, every parameter and input gradient
-    within 1e-12, each relative to its largest entry, and the batch-norm
-    running estimates within 1e-13, on clean and noisy-layout packs, in
-    training and in eval (frozen statistics, with gradients)."""
+    their own and the attention composed from tape operations
+    (`composed_attention`): outputs within 1e-13, every parameter and
+    input gradient within 1e-12, each relative to its largest entry, and
+    the batch-norm running estimates within 1e-13, on clean and
+    noisy-layout packs, in training and in eval (frozen statistics, with
+    gradients)."""
 
     DIM = 16
 

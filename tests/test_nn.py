@@ -137,7 +137,7 @@ class TestLinear:
         lin = Linear(ParamStore(6), "l", 8, 5)
         source, rest = self.gathered(6)
         got = lin(rest[:place] + [(source, self.ROWS)] + rest[place:]).data
-        want = lin(rest[:place] + [source.take(self.ROWS)] + rest[place:]).data
+        want = lin(rest[:place] + [source[self.ROWS]] + rest[place:]).data
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_gathered_block_gradients_match_central_differences(self):
@@ -345,9 +345,9 @@ class TestBatchNorm:
             xt = Tensor(x, requires_grad=True)
             if weighted:
                 out = bn(xt, self.GROUPS, training=True,
-                         weight=self.WEIGHT).take(expand)
+                         weight=self.WEIGHT)[expand]
             else:
-                out = bn(xt.take(expand), self.GROUPS[expand], training=True)
+                out = bn(xt[expand], self.GROUPS[expand], training=True)
             (out * probe).sum().backward()
             return (out.data, xt.grad, bn.gamma.grad, bn.beta.grad,
                     bn.running_mean.copy(), bn.running_var.copy())

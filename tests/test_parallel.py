@@ -24,6 +24,7 @@ from crysfuse.pretrain import pretrain_step, run_pretraining
 from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer
 from crysfuse.structures import CrystalStructure
 from crysfuse.tensor import Tensor, set_default_dtype
+from test_encoders import composed_attention
 
 
 def cells(n=6, seed=3):
@@ -94,6 +95,20 @@ def counted(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def part_cuts(monkeypatch):
+    """The part boundaries of every split run."""
+    seen = []
+    run = parallel._Pool.run
+
+    def spy(self, body, cuts):
+        seen.append(list(cuts))
+        return run(self, body, cuts)
+
+    monkeypatch.setattr(parallel._Pool, "run", spy)
+    return seen
+
+
 @pytest.mark.parametrize("precision,width", [("f64", 64), ("f32", 64),
                                              ("f64", 40), ("f32", 40)])
 def test_predictions_bitwise_equal_over_part_counts(split, counted, precision,
@@ -121,61 +136,75 @@ def test_predictions_bitwise_equal_over_part_counts(split, counted, precision,
         set_default_dtype("f64")
 
 
-def test_node_straddling_a_cut_gets_the_unsplit_sum(split, counted):
+def phi_pairs(layer, gen, rows):
+    """Keys and values of `rows` rows for `se3.gated_sum`: the layer's φ
+    MLPs over inputs of their fan-in, which ask for gradients."""
+    return [(phi, [Tensor(gen.normal(size=(rows, 3 * layer.dim)),
+                          requires_grad=True)])
+            for phi in (layer.phi_k, layer.phi_v)]
+
+
+def test_node_straddling_a_cut_gets_the_unsplit_sum(split, part_cuts, tile):
     """Node 1's edges 200..299 straddle row 256, where two even parts of
-    512 edges would meet: the cut moves to its first edge."""
+    512 edges would meet, and two tiles of at most 256 rows too: the
+    tile's cut, and with it the parts', moves to its first edge. Three
+    even parts would meet at rows 170 and 341, cut at owners at row 300;
+    as runs of whole tiles they meet at row 200 alone."""
+    tile(256)
     src = np.repeat([0, 1, 2], [200, 100, 212])
     assert parallel._cuts(len(src), 2, src) == [0, 200, 512]
+    assert parallel._cuts(len(src), 3, src) == [0, 300, 512]
+    assert se3._tile_bounds(np.array([0, 200, 300]), 512).tolist() == [
+        0, 200, 512]
     layer = SE3NodeLayer(ParamStore(0), "n", 8)
     gen = np.random.default_rng(0)
     q = Tensor(gen.normal(size=(3, 8)))
-    k = Tensor(gen.normal(size=(512, 8)))
-    v = Tensor(gen.normal(size=(512, 8)))
-    p = SimpleNamespace(src=src, edge_graph=np.zeros(512, int))
+    k, v = phi_pairs(layer, gen, 512)
+    graph = np.zeros(512, int)
     split(1)
-    want = layer.attend(q, k, v, p, training=False).data
-    split(2)
-    with parallel.threads():
-        got = layer.attend(q, k, v, p, training=False).data
-    assert counted == [2]
-    assert np.array_equal(got, want)
+    want = se3.gated_sum(layer.bn_attn, q, k, v, src, graph, False).data
+    for parts in (2, 3):
+        split(parts)
+        with parallel.threads():
+            got = se3.gated_sum(layer.bn_attn, q, k, v, src, graph,
+                                False).data
+        assert np.array_equal(got, want)
+    assert part_cuts == [[0, 200, 512]] * 2
 
 
 @pytest.mark.parametrize("training,second,cut", [(False, 85, 255),
                                                  (True, 85, 255),
                                                  (True, 60, 180)])
-def test_bond_straddling_a_cut_gets_the_unsplit_sum(split, monkeypatch,
+def test_bond_straddling_a_cut_gets_the_unsplit_sum(split, part_cuts,
                                                     training, second, cut):
-    """The edge layer's stack of 171 bonds has 513 rows, three per bond;
-    two even parts would meet at row 256, inside bond 85, so in eval the
-    cut moves to its first row, 255. In training it moves to the first row
-    of the structure holding row 256, which begins at bond `second`."""
-    seen = []
-    run = parallel._Pool.run
-
-    def spy(self, body, cuts):
-        seen.append(list(cuts))
-        return run(self, body, cuts)
-
-    monkeypatch.setattr(parallel._Pool, "run", spy)
-    bond_graph = (np.arange(171) >= second).astype(int)
+    """The edge layer's stack of 171 bonds has 513 rows, three per bond,
+    and two tiles of at most 512 rows; two even parts would meet at row
+    256, inside bond 85, so in eval the tiles' cut, and with it the
+    parts', moves to its first row, 255. In training it moves to the
+    first row of the structure holding row 256, which begins at bond
+    `second`."""
+    owner = np.repeat(np.arange(171), 3)
+    groups = (owner >= second).astype(int)
     gen = np.random.default_rng(0)
-    q = gen.normal(size=(171, 8))
-    k, v = gen.normal(size=(2, 513, 8))
-    weight = gen.integers(1, 3, 171).astype(float) if training else None
-    p = SimpleNamespace(bond_graph=bond_graph)
+    weight = np.repeat(gen.integers(1, 3, 171).astype(float), 3)
     results = []
     for parts in (1, 2):
         split(parts)
         layer = SE3EdgeLayer(ParamStore(0), "e", 8, 3, 3)
-        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        gen = np.random.default_rng(0)
+        q = Tensor(gen.normal(size=(171, 8)), requires_grad=True)
+        k, v = phi_pairs(layer, gen, 513)
         with parallel.threads():
-            msg = layer.attend(*leaves, p, training, weight)
+            msg = se3.gated_sum(layer.bn_attn, q, k, v, owner, groups,
+                                training, weight if training else None)
             (msg * msg).sum().backward()
         results.append([msg.data, layer.bn_attn.running_mean,
-                        layer.bn_attn.running_var, layer.bn_attn.gamma.grad]
-                       + [t.grad for t in leaves])
-    assert seen == [[0, cut, 513]] * 2  # forward and backward
+                        layer.bn_attn.running_var, layer.bn_attn.gamma.grad,
+                        q.grad, k[1][0].grad, v[1][0].grad]
+                       + [t.grad for phi in (layer.phi_k, layer.phi_v)
+                          for t in phi.lin1.params + phi.lin2.params])
+    # the chain's forward and backward; φ's backward splits rows after it
+    assert part_cuts[:2] == [[0, cut, 513]] * 2
     for got, want in zip(results[1], results[0]):
         assert np.array_equal(got, want)
 
@@ -202,7 +231,7 @@ def straddling_pack(gen, dim):
 @pytest.mark.parametrize("training,bounds", [(False, [0, 45, 60, 140, 200]),
                                              (True, [0, 60, 200])])
 def test_owner_straddling_a_grid_point_gets_the_untiled_sum(
-        split, tile, monkeypatch, training, bounds):
+        split, tile, part_cuts, training, bounds):
     """At most 64 rows a tile, 200 rows are cut at rows 50, 100 and 150,
     which owners 2, 3 and 5 straddle: each cut moves back to the start of
     its owner, and in training to the start of its structure. Three even
@@ -213,14 +242,6 @@ def test_owner_straddling_a_grid_point_gets_the_untiled_sum(
                                                           110, 140])
     tile(64)
     assert se3._tile_bounds(starts, 200).tolist() == bounds
-    seen = []
-    run = parallel._Pool.run
-
-    def spy(self, body, cuts):
-        seen.append(list(cuts))
-        return run(self, body, cuts)
-
-    monkeypatch.setattr(parallel._Pool, "run", spy)
     results = []
     for size, parts in ((64, 3), (10 ** 6, 1)):
         tile(size)
@@ -231,7 +252,7 @@ def test_owner_straddling_a_grid_point_gets_the_untiled_sum(
         with parallel.threads():
             out = layer(h, e, p, training)
             if parts == 3:
-                assert seen == [[0, 60, 200]]  # the chain, the forward's one split
+                assert part_cuts == [[0, 60, 200]]  # the chain, the forward's one split
             (out * out).sum().backward()
         results.append([out.data, h.grad, e.grad]
                        + [t.grad for t in store.params.values()]
@@ -334,33 +355,34 @@ def tiled_rows(pair, bounds: np.ndarray) -> Tensor:
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 4])
 def test_backward_recomputes_keys_and_values_on_the_forward_tiles(
-        split, counted, tile, parts):
+        split, counted, tile, monkeypatch, parts):
     """A training chain keeps φ's hidden activations, not its keys and
     values, and recomputes those in backward. At width 40 a product's bits
     may depend on where its rows are cut (with OpenBLAS 0.3.31 in f32, a
     product of some 700 rows or more took other bits than the same rows
     in tiles of up to 64), so unless backward cuts them at the forward's
     tiles, whatever the part count, the gradients and running estimates
-    differ from those of keys and values built tile by tile and handed to
-    the chain as tensors."""
+    differ from those of the attention composed from tape operations
+    (`composed_attention`) over keys and values built tile by tile."""
     tile(64)
     split(parts)
     set_default_dtype("f32")
     try:
         results = []
-        for given in (False, True):
+        for composed in (False, True):
             store = ParamStore(11)
             layer = SE3NodeLayer(store, "n", 40)
             h, e, p = chain_pack(np.random.default_rng(11), 40)
-            if given:
-                attend = layer.attend
+            if composed:
                 bounds = se3._tile_bounds(
                     np.flatnonzero(np.diff(p.edge_graph, prepend=-1)),
                     len(p.src))
                 assert len(bounds) > 8
-                layer.attend = lambda q, k, v, p, training: attend(
-                    q, tiled_rows(k, bounds), tiled_rows(v, bounds), p,
-                    training)
+                monkeypatch.setattr(
+                    se3, "gated_sum",
+                    lambda bn, q, k, v, *rest: composed_attention(
+                        bn, q, tiled_rows(k, bounds), tiled_rows(v, bounds),
+                        *rest))
             with parallel.threads():
                 out = layer(h, e, p, training=True)
                 (out * out).sum().backward()

@@ -2,7 +2,6 @@
 against central finite differences on random inputs."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from crysfuse.harmonics import spherical_harmonics
 from crysfuse.model import Pack
 from crysfuse.nn import MLP2, ParamStore
 from crysfuse.rng import stream
-from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer
+from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer, gated_sum
 from crysfuse.so3 import TensorProductLayer
 from crysfuse.tensor import (Tensor, _segment_rows, _softplus, _stable_sigmoid,
                              _weight_grad, concat, no_grad, segment_sum,
@@ -186,19 +185,35 @@ class TestKernelsAtExtremes:
 
     @staticmethod
     def unit_gate(layer):
-        """Frozen statistics that pass the logits through unchanged, and
-        a scale of 1 at width 1, so the gate is sigmoid(q * k)."""
+        """Frozen statistics that pass the logits through unchanged, a
+        scale of 1 at width 1, and keys of 1 from a φ whose second weight
+        is zero and bias one, so each gate is sigmoid(q). Values are the
+        first input column over 2^60, exactly, since softplus(±2^60) is
+        2^60 or 0."""
         layer.bn_attn.eps = 0.0
-        return SimpleNamespace(src=np.arange(len(TestKernelsAtExtremes.EXTREMES)),
-                               edge_graph=np.zeros(10, int),
-                               bond_graph=np.zeros(10, int))
+        k, v = layer.phi_k, layer.phi_v
+        k.lin2.weight.data[...], k.lin2.bias.data[...] = 0.0, 1.0
+        v.lin1.weight.data[...], v.lin1.bias.data[...] = [[1], [0], [0]], 0.0
+        v.lin2.weight.data[...], v.lin2.bias.data[...] = 2.0 ** -60, 0.0
+
+    def gated_extremes(self, cls, *args, values):
+        """`se3.gated_sum` with the layer's batch norm and unit gates, q the
+        extremes, each owning a row of each value in `values` (0 or 1)."""
+        layer = cls(ParamStore(0), "l", 1, *args)
+        self.unit_gate(layer)
+        q = Tensor(self.EXTREMES[:, None], requires_grad=True)
+        n, m = len(q.data), len(values)
+        xv = np.zeros((n * m, 3))
+        xv[:, 0] = np.tile(np.where(values, 2.0 ** 60, -2.0 ** 60), n)
+        owner = np.repeat(np.arange(n), m)
+        msg = gated_sum(layer.bn_attn, q,
+                        (layer.phi_k, [Tensor(np.zeros((n * m, 3)))]),
+                        (layer.phi_v, [Tensor(xv)]), owner,
+                        np.zeros_like(owner), training=False)
+        return q, msg
 
     def test_fused_node_gate_keeps_the_sigmoid_bits(self, precision):
-        layer = SE3NodeLayer(ParamStore(0), "n", 1)
-        p = self.unit_gate(layer)
-        q = Tensor(self.EXTREMES[:, None], requires_grad=True)
-        ones = Tensor(np.ones_like(q.data))
-        msg = layer.attend(q, ones, ones, p, training=False)
+        q, msg = self.gated_extremes(SE3NodeLayer, values=[1])
         assert np.array_equal(msg.data.view(np.uint8),
                               _stable_sigmoid(q.data).view(np.uint8))
         with np.errstate(invalid="ignore"):  # gamma's gradient at inf
@@ -208,12 +223,7 @@ class TestKernelsAtExtremes:
     def test_fused_edge_gate_keeps_the_sigmoid_bits(self, precision):
         # channel 0's value is 1 and the others' 0 (rows 3i + m of the
         # stack): the sum is channel 0's gate
-        layer = SE3EdgeLayer(ParamStore(0), "e", 1, 1, 1)
-        p = self.unit_gate(layer)
-        q = Tensor(self.EXTREMES[:, None], requires_grad=True)
-        keys = Tensor(np.ones((3 * len(q.data), 1)))
-        values = Tensor(np.tile([1.0, 0.0, 0.0], len(q.data))[:, None])
-        msg = layer.attend(q, keys, values, p, training=False, weight=None)
+        q, msg = self.gated_extremes(SE3EdgeLayer, 1, 1, values=[1, 0, 0])
         assert np.array_equal(msg.data.view(np.uint8),
                               _stable_sigmoid(q.data).view(np.uint8))
         with np.errstate(invalid="ignore"):  # gamma's gradient at inf
