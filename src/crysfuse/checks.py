@@ -280,7 +280,7 @@ def check_gradients(cfg: RunConfig, num_structures: int = 4, h: float = 1e-5,
                             model.cfg.sigma, noise_gen)
                for _ in range(num_structures)]
     targets = stream(seed, "check/grad-targets").normal(size=num_structures)
-    buffers_before = {n: b.copy() for n, b in model.store.buffers.items()}
+    state = model.store.state()
     worst = 0.0
     per_loss = []
     try:
@@ -289,8 +289,7 @@ def check_gradients(cfg: RunConfig, num_structures: int = 4, h: float = 1e-5,
             per_loss.append(f"{loss_name}={err:.3e}")
             worst = max(worst, err)
     finally:
-        for n, b in buffers_before.items():
-            model.store.buffers[n][...] = b
+        model.store.load(*state)
     return _result("gradient_check", worst, tol, ", ".join(per_loss))
 
 

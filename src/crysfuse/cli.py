@@ -16,14 +16,12 @@ import sys
 from .checks import run_all
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .errors import DataError, NumericError
-from .graph import GraphError
 from .model import MGTModel
 from .moe import report_contributions
 from .pipeline import (evaluate_records, finetune, load_checkpoint, load_jsonl,
                        predict_records, record_graphs, save_checkpoint,
                        split_dataset, transfer_encoder_params)
 from .pretrain import run_pretraining
-from .structures import StructureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, StructureError, GraphError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

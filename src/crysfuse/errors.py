@@ -2,7 +2,11 @@
 
 
 class DataError(ValueError):
-    """Bad dataset content: malformed records, missing targets, empty splits."""
+    """Bad dataset content: malformed records, missing targets, empty splits.
+
+    `structures.StructureError` and `graph.GraphError` are its kinds for a
+    malformed structure and an unbuildable graph.
+    """
 
 
 class NumericError(RuntimeError):

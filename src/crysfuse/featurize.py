@@ -105,22 +105,35 @@ def one_hot_table(max_z: int = DEFAULT_ONE_HOT_MAX_Z) -> AtomTable:
 
 
 def load_atom_table(path: str) -> AtomTable:
-    """Load a JSON atom table: {"1": [row...], "2": [row...], ...}."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    """Load a JSON atom table: {"1": [row...], "2": [row...], ...}, one
+    flat row of finite numbers per atomic number, all of one length. Any
+    fault raises `DataError` naming the path and the problem."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read atom table {path}: {exc}") from None
+    except ValueError as exc:  # invalid JSON or text
+        raise DataError(f"atom table {path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict) or not raw:
+        raise DataError(f"atom table {path}: expected a non-empty object "
+                        "mapping atomic numbers to rows")
     rows = {}
-    dim = None
     for key, row in raw.items():
-        z = int(key)
-        vec = np.asarray(row, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError(f"atom table row for Z={z} is not a flat vector")
-        if dim is None:
-            dim = len(vec)
+        try:
+            z = int(key)
+            vec = np.asarray(row, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(f"atom table {path}: entry {key!r} is not an "
+                            "atomic number with a flat row of numbers") from None
+        if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+            raise DataError(f"atom table {path}: row for Z={z} is not a flat "
+                            "vector of finite numbers")
         rows[z] = vec
-    if dim is None:
-        raise ValueError("atom table is empty")
-    return AtomTable(dim=dim, rows=rows)
+    try:
+        return AtomTable(dim=len(next(iter(rows.values()))), rows=rows)
+    except ValueError as exc:
+        raise DataError(f"atom table {path}: {exc}") from None
 
 
 def check_species(species, table: AtomTable) -> None:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .structures import CrystalStructure
 
 DEFAULT_CUTOFF = 8.0
@@ -56,8 +57,8 @@ _BLOCK = 64
 _FILL = 2.0
 
 
-class GraphError(ValueError):
-    pass
+class GraphError(DataError):
+    """A structure whose neighbour graph cannot be built."""
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,41 @@ class ParamStore:
         for p in self.params.values():
             p.grad = None
 
+    def _owned(self, prefixes: tuple[str, ...]) -> tuple[dict, dict]:
+        return ({n: p.data for n, p in self.params.items()
+                 if n.startswith(prefixes)},
+                {n: b for n, b in self.buffers.items() if n.startswith(prefixes)})
+
+    def state(self, prefixes: tuple[str, ...] = ("",)) -> tuple[dict, dict]:
+        """(params, buffers): name -> copy of the value, for every name that
+        starts with one of `prefixes`."""
+        return tuple({n: a.copy() for n, a in owned.items()}
+                     for owned in self._owned(prefixes))
+
+    def load(self, params: dict, buffers: dict,
+             prefixes: tuple[str, ...] = ("",)) -> None:
+        """Replace the values `state(prefixes)` returns, all or nothing: a
+        ValueError names any missing, unknown or misshapen entry before
+        anything is written. Parameters take a copy at their own dtype;
+        buffers are written in place, because layers alias them."""
+        problems = []
+        for kind, given, own in zip(("parameters", "buffers"),
+                                    (params, buffers), self._owned(prefixes)):
+            for word, names in (("missing", own.keys() - given.keys()),
+                                ("unknown", given.keys() - own.keys())):
+                if names:
+                    problems.append(f"{len(names)} {word} {kind} {sorted(names)[:5]}")
+            problems += [f"shape mismatch for {n!r}: given {np.shape(given[n])},"
+                         f" model {own[n].shape}"
+                         for n in sorted(own.keys() & given.keys())
+                         if np.shape(given[n]) != own[n].shape]
+        if problems:
+            raise ValueError("; ".join(problems))
+        for n, a in params.items():
+            self.params[n].data = np.array(a, dtype=self.params[n].data.dtype)
+        for n, a in buffers.items():
+            self.buffers[n][...] = a
+
 
 def _blocks(x) -> list[tuple]:
     """A layer input, of tensors or of arrays, as `(x, rows, pre)` blocks,

@@ -21,7 +21,7 @@ from . import parallel
 from .config import ConfigError, RunConfig, config_from_dict
 from .errors import DataError, NumericError
 from .featurize import check_species
-from .graph import GraphError, PeriodicGraph
+from .graph import PeriodicGraph
 from .model import MGTModel
 from .optim import (AdamW, adamw_from_config, clip_grad_norm, epoch_batches,
                     lr_schedule)
@@ -79,14 +79,15 @@ def load_jsonl(path: str) -> list[Record]:
 
 def record_graphs(model: MGTModel, records: Iterable[Record]
                   ) -> Iterator[PeriodicGraph]:
-    """The records' graphs, built lazily, in order. A structure, graph or
-    data error, an element the model's atom table lacks included, is raised
-    again with the same type, its message prefixed by the record's id."""
+    """The records' graphs, built lazily, in order. A data error (a
+    structure or graph error, or an element the model's atom table lacks)
+    is raised again with the same type, its message prefixed by the
+    record's id."""
     for r in records:
         try:
             check_species(r.structure.species, model.atom_table)
             yield model.build_graph(r.structure)
-        except (StructureError, GraphError, DataError) as exc:
+        except DataError as exc:
             raise type(exc)(f"record {r.id}: {exc}") from None
 
 
@@ -208,9 +209,9 @@ def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
     """Rebuild the model from a checkpoint directory.
 
     The manifest's config reconstructs the architecture; the payload then
-    overwrites every parameter and buffer (batch-norm running statistics
-    included) in manifest order. Any name/shape/length mismatch aborts the
-    load with nothing partially applied.
+    replaces every parameter and buffer, batch-norm running statistics
+    included (`ParamStore.load`). A wrong payload length, or any name or
+    shape other than the model's, raises `DataError` with nothing applied.
     """
     manifest = _read_manifest(path)
     try:
@@ -218,7 +219,6 @@ def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
     except (ConfigError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: invalid config in checkpoint: {exc}") from None
     model = MGTModel(cfg)
-    store = model.store
 
     try:
         with open(os.path.join(path, "params.bin"), "rb") as fh:
@@ -226,45 +226,20 @@ def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
     except OSError as exc:
         raise DataError(f"cannot read checkpoint payload: {exc}") from None
 
-    entries = list(manifest.get("params", [])) + list(manifest.get("buffers", []))
-    expected = sum(int(np.prod(e["shape"], dtype=np.int64)) for e in entries)
-    if payload.size != expected:
+    groups = [manifest.get("params", []), manifest.get("buffers", [])]
+    bounds = np.cumsum([0] + [int(np.prod(e["shape"], dtype=np.int64))
+                              for group in groups for e in group])
+    if payload.size != bounds[-1]:
         raise DataError(
             f"{path}: checkpoint payload holds {payload.size} values, "
-            f"manifest expects {expected} (truncated or corrupt)")
-    manifest_params = {e["name"] for e in manifest.get("params", [])}
-    missing = set(store.params) - manifest_params
-    if missing:
-        raise DataError(
-            f"{path}: checkpoint is missing parameters {sorted(missing)[:5]}")
-
-    # Validate every entry before touching the model: no partial loads.
-    staged = []
-    offset = 0
-    for entry in entries:
-        name, shape = entry["name"], tuple(entry["shape"])
-        size = int(np.prod(shape, dtype=np.int64))
-        values = payload[offset:offset + size].reshape(shape)
-        offset += size
-        if name in manifest_params:
-            if name not in store.params:
-                raise DataError(f"{path}: unknown checkpoint parameter {name!r}")
-            current = store.params[name].data.shape
-        else:
-            if name not in store.buffers:
-                raise DataError(f"{path}: unknown checkpoint buffer {name!r}")
-            current = store.buffers[name].shape
-        if current != shape:
-            raise DataError(
-                f"{path}: shape mismatch for {name!r}: "
-                f"checkpoint {shape}, model {current}")
-        staged.append((name, name in manifest_params, values))
-
-    for name, is_param, values in staged:
-        if is_param:
-            store.params[name].data = values.astype(store.params[name].data.dtype)
-        else:
-            store.buffers[name][...] = values  # in place: layers alias these
+            f"manifest expects {bounds[-1]} (truncated or corrupt)")
+    chunks = iter(np.split(payload, bounds[1:-1]))
+    state = [{e["name"]: next(chunks).reshape(e["shape"]) for e in group}
+             for group in groups]
+    try:
+        model.store.load(*state)
+    except ValueError as exc:
+        raise DataError(f"{path}: checkpoint does not fit its config: {exc}") from None
 
     raw = manifest.get("normalizer")
     normalizer = None if raw is None else Normalizer(mean=raw["mean"], std=raw["std"])
@@ -274,6 +249,9 @@ def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
 def transfer_encoder_params(dst: MGTModel, src: MGTModel) -> list[str]:
     """Copy both encoders (projection heads included) from src into dst.
 
+    Both models must have the same encoder architecture; otherwise
+    `DataError` names what differs and dst is left as it was.
+
     Fusion and denoising heads keep their fresh initialization, which is how
     a pretrained backbone is reused under a different head. The encoders'
     batch-norm running statistics travel too, and dst is marked to normalize
@@ -282,46 +260,19 @@ def transfer_encoder_params(dst: MGTModel, src: MGTModel) -> list[str]:
     statistics, and no training step updates them. Returns the copied
     names.
     """
-    copied: list[str] = []
-    for name, p in src.store.params.items():
-        if not name.startswith(_ENCODER_PREFIXES):
-            continue
-        if name not in dst.store.params:
-            raise DataError(f"encoder parameter {name!r} absent in target model")
-        if dst.store.params[name].data.shape != p.data.shape:
-            raise DataError(
-                f"encoder shape mismatch for {name!r}: "
-                f"source {p.data.shape}, target {dst.store.params[name].data.shape}")
-        dst.store.params[name].data = p.data.astype(
-            dst.store.params[name].data.dtype)
-        copied.append(name)
-    for name, b in src.store.buffers.items():
-        if not name.startswith(_ENCODER_PREFIXES):
-            continue
-        if name not in dst.store.buffers or dst.store.buffers[name].shape != b.shape:
-            raise DataError(f"encoder buffer mismatch for {name!r}")
-        dst.store.buffers[name][...] = b
-        copied.append(name)
+    params, buffers = src.store.state(_ENCODER_PREFIXES)
+    try:
+        dst.store.load(params, buffers, _ENCODER_PREFIXES)
+    except ValueError as exc:
+        raise DataError(f"encoder transfer: the source's encoders differ "
+                        f"from the target's: {exc}") from None
     dst.frozen_encoder_stats = True
-    return sorted(copied)
+    return sorted([*params, *buffers])
 
 
 # ---------------------------------------------------------------------------
 # Fine-tuning
 # ---------------------------------------------------------------------------
-
-def _snapshot(store) -> tuple[dict, dict]:
-    return ({n: p.data.copy() for n, p in store.params.items()},
-            {n: b.copy() for n, b in store.buffers.items()})
-
-
-def _restore(store, snap: tuple[dict, dict]) -> None:
-    params, buffers = snap
-    for n, arr in params.items():
-        store.params[n].data = arr.copy()
-    for n, arr in buffers.items():
-        store.buffers[n][...] = arr
-
 
 @dataclass
 class FinetuneResult:
@@ -452,7 +403,7 @@ def finetune(model: MGTModel, train_records: list[Record],
                 if result.best_val_mae is None or val_mae < result.best_val_mae:
                     result.best_val_mae = val_mae
                     result.best_epoch = epoch
-                    best_snap = _snapshot(model.store)
+                    best_snap = model.store.state()
                     since_best = 0
                 else:
                     since_best += 1
@@ -472,7 +423,7 @@ def finetune(model: MGTModel, train_records: list[Record],
 
     if best_snap is not None and (result.best_val_mae is not None
                                   and train_mae_goal is None):
-        _restore(model.store, best_snap)
+        model.store.load(*best_snap)
     return result
 
 

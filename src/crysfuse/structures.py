@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import SYMBOL_TO_Z, symbol_of
+from .errors import DataError
 
 _DET_TOL = 1e-10
 _ORTHO_TOL = 1e-12
 
 
-class StructureError(ValueError):
+class StructureError(DataError):
     """Malformed structure input (file content or in-memory values)."""
 
 

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from crysfuse.checks import (
     check_gradients,
@@ -47,12 +46,6 @@ from crysfuse.tensor import Tensor, set_default_dtype
 
 CHECK_CFG = RunConfig(width=16, num_rbf=8, num_angle_rbf=8, cutoff=4.0,
                       max_neighbors=12, l_max=1, seed=0, precision="f64")
-
-
-@pytest.fixture(autouse=True)
-def _restore_dtype():
-    yield
-    set_default_dtype("f64")
 
 
 def test_criterion_01_se3_invariance():
@@ -116,7 +109,6 @@ def _brute_nt_xent(v1: np.ndarray, v2: np.ndarray, tau: float) -> float:
 
 
 def test_criterion_06_nt_xent_oracle():
-    set_default_dtype("f64")
     gen = stream(11, "acceptance/ntxent")
     for n in (2, 4, 8):
         v1 = gen.normal(size=(n, 6))
@@ -146,7 +138,6 @@ def test_criterion_07_simple_cubic_oracle():
 
 
 def test_criterion_08_denoising_accounting():
-    set_default_dtype("f64")
     model = MGTModel(CHECK_CFG)
     gen = stream(11, "acceptance/noise")
     samples = [inject_noise(model.build_graph(random_structure(gen, 2, 6)),
@@ -220,7 +211,6 @@ def test_criterion_09_learning_signal():
 
 
 def test_criterion_10_moe_identities(tmp_path):
-    set_default_dtype("f64")
     store = ParamStore(5)
     head = MoEHead(store, "moe", 16)
     gen = stream(5, "acceptance/moe")

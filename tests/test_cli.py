@@ -10,7 +10,6 @@ from crysfuse.cli import main
 from crysfuse.config import config_from_dict
 from crysfuse.model import MGTModel
 from crysfuse.pipeline import load_checkpoint, save_checkpoint
-from crysfuse.tensor import set_default_dtype
 
 SMALL = {
     "width": 8, "num_rbf": 4, "num_angle_rbf": 4, "cutoff": 3.5,
@@ -36,8 +35,7 @@ def workdir(tmp_path):
     data.write_text("\n".join(_row(i, 2.6 + 0.15 * i) for i in range(10)) + "\n")
     cfg = tmp_path / "small.json"
     cfg.write_text(json.dumps(SMALL))
-    yield tmp_path
-    set_default_dtype("f64")
+    return tmp_path
 
 
 def run(workdir, *argv):
@@ -147,6 +145,16 @@ class TestTrainingCommands:
             assert np.array_equal(tuned.store.buffers[name],
                                   pretrained.store.buffers[name]), name
 
+    def test_finetune_from_shallower_encoder_is_data_error(self, workdir,
+                                                           capsys):
+        ck = workdir / "shallow"
+        save_checkpoint(MGTModel(config_from_dict({**SMALL,
+                                                   "se3_node_layers": 1})),
+                        str(ck))
+        code = main(base_args(workdir, "finetune") + ["--from", str(ck)])
+        assert code == 3
+        assert "encoder transfer: " in capsys.readouterr().err
+
     def test_predict_without_checkpoint_is_config_error(self, workdir, capsys):
         code = main(["predict", "--data", str(workdir / "toy.jsonl")])
         assert code == 2
@@ -200,6 +208,44 @@ class TestMalformedInputs:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             assert self.predict(workdir, row) == 3
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["ingest", "check"])
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read atom table"),
+        ("{", "invalid JSON"),
+        ("[[1.0]]", "expected a non-empty object"),
+        ('{"H": [1.0]}', "entry 'H' is not an atomic number"),
+        ('{"11": [1.0, 2.0], "17": [1.0]}', "has length 1, declared dim 2"),
+        ('{"11": [[1.0], [2.0]]}', "not a flat vector"),
+        ("{}", "expected a non-empty object"),
+    ], ids=["missing", "invalid-json", "list", "symbol-key", "ragged",
+            "nested", "empty"])
+    def test_bad_atom_table(self, workdir, capsys, command, content, message):
+        table = workdir / "atoms.json"
+        if content is not None:
+            table.write_text(content)
+        cfg = workdir / "atoms-cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "atom_table": str(table)}))
+        extra = {"ingest": ["--data", str(workdir / "toy.jsonl")],
+                 "check": ["--trials", "1"]}[command]
+        assert main([command, "--config", str(cfg), *extra]) == 3
+        err = capsys.readouterr().err
+        assert str(table) in err and message in err
+
+    def test_atom_table_gone_from_checkpoint_is_data_error(self, workdir,
+                                                           capsys):
+        table = workdir / "atoms.json"
+        table.write_text(json.dumps({"11": [1.0, 0.0], "17": [0.0, 1.0]}))
+        ck = workdir / "ck"
+        save_checkpoint(MGTModel(config_from_dict({**SMALL,
+                                                   "atom_table": str(table)})),
+                        str(ck))
+        table.unlink()
+        code = main(["predict", "--from", str(ck),
+                     "--data", str(workdir / "toy.jsonl")])
+        assert code == 3
+        assert "cannot read atom table" in capsys.readouterr().err
 
 
 class TestCheckCommand:

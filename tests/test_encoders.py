@@ -33,8 +33,7 @@ from crysfuse.rng import stream
 from crysfuse.se3 import SE3EdgeLayer, SE3NodeLayer, lattice_scalars
 from crysfuse.so3 import TensorProductLayer
 from crysfuse.structures import CrystalStructure
-from crysfuse.tensor import (Tensor, concat, no_grad, segment_sum,
-                             set_default_dtype)
+from crysfuse.tensor import Tensor, concat, no_grad, segment_sum
 
 TINY = RunConfig(width=8, num_rbf=4, num_angle_rbf=4, cutoff=3.5,
                  max_neighbors=8, l_max=1, seed=0)
@@ -57,9 +56,7 @@ def per_edge_pack(model, graphs):
 
 @pytest.fixture()
 def model():
-    m = MGTModel(TINY)
-    yield m
-    set_default_dtype("f64")
+    return MGTModel(TINY)
 
 
 class TestLatticeScalars:
@@ -651,28 +648,25 @@ class TestFusedTensorProduct:
         gen = stream(17, "fused-tp-step")
         cells = [random_structure(gen, 2, 8) for _ in range(4)]
         grads = []
-        try:
-            for composed in (False, True):
-                if composed:
-                    monkeypatch.setattr(TensorProductLayer, "__call__",
-                                        composed_tensor_product)
-                model = MGTModel(cfg)
-                graphs = [model.build_graph(s) for s in cells]
-                noise = stream(17, "fused-tp-noise")
-                noisy = noisy_pack(model, [inject_noise(g, 0.1, noise)
-                                           for g in graphs])
-                clean = model.make_inputs(graphs)
-                loss = None
-                for p in (noisy, clean):
-                    enc = model.encode(p, training=True)
-                    term = ((enc.e1 * enc.e2).sum()
-                            + model.predict_distance_noise(enc).sum())
-                    loss = term if loss is None else loss + term
-                loss.backward()
-                grads.append({k: p.grad
-                              for k, p in model.store.params.items()})
-        finally:
-            set_default_dtype("f64")
+        for composed in (False, True):
+            if composed:
+                monkeypatch.setattr(TensorProductLayer, "__call__",
+                                    composed_tensor_product)
+            model = MGTModel(cfg)
+            graphs = [model.build_graph(s) for s in cells]
+            noise = stream(17, "fused-tp-noise")
+            noisy = noisy_pack(model, [inject_noise(g, 0.1, noise)
+                                       for g in graphs])
+            clean = model.make_inputs(graphs)
+            loss = None
+            for p in (noisy, clean):
+                enc = model.encode(p, training=True)
+                term = ((enc.e1 * enc.e2).sum()
+                        + model.predict_distance_noise(enc).sum())
+                loss = term if loss is None else loss + term
+            loss.backward()
+            grads.append({k: p.grad
+                          for k, p in model.store.params.items()})
         assert grads[0].keys() == grads[1].keys()
         assert all(grads[0][k] is not None for k in grads[0]
                    if k.startswith("so3."))
@@ -951,49 +945,40 @@ class TestTensorProductLayer:
 class TestPrecisionSwitch:
 
     def test_f32_model_params_are_f32(self):
-        try:
-            m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
-            assert all(p.data.dtype == np.float32
-                       for p in m32.store.params.values())
-            pred = m32.predict_batch([m32.build_graph(NACL)])[0]
-            assert pred.dtype == np.float32
-        finally:
-            set_default_dtype("f64")
+        m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
+        assert all(p.data.dtype == np.float32
+                   for p in m32.store.params.values())
+        pred = m32.predict_batch([m32.build_graph(NACL)])[0]
+        assert pred.dtype == np.float32
 
     def test_each_model_computes_at_its_own_precision(self):
         """Building an f32 model changes neither an earlier f64 model's
         predictions nor the dtype an f64 model receives in a transfer."""
-        try:
-            m64, dst = MGTModel(TINY), MGTModel(TINY)
-            before = m64.predict_batch([m64.build_graph(NACL)])[0]
-            m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
-            transfer_encoder_params(dst, m32)
-            assert all(p.data.dtype == np.float64
-                       for p in dst.store.params.values())
-            after = m64.predict_batch([m64.build_graph(NACL)])[0]
-            assert after.dtype == np.float64
-            assert np.array_equal(after, before)
-            assert m32.predict_batch([m32.build_graph(NACL)])[0].dtype == np.float32
-        finally:
-            set_default_dtype("f64")
+        m64, dst = MGTModel(TINY), MGTModel(TINY)
+        before = m64.predict_batch([m64.build_graph(NACL)])[0]
+        m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
+        transfer_encoder_params(dst, m32)
+        assert all(p.data.dtype == np.float64
+                   for p in dst.store.params.values())
+        after = m64.predict_batch([m64.build_graph(NACL)])[0]
+        assert after.dtype == np.float64
+        assert np.array_equal(after, before)
+        assert m32.predict_batch([m32.build_graph(NACL)])[0].dtype == np.float32
 
     def test_denoising_heads_compute_at_their_models_precision(self):
         """An f64 model's denoising heads on its own encoding stay float64,
         bit for bit, when an f32 model encodes in between."""
-        try:
-            m64 = MGTModel(TINY)
-            enc = m64.encode(m64.make_inputs([m64.build_graph(NACL)]),
-                             training=False)
-            heads = (m64.predict_angle_noise, m64.predict_distance_noise)
-            before = [head(enc).data for head in heads]
-            m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
-            m32.encode(m32.make_inputs([m32.build_graph(NACL)]), training=False)
-            for head, want in zip(heads, before):
-                got = head(enc).data
-                assert want.dtype == got.dtype == np.float64
-                assert got.tobytes() == want.tobytes()
-        finally:
-            set_default_dtype("f64")
+        m64 = MGTModel(TINY)
+        enc = m64.encode(m64.make_inputs([m64.build_graph(NACL)]),
+                         training=False)
+        heads = (m64.predict_angle_noise, m64.predict_distance_noise)
+        before = [head(enc).data for head in heads]
+        m32 = MGTModel(dataclasses.replace(TINY, precision="f32"))
+        m32.encode(m32.make_inputs([m32.build_graph(NACL)]), training=False)
+        for head, want in zip(heads, before):
+            got = head(enc).data
+            assert want.dtype == got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     def test_f64_is_default(self, model):
         assert all(p.data.dtype == np.float64

@@ -133,7 +133,6 @@ def test_predictions_bitwise_equal_over_part_counts(split, counted, precision,
             counted.clear()
     finally:
         sys.setswitchinterval(interval)
-        set_default_dtype("f64")
 
 
 def phi_pairs(layer, gen, rows):
@@ -286,22 +285,19 @@ def test_tiled_chains_bitwise_equal_over_part_counts(split, counted, tile,
     product is cut, so a part must not cut a tile."""
     tile(size)
     cfg = RunConfig(precision=precision, width=width)
-    try:
-        graphs = [MGTModel(cfg).build_graph(s) for s in cells()]
-        split(1)
-        want = encoder_bits(cfg, graphs)
-        assert counted == []
-        for k in (2, 3, 4):
-            split(k)
-            got = encoder_bits(cfg, graphs)
-            assert max(counted) == k
-            counted.clear()
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype
-                assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
-    finally:
-        set_default_dtype("f64")
+    graphs = [MGTModel(cfg).build_graph(s) for s in cells()]
+    split(1)
+    want = encoder_bits(cfg, graphs)
+    assert counted == []
+    for k in (2, 3, 4):
+        split(k)
+        got = encoder_bits(cfg, graphs)
+        assert max(counted) == k
+        counted.clear()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 def test_training_tiles_never_split_a_structure(split, tile, monkeypatch):
@@ -367,34 +363,31 @@ def test_backward_recomputes_keys_and_values_on_the_forward_tiles(
     tile(64)
     split(parts)
     set_default_dtype("f32")
-    try:
-        results = []
-        for composed in (False, True):
-            store = ParamStore(11)
-            layer = SE3NodeLayer(store, "n", 40)
-            h, e, p = chain_pack(np.random.default_rng(11), 40)
-            if composed:
-                bounds = se3._tile_bounds(
-                    np.flatnonzero(np.diff(p.edge_graph, prepend=-1)),
-                    len(p.src))
-                assert len(bounds) > 8
-                monkeypatch.setattr(
-                    se3, "gated_sum",
-                    lambda bn, q, k, v, *rest: composed_attention(
-                        bn, q, tiled_rows(k, bounds), tiled_rows(v, bounds),
-                        *rest))
-            with parallel.threads():
-                out = layer(h, e, p, training=True)
-                (out * out).sum().backward()
-            results.append([out.data, h.grad, e.grad]
-                           + [t.grad for t in store.params.values()]
-                           + list(store.buffers.values()))
-        assert max(counted, default=1) == parts
-        for got, want in zip(*results):
-            assert got.dtype == want.dtype == np.float32
-            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
-    finally:
-        set_default_dtype("f64")
+    results = []
+    for composed in (False, True):
+        store = ParamStore(11)
+        layer = SE3NodeLayer(store, "n", 40)
+        h, e, p = chain_pack(np.random.default_rng(11), 40)
+        if composed:
+            bounds = se3._tile_bounds(
+                np.flatnonzero(np.diff(p.edge_graph, prepend=-1)),
+                len(p.src))
+            assert len(bounds) > 8
+            monkeypatch.setattr(
+                se3, "gated_sum",
+                lambda bn, q, k, v, *rest: composed_attention(
+                    bn, q, tiled_rows(k, bounds), tiled_rows(v, bounds),
+                    *rest))
+        with parallel.threads():
+            out = layer(h, e, p, training=True)
+            (out * out).sum().backward()
+        results.append([out.data, h.grad, e.grad]
+                       + [t.grad for t in store.params.values()]
+                       + list(store.buffers.values()))
+    assert max(counted, default=1) == parts
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_chains_leave_numpy_ma_unimported():

@@ -28,7 +28,7 @@ from crysfuse.pipeline import (
     transfer_encoder_params,
 )
 from crysfuse.structures import CrystalStructure
-from crysfuse.tensor import Tensor, set_default_dtype
+from crysfuse.tensor import Tensor
 
 TINY = dict(width=8, num_rbf=4, num_angle_rbf=4, cutoff=3.5,
             max_neighbors=8, l_max=1, seed=0, precision="f64")
@@ -48,9 +48,7 @@ def toy_records(n=6):
 
 @pytest.fixture
 def model():
-    m = MGTModel(RunConfig(**TINY))
-    yield m
-    set_default_dtype("f64")
+    return MGTModel(RunConfig(**TINY))
 
 
 class TestLoadJsonl:
@@ -216,7 +214,6 @@ class TestCheckpoints:
         want = np.array([r["prediction"] for r in before], dtype=np.float32)
         assert np.array_equal(got, want)
         assert loaded.cfg == model.cfg
-        set_default_dtype("f64")
 
     def test_normalizer_round_trip(self, tmp_path):
         model = self._f32_model()
@@ -224,7 +221,6 @@ class TestCheckpoints:
                         Normalizer(mean=1.25, std=0.5))
         _, norm = load_checkpoint(str(tmp_path / "ck"))
         assert (norm.mean, norm.std) == (1.25, 0.5)
-        set_default_dtype("f64")
 
     def test_truncated_payload(self, tmp_path):
         model = self._f32_model()
@@ -233,7 +229,6 @@ class TestCheckpoints:
         payload.write_bytes(payload.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated or corrupt"):
             load_checkpoint(str(tmp_path / "ck"))
-        set_default_dtype("f64")
 
     def test_version_gate(self, tmp_path):
         model = self._f32_model()
@@ -244,7 +239,6 @@ class TestCheckpoints:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match="version 999 unsupported"):
             load_checkpoint(str(tmp_path / "ck"))
-        set_default_dtype("f64")
 
     def test_shape_mismatch(self, tmp_path):
         model = self._f32_model()
@@ -259,7 +253,43 @@ class TestCheckpoints:
         if ok:
             with pytest.raises(DataError, match="shape mismatch"):
                 load_checkpoint(str(tmp_path / "ck"))
-        set_default_dtype("f64")
+
+    @pytest.mark.parametrize("change,message", [("missing", "1 missing buffers"),
+                                                ("extra", "1 unknown buffers")],
+                             ids=["missing", "extra"])
+    def test_manifest_buffers_must_match_the_model(self, tmp_path, change,
+                                                   message):
+        """A buffer left out of the manifest, or one the model lacks (here a
+        parameter's name listed again as a buffer), rejects the load even
+        when the payload length agrees with the manifest."""
+        model = self._f32_model()
+        save_checkpoint(model, str(tmp_path / "ck"))
+        mpath = tmp_path / "ck" / "manifest.json"
+        payload = tmp_path / "ck" / "params.bin"
+        manifest = json.loads(mpath.read_text())
+        values = np.frombuffer(payload.read_bytes(), dtype="<f4")
+        if change == "missing":
+            gone = manifest["buffers"].pop()
+            values = values[:-int(np.prod(gone["shape"]))]
+        else:
+            first = manifest["params"][0]
+            manifest["buffers"].append(first)
+            values = np.concatenate([values, values[:int(np.prod(first["shape"]))]])
+        mpath.write_text(json.dumps(manifest))
+        payload.write_bytes(values.tobytes())
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(str(tmp_path / "ck"))
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        model = MGTModel(RunConfig(**TINY))
+        model.forward([model.build_graph(r.structure) for r in toy_records(3)],
+                      training=True)  # running statistics off their init
+        save_checkpoint(model, str(tmp_path / "a"), Normalizer(mean=0.5, std=2.0))
+        loaded, norm = load_checkpoint(str(tmp_path / "a"))
+        save_checkpoint(loaded, str(tmp_path / "b"), norm)
+        for name in ("params.bin", "manifest.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="cannot read checkpoint"):
@@ -293,6 +323,24 @@ class TestTransfer:
         dst = MGTModel(RunConfig(**TINY))
         with pytest.raises(DataError, match="mismatch"):
             transfer_encoder_params(dst, src)
+
+    @pytest.mark.parametrize("src_layers,dst_layers", [(1, 3), (3, 1)],
+                             ids=["shallower", "deeper"])
+    def test_other_depth_rejected_with_target_untouched(self, src_layers,
+                                                        dst_layers):
+        src = MGTModel(RunConfig(**{**TINY, "seed": 1,
+                                    "se3_node_layers": src_layers}))
+        dst = MGTModel(RunConfig(**{**TINY, "seed": 2,
+                                    "se3_node_layers": dst_layers}))
+        src.forward([src.build_graph(r.structure) for r in toy_records(3)],
+                    training=True)  # running statistics off their init
+        params = {n: p.data.tobytes() for n, p in dst.store.params.items()}
+        buffers = {n: b.tobytes() for n, b in dst.store.buffers.items()}
+        with pytest.raises(DataError, match=r"se3\.node_layers\.1\."):
+            transfer_encoder_params(dst, src)
+        assert dst.frozen_encoder_stats is False
+        assert {n: p.data.tobytes() for n, p in dst.store.params.items()} == params
+        assert {n: b.tobytes() for n, b in dst.store.buffers.items()} == buffers
 
     def test_transferred_batch_statistics_stay_frozen(self):
         src = MGTModel(RunConfig(**{**TINY, "seed": 1}))
@@ -388,13 +436,11 @@ class TestFinetuneLoop:
             assert np.isfinite(h["train_mae"])
         logged = [json.loads(line) for line in open(log)]
         assert logged == res.history
-        set_default_dtype("f64")
 
     def test_goal_stops_immediately(self):
         model = MGTModel(self._cfg())
         res = finetune(model, toy_records(4), train_mae_goal=1e9)
         assert res.epochs_run == 1
-        set_default_dtype("f64")
 
     def test_patience_stops_and_restores_best(self):
         model = MGTModel(self._cfg(finetune_epochs=40, patience=2))
@@ -406,20 +452,17 @@ class TestFinetuneLoop:
         # the restored weights reproduce the best epoch's validation MAE
         val = evaluate_records(model, recs[4:], res.normalizer)
         assert abs(val["mae"] - res.best_val_mae) < 1e-9
-        set_default_dtype("f64")
 
     def test_missing_target_rejected(self):
         model = MGTModel(self._cfg())
         recs = toy_records(3) + [Record("bare", rocksalt(), None)]
         with pytest.raises(DataError, match="record bare has no target"):
             finetune(model, recs)
-        set_default_dtype("f64")
 
     def test_empty_train_rejected(self):
         model = MGTModel(self._cfg())
         with pytest.raises(DataError, match="empty train split"):
             finetune(model, [])
-        set_default_dtype("f64")
 
 
 class TestInference:

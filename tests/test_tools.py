@@ -26,13 +26,16 @@ def run_tool(*args):
                 "bitwise equal"]),
     ("train", ["losses and gradient hashes bitwise equal in every step: "
                "True"]),
-], ids=["graphs", "train"])
+    ("predict-small", ["predict-small: 128/128 predictions bitwise equal, "
+                       "largest difference 0"]),
+], ids=["graphs", "train", "predict-small"])
 def test_a_tree_is_bitwise_equal_to_itself(workload, lines):
     done = run_tool("--workload", workload, "--passes", "2")
     assert done.returncode == 0, done.stderr
     for line in lines:
         assert line in done.stdout
-    assert done.stdout.count("median x") == {"graphs": 3, "train": 2}[workload]
+    assert done.stdout.count("median x") == {"graphs": 3, "train": 2,
+                                             "predict-small": 1}[workload]
 
 
 def test_one_pass_is_a_usage_error():

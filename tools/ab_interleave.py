@@ -13,7 +13,10 @@ runs passes of the workload from the two trees alternately (A, B, B, A,
 won. A pass is one predict-small call over 128 cells of 1-8 atoms, or one
 predict-large pass of 40 single-cell calls on cells of 24-64 atoms: the
 inputs and the default-config model of `perfbench`, without its timers,
-gate or memory readings.
+gate or memory readings. As in perfbench, each tree's model comes back
+from a checkpoint round trip through that tree's own `save_checkpoint`
+and `load_checkpoint`, so the weights are rounded to float32 and the
+check covers both trees' load paths.
 
 For `train` each tree builds the model of perfbench's train workload
 (batch 16) and the first 16 cells of its seed, and a pass is one
@@ -82,15 +85,22 @@ def load_tree(checkout: str, name: str):
 
 
 class Arm:
-    """One tree's model, normalizer and records for the workload."""
+    """One tree's model, normalizer and records for the workload. The
+    default-config model goes through the tree's own `save_checkpoint` and
+    `load_checkpoint`, into a directory named after the arm next to
+    `data`, as perfbench's predict workloads load theirs: the weights are
+    rounded to float32 and the tree's load path runs."""
 
     def __init__(self, checkout: str, name: str, data: Path):
         load_tree(checkout, name)
         self.pipeline = sys.modules[name + ".pipeline"]
         config = sys.modules[name + ".config"]
         model = sys.modules[name + ".model"]
-        self.model = model.MGTModel(config.RunConfig())
-        self.normalizer = self.pipeline.Normalizer(mean=0.0, std=1.0)
+        checkpoint = str(data.parent / name)
+        self.pipeline.save_checkpoint(model.MGTModel(config.RunConfig()),
+                                      checkpoint,
+                                      self.pipeline.Normalizer(mean=0.0, std=1.0))
+        self.model, self.normalizer = self.pipeline.load_checkpoint(checkpoint)
         self.records = self.pipeline.load_jsonl(str(data))
 
     def predict(self, batched: bool) -> list[float]:
