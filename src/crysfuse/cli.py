@@ -1,9 +1,14 @@
 """Command-line entry point.
 
 Subcommands: ingest, pretrain, finetune, predict, eval, check,
-inspect-router. Every flag has a config-file equivalent and flags win.
-Exit codes sort failures by class: 2 configuration, 3 data, 4 numeric
-(including property-check violations).
+inspect-router. Each parser entry carries its handler, a thin call into
+the library. Every command that reads --data builds its graphs through
+`pipeline.record_graphs`, so `ingest` checks each record's elements
+against the atom table as `predict` does. Every flag has a config-file
+equivalent and overrides it, except that `predict`, `eval` and
+`inspect-router --from` take seed and precision from the checkpoint and
+refuse --seed and --precision. Exit codes sort failures by class:
+2 configuration, 3 data, 4 numeric (including property-check violations).
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# commands whose model, seed and precision included, comes from --from
+_MODEL_FROM_CHECKPOINT = ("predict", "eval", "inspect-router")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -36,9 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and property checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, data=False, out=False,
-            from_ckpt=False, trials=False) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler, *, data=True, out=True,
+            from_ckpt=False, trials=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--precision", choices=("f32", "f64"),
@@ -48,43 +57,50 @@ def _build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="output path")
         if from_ckpt:
-            p.add_argument("--from", dest="from_ckpt", metavar="CKPT",
+            p.add_argument("--from", dest="from_checkpoint", metavar="CKPT",
                            help="checkpoint directory to start from")
         if trials:
             p.add_argument("--trials", type=int, help="structures per check")
-        return p
 
-    add("ingest", "validate a dataset and cache its graphs", data=True, out=True)
-    add("pretrain", "run the self-supervised objective", data=True, out=True)
+    add("ingest", "validate a dataset and cache its graphs", cmd_ingest)
+    add("pretrain", "run the self-supervised objective", cmd_pretrain)
     add("finetune", "supervised training, optionally from a checkpoint",
-        data=True, out=True, from_ckpt=True)
-    add("predict", "emit {id, prediction} JSONL for a dataset",
-        data=True, out=True, from_ckpt=True)
-    add("eval", "metrics JSON over a labeled dataset",
-        data=True, out=True, from_ckpt=True)
-    add("check", "invariance/equivariance/gradient property suite", trials=True)
+        cmd_finetune, from_ckpt=True)
+    add("predict", "emit {id, prediction} JSONL for a dataset", cmd_predict,
+        from_ckpt=True)
+    add("eval", "metrics JSON over a labeled dataset", cmd_eval,
+        from_ckpt=True)
+    add("check", "invariance/equivariance/gradient property suite", cmd_check,
+        data=False, out=False, trials=True)
     add("inspect-router", "per-sample expert contribution scores",
-        data=True, out=True, from_ckpt=True)
+        cmd_inspect_router, from_ckpt=True)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    return apply_overrides(
-        cfg,
-        seed=args.seed,
-        precision=args.precision,
-        trials=getattr(args, "trials", None),
-        data=getattr(args, "data", None),
-        out=getattr(args, "out", None),
-        from_checkpoint=getattr(args, "from_ckpt", None),
-    )
+    cfg = apply_overrides(
+        load_config(args.config) if args.config else RunConfig(),
+        **{k: getattr(args, k, None) for k in ("seed", "precision", "trials",
+                                                "data", "out", "from_checkpoint")})
+    refused = [f"--{k}" for k in ("seed", "precision") if getattr(args, k) is not None]
+    if refused and cfg.from_checkpoint and args.command in _MODEL_FROM_CHECKPOINT:
+        raise ConfigError([f"{args.command} --from takes seed and precision from "
+                           f"the checkpoint; drop {' and '.join(refused)}"])
+    return cfg
 
 
 def _require(value, flag: str):
     if not value:
         raise ConfigError([f"missing {flag}: pass the flag or set it in the config"])
     return value
+
+
+def _out_file(cfg: RunConfig, name: str) -> str | None:
+    """The path of `name` under --out, the directory created; None without --out."""
+    if not cfg.out:
+        return None
+    os.makedirs(cfg.out, exist_ok=True)
+    return os.path.join(cfg.out, name)
 
 
 def _write_or_print(text: str, out_path: str | None):
@@ -95,68 +111,52 @@ def _write_or_print(text: str, out_path: str | None):
         print(text)
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
+def _checkpoint_and_records(cfg: RunConfig):
+    """(model, records, normalizer): the model and normalizer of --from and
+    the records of --data, in the argument order of `predict_records`."""
+    model, normalizer = load_checkpoint(_require(cfg.from_checkpoint, "--from"))
+    return model, load_jsonl(_require(cfg.data, "--data")), normalizer
 
-def cmd_ingest(args) -> int:
-    cfg = _config_from_args(args)
+
+def cmd_ingest(cfg: RunConfig) -> int:
     records = load_jsonl(_require(cfg.data, "--data"))
-    model = MGTModel(cfg)
-    total_nodes = 0
-    total_edges = 0
-    total_bonds = 0
-    dumps = []
-    for r in records:
-        g = model.build_graph(r.structure)
-        total_nodes += g.num_nodes
-        total_edges += g.num_edges
-        total_bonds += g.num_bonds
-        if cfg.out:
-            dumps.append({"id": r.id, **g.to_json_dict()})
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "graphs.jsonl"), "w") as fh:
-            for d in dumps:
-                fh.write(json.dumps(d) + "\n")
-    print(json.dumps({"records": len(records), "nodes": total_nodes,
-                      "edges": total_edges, "bonds": total_bonds}))
+    graphs = list(record_graphs(MGTModel(cfg), records))
+    path = _out_file(cfg, "graphs.jsonl")
+    if path:
+        with open(path, "w") as fh:
+            for r, g in zip(records, graphs):
+                fh.write(json.dumps({"id": r.id, **g.to_json_dict()}) + "\n")
+    print(json.dumps({"records": len(records),
+                      "nodes": sum(g.num_nodes for g in graphs),
+                      "edges": sum(g.num_edges for g in graphs),
+                      "bonds": sum(g.num_bonds for g in graphs)}))
     return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_pretrain(cfg: RunConfig) -> int:
     records = load_jsonl(_require(cfg.data, "--data"))
     model = MGTModel(cfg)
     graphs = [(g, r.id)
               for g, r in zip(record_graphs(model, records), records)]
-    log_path = None
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        log_path = os.path.join(cfg.out, "pretrain_log.jsonl")
-    history = run_pretraining(model, graphs, log_path=log_path)
+    history = run_pretraining(model, graphs,
+                              log_path=_out_file(cfg, "pretrain_log.jsonl"))
     if cfg.out:
         save_checkpoint(model, cfg.out)
     print(json.dumps(history[-1] if history else {"steps": 0}))
     return EXIT_OK
 
 
-def cmd_finetune(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_finetune(cfg: RunConfig) -> int:
     records = load_jsonl(_require(cfg.data, "--data"))
     train, val, test = split_dataset(records, cfg.seed, cfg.train_ratio,
                                      cfg.val_ratio, cfg.test_ratio)
-    pretrained = None
-    if cfg.from_checkpoint:
-        pretrained, _ = load_checkpoint(cfg.from_checkpoint)
+    pretrained = (load_checkpoint(cfg.from_checkpoint)[0]
+                  if cfg.from_checkpoint else None)
     model = MGTModel(cfg)  # built after any checkpoint load so its precision wins
     if pretrained is not None:
         transfer_encoder_params(model, pretrained)
-    log_path = None
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        log_path = os.path.join(cfg.out, "finetune_log.jsonl")
-    result = finetune(model, train, val, log_path=log_path)
+    result = finetune(model, train, val,
+                      log_path=_out_file(cfg, "finetune_log.jsonl"))
     metrics = evaluate_records(model, test, result.normalizer)
     if cfg.out:
         save_checkpoint(model, cfg.out, normalizer=result.normalizer)
@@ -165,26 +165,19 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    cfg = _config_from_args(args)
-    model, normalizer = load_checkpoint(_require(cfg.from_checkpoint, "--from"))
-    records = load_jsonl(_require(cfg.data, "--data"))
-    rows = predict_records(model, records, normalizer)
+def cmd_predict(cfg: RunConfig) -> int:
+    rows = predict_records(*_checkpoint_and_records(cfg))
     _write_or_print("\n".join(json.dumps(r) for r in rows), cfg.out)
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
-    model, normalizer = load_checkpoint(_require(cfg.from_checkpoint, "--from"))
-    records = load_jsonl(_require(cfg.data, "--data"))
-    metrics = evaluate_records(model, records, normalizer)
+def cmd_eval(cfg: RunConfig) -> int:
+    metrics = evaluate_records(*_checkpoint_and_records(cfg))
     _write_or_print(json.dumps(metrics), cfg.out)
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_check(cfg: RunConfig) -> int:
     results = run_all(cfg, trials=cfg.trials)
     failed = False
     for r in results:
@@ -200,12 +193,9 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_inspect_router(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.from_checkpoint:
-        model, _ = load_checkpoint(cfg.from_checkpoint)
-    else:
-        model = MGTModel(cfg)
+def cmd_inspect_router(cfg: RunConfig) -> int:
+    model = (load_checkpoint(cfg.from_checkpoint)[0] if cfg.from_checkpoint
+             else MGTModel(cfg))
     if model.cfg.head != "moe":
         raise ConfigError(["inspect-router needs head=moe; "
                            f"this model uses head={model.cfg.head!r}"])
@@ -217,21 +207,10 @@ def cmd_inspect_router(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "predict": cmd_predict,
-    "eval": cmd_eval,
-    "check": cmd_check,
-    "inspect-router": cmd_inspect_router,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(_config_from_args(args))
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

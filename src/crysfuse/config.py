@@ -11,6 +11,8 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
+from .featurize import DEFAULT_NUM_RBF
+from .graph import DEFAULT_CUTOFF, DEFAULT_IMAGE_BUDGET, DEFAULT_MAX_NEIGHBORS
 from .harmonics import L_MAX_SUPPORTED
 
 
@@ -26,12 +28,12 @@ class RunConfig:
     seed: int = 0
     precision: str = "f64"
     # graph construction
-    cutoff: float = 8.0
-    max_neighbors: int = 25
-    image_budget: int = 200_000
+    cutoff: float = DEFAULT_CUTOFF
+    max_neighbors: int = DEFAULT_MAX_NEIGHBORS
+    image_budget: int = DEFAULT_IMAGE_BUDGET
     # featurization
-    num_rbf: int = 64
-    num_angle_rbf: int = 64
+    num_rbf: int = DEFAULT_NUM_RBF
+    num_angle_rbf: int = DEFAULT_NUM_RBF
     atom_table: str | None = None
     # architecture
     width: int = 64

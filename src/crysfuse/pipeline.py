@@ -172,7 +172,6 @@ def save_checkpoint(model: MGTModel, path: str,
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(model.cfg),
-        "rng_seed": model.cfg.seed,
         "params": [{"name": n, "shape": list(p.data.shape)}
                    for n, p in store.params.items()],
         "buffers": [{"name": n, "shape": list(b.shape)}
@@ -197,6 +196,8 @@ def _read_manifest(path: str) -> dict:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: corrupt checkpoint manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: checkpoint manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
@@ -205,19 +206,51 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
+def _manifest_shapes(path: str, manifest: dict, key: str
+                     ) -> list[tuple[str, list[int]]]:
+    """The manifest's `key` list ("params" or "buffers") as (name, shape)
+    pairs in payload order; a malformed list or entry raises `DataError`."""
+    entries = manifest.get(key, [])
+    ok = isinstance(entries, list) and all(
+        isinstance(e, dict) and isinstance(e.get("name"), str)
+        and isinstance(e.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in e["shape"])
+        for e in entries)
+    if not ok:
+        raise DataError(f"{path}: checkpoint manifest {key!r} must be a list of "
+                        f"{{name, shape}} entries with shapes of non-negative integers")
+    names = [e["name"] for e in entries]
+    if len(set(names)) != len(names):
+        raise DataError(f"{path}: checkpoint manifest {key!r} lists a name twice")
+    return [(e["name"], e["shape"]) for e in entries]
+
+
+def _finite_number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
     """Rebuild the model from a checkpoint directory.
 
     The manifest's config reconstructs the architecture; the payload then
     replaces every parameter and buffer, batch-norm running statistics
-    included (`ParamStore.load`). A wrong payload length, or any name or
-    shape other than the model's, raises `DataError` with nothing applied.
+    included (`ParamStore.load`). A malformed manifest, a wrong payload
+    length, or any name or shape other than the model's, raises
+    `DataError` naming the path, with nothing applied.
     """
     manifest = _read_manifest(path)
     try:
         cfg = config_from_dict(manifest["config"])
     except (ConfigError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: invalid config in checkpoint: {exc}") from None
+    groups = [_manifest_shapes(path, manifest, key) for key in ("params", "buffers")]
+    raw = manifest.get("normalizer")
+    if raw is not None and not (isinstance(raw, dict)
+                                and _finite_number(raw.get("mean"))
+                                and _finite_number(raw.get("std"))
+                                and raw["std"] > 0):
+        raise DataError(f"{path}: checkpoint normalizer must be null or "
+                        f"{{mean, std}} with finite numbers and std > 0, got {raw!r}")
     model = MGTModel(cfg)
 
     try:
@@ -226,22 +259,19 @@ def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
     except OSError as exc:
         raise DataError(f"cannot read checkpoint payload: {exc}") from None
 
-    groups = [manifest.get("params", []), manifest.get("buffers", [])]
-    bounds = np.cumsum([0] + [int(np.prod(e["shape"], dtype=np.int64))
-                              for group in groups for e in group])
-    if payload.size != bounds[-1]:
+    sizes = [math.prod(shape) for group in groups for _, shape in group]
+    if payload.size != sum(sizes):
         raise DataError(
             f"{path}: checkpoint payload holds {payload.size} values, "
-            f"manifest expects {bounds[-1]} (truncated or corrupt)")
-    chunks = iter(np.split(payload, bounds[1:-1]))
-    state = [{e["name"]: next(chunks).reshape(e["shape"]) for e in group}
+            f"manifest expects {sum(sizes)} (truncated or corrupt)")
+    chunks = iter(np.split(payload, np.cumsum(sizes)[:-1]))
+    state = [{name: next(chunks).reshape(shape) for name, shape in group}
              for group in groups]
     try:
         model.store.load(*state)
     except ValueError as exc:
         raise DataError(f"{path}: checkpoint does not fit its config: {exc}") from None
 
-    raw = manifest.get("normalizer")
     normalizer = None if raw is None else Normalizer(mean=raw["mean"], std=raw["std"])
     return model, normalizer
 

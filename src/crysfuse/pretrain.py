@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .graph import PeriodicGraph
 from .model import MGTModel, Pack
 from .optim import AdamW, adamw_from_config, epoch_batches, lr_schedule
@@ -206,7 +206,7 @@ def run_pretraining(model: MGTModel, graphs: list[tuple[PeriodicGraph, str]],
     epochs = cfg.pretrain_epochs if epochs is None else epochs
     batch_size = min(cfg.pretrain_batch_size, len(graphs))
     if batch_size < 2:
-        raise ValueError("pretraining needs at least 2 structures")
+        raise DataError("pretraining needs at least 2 structures")
     batches = epoch_batches(len(graphs), batch_size)
     total_steps = epochs * len(batches)
     if max_steps is not None:

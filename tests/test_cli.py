@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crysfuse.cli import main
 from crysfuse.config import config_from_dict
@@ -75,6 +77,21 @@ class TestIngest:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,message", [
+        ({"species": [11, 105]}, "no atom table row for atomic number 105"),
+        ({"frac_coords": [[0, 0, 0], [0, 0, 0]]}, "atoms 0 and 1 coincide"),
+    ], ids=["element-missing-from-table", "coincident-atoms"])
+    def test_unbuildable_record_is_named(self, workdir, capsys, row, message):
+        """ingest builds its graphs as predict does, so a record whose
+        graph cannot be built is a data error that names the record."""
+        data = workdir / "bad.jsonl"
+        data.write_text(_row(0, 3.0) + "\n"
+                        + json.dumps({**json.loads(_row(1, 3.0)), **row}) + "\n")
+        code = main(["ingest", "--config", str(workdir / "small.json"),
+                     "--data", str(data)])
+        assert code == 3
+        assert f"record s1: {message}" in capsys.readouterr().err
+
     def test_unknown_config_key_is_config_error(self, workdir, capsys):
         cfg = workdir / "typo.json"
         cfg.write_text(json.dumps({"width": 8, "nope": 1}))
@@ -127,6 +144,30 @@ class TestTrainingCommands:
         assert code == 0
         metrics = json.loads(capsys.readouterr().out.strip())
         assert set(metrics) == {"mae", "rmse", "r2"}
+
+    def test_pretrain_on_one_record_is_data_error(self, workdir, capsys):
+        data = workdir / "one.jsonl"
+        data.write_text(_row(0, 3.0) + "\n")
+        code = main(["pretrain", "--config", str(workdir / "small.json"),
+                     "--data", str(data)])
+        assert code == 3
+        assert "pretraining needs at least 2 structures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--precision", "f32"]],
+                             ids=["seed", "precision"])
+    @pytest.mark.parametrize("command", ["predict", "eval", "inspect-router"])
+    def test_model_from_checkpoint_refuses_seed_and_precision(
+            self, workdir, capsys, command, flag):
+        """The checkpoint fixes the model's seed and precision, so a flag
+        that would change them is a config error, not silently ignored."""
+        ck = workdir / "ck"
+        save_checkpoint(MGTModel(config_from_dict(SMALL)), str(ck))
+        code = main([command, "--from", str(ck),
+                     "--data", str(workdir / "toy.jsonl"), *flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "takes seed and precision from the checkpoint" in err
+        assert flag[0] in err
 
     def test_finetune_from_pretrained_keeps_encoder_statistics(self, workdir):
         pt, ft = workdir / "pt", workdir / "ft"
@@ -246,6 +287,71 @@ class TestMalformedInputs:
                      "--data", str(workdir / "toy.jsonl")])
         assert code == 3
         assert "cannot read atom table" in capsys.readouterr().err
+
+
+_NASTY = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300,
+                          "x", None])
+
+
+@st.composite
+def _rows(draw):
+    """A JSON dataset row that each of several faults spoils one time in
+    eight: an atomic number outside 1..118 or missing from the atom
+    table, overlapping atoms, a non-finite, string or ragged coordinate,
+    a singular, skewed or non-finite lattice, a bad target. Cells are
+    often thin: each edge is 0.05 to 6 Å."""
+    def sometimes():
+        return draw(st.integers(1, 8)) == 1
+
+    n = draw(st.integers(1, 4))
+    coord = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0)
+    species = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+    frac = draw(st.lists(st.lists(coord, min_size=3, max_size=3),
+                         min_size=n, max_size=n))
+    a, b, c = draw(st.lists(st.floats(0.05, 6.0), min_size=3, max_size=3))
+    lattice = [[a, 0.0, 0.0], [0.0, b, 0.0], [0.0, 0.0, c]]
+    if sometimes():
+        species[-1] = draw(st.sampled_from([0, -3, 105, 119, 300, 11.5, "Xx"]))
+    if sometimes():
+        frac[-1] = list(frac[0])
+    if sometimes():
+        frac[-1][draw(st.integers(0, 2))] = draw(_NASTY)
+    if sometimes():
+        frac[-1] = frac[-1][:2]
+    if sometimes():
+        lattice[draw(st.integers(0, 2))][draw(st.integers(0, 2))] = draw(
+            _NASTY | st.floats(-6.0, 6.0))
+    if sometimes():
+        lattice = [[a, a, 0.0], [a, a, 0.0], [0.0, 0.0, c]]
+    row = {"id": f"h{draw(st.integers(0, 9))}", "species": species,
+           "frac_coords": frac, "lattice": lattice}
+    if sometimes():
+        row["target"] = draw(_NASTY)
+    return row
+
+
+@pytest.fixture(scope="module")
+def width8_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_checkpoint(MGTModel(config_from_dict(SMALL)), str(path / "ck"))
+    return path
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_rows(), min_size=1, max_size=2))
+def test_predict_on_malformed_rows_exits_0_or_3(width8_checkpoint, rows):
+    """Whatever a JSONL row holds, predict ends in finite predictions
+    (exit 0) or a data error (exit 3), never a traceback."""
+    data, out = width8_checkpoint / "rows.jsonl", width8_checkpoint / "pred.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out.unlink(missing_ok=True)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        code = main(["predict", "--from", str(width8_checkpoint / "ck"),
+                     "--data", str(data), "--out", str(out)])
+    assert code in (0, 3)
+    if code == 0:
+        preds = [json.loads(l)["prediction"] for l in out.read_text().splitlines()]
+        assert len(preds) == len(rows) and np.all(np.isfinite(preds))
 
 
 class TestCheckCommand:

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import re
 import sys
 
 import numpy as np
@@ -290,6 +291,41 @@ class TestCheckpoints:
         for name in ("params.bin", "manifest.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: [m], "manifest is not a JSON object"),
+        (lambda m: {**m, "params": [{"name": m["params"][0]["name"]},
+                                    *m["params"][1:]]},
+         "manifest 'params' must be a list of {name, shape} entries"),
+        (lambda m: {**m, "buffers": {"x": [1]}},
+         "manifest 'buffers' must be a list"),
+        (lambda m: {**m, "params": [m["params"][0], *m["params"]]},
+         "manifest 'params' lists a name twice"),
+        (lambda m: {**m, "normalizer": [0.5, 2.0]},
+         "normalizer must be null or {mean, std}"),
+        (lambda m: {**m, "normalizer": {"mean": 0.5}},
+         "normalizer must be null or {mean, std}"),
+    ], ids=["list", "entry-without-shape", "buffers-object", "name-twice",
+            "normalizer-list", "normalizer-without-std"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, edit, message):
+        save_checkpoint(self._f32_model(), str(tmp_path / "ck"),
+                        Normalizer(mean=0.5, std=2.0))
+        mpath = tmp_path / "ck" / "manifest.json"
+        mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
+        with pytest.raises(DataError, match=re.escape(message)) as info:
+            load_checkpoint(str(tmp_path / "ck"))
+        assert str(tmp_path / "ck") in str(info.value)
+
+    def test_manifest_with_rng_seed_still_loads(self, tmp_path):
+        """Checkpoints once repeated the config's seed as "rng_seed"."""
+        model = self._f32_model()
+        save_checkpoint(model, str(tmp_path / "ck"))
+        mpath = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        assert "rng_seed" not in manifest
+        mpath.write_text(json.dumps({**manifest, "rng_seed": model.cfg.seed}))
+        loaded, _ = load_checkpoint(str(tmp_path / "ck"))
+        assert loaded.cfg == model.cfg
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="cannot read checkpoint"):
