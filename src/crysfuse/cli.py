@@ -99,16 +99,23 @@ def _out_file(cfg: RunConfig, name: str) -> str | None:
     """The path of `name` under --out, the directory created; None without --out."""
     if not cfg.out:
         return None
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot make --out {cfg.out} a directory: "
+                           f"{exc.strerror}"]) from None
     return os.path.join(cfg.out, name)
 
 
 def _write_or_print(text: str, out_path: str | None):
-    if out_path:
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ConfigError([f"cannot write --out {out_path}: {exc.strerror}"]) from None
 
 
 def _checkpoint_and_records(cfg: RunConfig):

@@ -9,11 +9,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 
 from .featurize import DEFAULT_NUM_RBF
 from .graph import DEFAULT_CUTOFF, DEFAULT_IMAGE_BUDGET, DEFAULT_MAX_NEIGHBORS
 from .harmonics import L_MAX_SUPPORTED
+
+
+def finite_number(v) -> bool:
+    """A number, not a bool, that a float holds finitely (not NaN or inf)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
 class ConfigError(ValueError):
@@ -79,8 +86,8 @@ class RunConfig:
 
         def positive(name, allow_zero=False):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                errs.append(f"{name} must be a number, got {v!r}")
+            if not finite_number(v):
+                errs.append(f"{name} must be a number and finite, got {v!r}")
             elif v < 0 or (v == 0 and not allow_zero):
                 errs.append(f"{name} must be {'>= 0' if allow_zero else '> 0'}, got {v}")
 
@@ -107,7 +114,7 @@ class RunConfig:
         count("se3_edge_layers", minimum=0)
         count("se3_node_layers", minimum=0)
         count("so3_node_layers", minimum=0)
-        if (not isinstance(self.l_max, int)
+        if (not isinstance(self.l_max, int) or isinstance(self.l_max, bool)
                 or not 0 <= self.l_max <= L_MAX_SUPPORTED):
             errs.append(f"l_max must be an integer in 0..{L_MAX_SUPPORTED}, "
                         f"got {self.l_max!r}")
@@ -122,7 +129,7 @@ class RunConfig:
         positive("weight_decay", allow_zero=True)
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not 0 <= v < 1:
+            if not finite_number(v) or not 0 <= v < 1:
                 errs.append(f"{name} must be in [0, 1), got {v!r}")
         positive("adam_eps")
         count("pretrain_batch_size", minimum=2)  # contrastive pool needs >= 2
@@ -132,9 +139,11 @@ class RunConfig:
         count("patience")
         for name in ("train_ratio", "val_ratio", "test_ratio"):
             positive(name)
-        total = self.train_ratio + self.val_ratio + self.test_ratio
-        if isinstance(total, (int, float)) and abs(total - 1.0) > 1e-9:
-            errs.append(f"split ratios must sum to 1, got {total}")
+        ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
+        if all(map(finite_number, ratios)):
+            total = self.train_ratio + self.val_ratio + self.test_ratio
+            if abs(total - 1.0) > 1e-9:
+                errs.append(f"split ratios must sum to 1, got {total}")
         for name in ("atom_table", "data", "out", "from_checkpoint"):
             v = getattr(self, name)
             if v is not None and not isinstance(v, str):
@@ -162,11 +171,11 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or not UTF-8
         raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from None
     return config_from_dict(raw)
 

@@ -8,7 +8,9 @@ persistent pool of daemon threads runs the others, and the call returns
 once every part has finished. numpy releases the interpreter lock inside
 its loops and BLAS calls, so the parts run at the same time. A `run`
 called from inside a part runs inline: the pool's threads are already
-busy with its siblings.
+busy with its siblings. One object, `_Pool`, holds the threads, their
+queue, the scope's lock and the scope's owner. A part is handed over by
+one queue put and one get (README, Threads: why not `concurrent.futures`).
 
 Inside that scope the OpenBLAS that numpy loaded is pinned to one thread:
 BLAS's own threads would compete with the pool's for the same cores, and
@@ -81,35 +83,34 @@ def _blas_threads() -> tuple[Callable, Callable] | None:
     return None
 
 
-def _run_part(body, lo: int, hi: int, done: queue.SimpleQueue):
-    try:
-        body(lo, hi)
-    except BaseException as exc:  # raised again in the caller
-        done.put(exc)
-    else:
-        done.put(None)
-
-
 class _Pool:
-    """Daemon threads that run handed-over parts."""
+    """Daemon threads on one task queue, the scope's lock and its owner."""
 
-    def __init__(self, workers: int):
-        self.workers = workers
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.owner: int | None = None
+        self.workers = 0
         self.tasks: queue.SimpleQueue = queue.SimpleQueue()
-        for _ in range(workers):
+
+    def resize(self, workers: int):
+        """Start threads, or queue stops for idle ones, until `workers` serve."""
+        for _ in range(workers, self.workers):
+            self.tasks.put(None)
+        for _ in range(self.workers, workers):
             threading.Thread(target=self._serve, name="crysfuse-rows",
                              daemon=True).start()
+        self.workers = workers
 
     def _serve(self):
-        for task in iter(self.tasks.get, None):
-            _run_part(*task)
-            # while idle, hold nothing of the last part: its body keeps its
-            # kernel's arrays alive
-            del task
-
-    def close(self):
-        for _ in range(self.workers):
-            self.tasks.put(None)
+        for body, lo, hi, done in iter(self.tasks.get, None):
+            try:
+                body(lo, hi)
+            except BaseException as exc:  # raised again in the caller
+                done.put(exc)
+            else:
+                done.put(None)
+            # while idle, hold nothing of the last part (its kernel's arrays)
+            del body, done
 
     def run(self, body, cuts: list[int]):
         """body over each part [cuts[i], cuts[i + 1]), the first on this
@@ -129,29 +130,13 @@ class _Pool:
             raise errors[0]
 
 
-class _Executor:
-    """The process's pool and the thread whose scope may use it."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.owner: int | None = None
-        self.pool: _Pool | None = None
-
-    def start(self, workers: int):
-        """Have a pool of `workers` threads, replacing one of another size."""
-        if self.pool is None or self.pool.workers != workers:
-            if self.pool is not None:
-                self.pool.close()
-            self.pool = _Pool(workers)
-
-
-_executor = _Executor()
+_pool = _Pool()
 
 
 def _forget_pool():
     """A forked child has none of its parent's threads: start afresh."""
-    global _executor
-    _executor = _Executor()
+    global _pool
+    _pool = _Pool()
 
 
 if hasattr(os, "register_at_fork"):
@@ -166,8 +151,8 @@ def threads():
     While another thread's block is open, or inside an open block, this
     one changes nothing, and its bodies run inline on their thread.
     """
-    ex = _executor
-    if not ex.lock.acquire(blocking=False):
+    pool = _pool
+    if not pool.lock.acquire(blocking=False):
         yield
         return
     try:
@@ -178,16 +163,16 @@ def threads():
             return
         get, put = blas
         previous = get()
-        ex.start(workers)
+        pool.resize(workers)
         put(1)
-        ex.owner = threading.get_ident()
+        pool.owner = threading.get_ident()
         try:
             yield
         finally:
-            ex.owner = None
+            pool.owner = None
             put(previous)
     finally:
-        ex.lock.release()
+        pool.lock.release()
 
 
 def _cuts(n: int, parts: int, groups: np.ndarray | None) -> list[int]:
@@ -205,18 +190,17 @@ def run(body: Callable[[int, int], None], n: int,
     only falls where it changes (unsorted ids run once over all rows).
     `size`, if given, is the element count of a cheap body's arrays, and
     each part then needs `MIN_PART_SIZE` of them too."""
-    ex = _executor
+    pool = _pool
     parts = n // MIN_PART_ROWS
     if size is not None:
         parts = min(parts, size // MIN_PART_SIZE)
     owner = threading.get_ident()
-    if ex.owner != owner or parts < 2 or (
+    if pool.owner != owner or parts < 2 or (
             groups is not None and np.any(groups[1:] < groups[:-1])):
         body(0, n)
         return
-    pool = ex.pool
-    ex.owner = None  # a run from inside a part, this thread's too, is inline
+    pool.owner = None  # a run from inside a part, this thread's too, is inline
     try:
         pool.run(body, _cuts(n, min(parts, pool.workers + 1), groups))
     finally:
-        ex.owner = owner
+        pool.owner = owner

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import parallel
-from .config import ConfigError, RunConfig, config_from_dict
+from .config import ConfigError, RunConfig, config_from_dict, finite_number
 from .errors import DataError, NumericError
 from .featurize import check_species
 from .graph import PeriodicGraph
@@ -43,15 +43,19 @@ class Record:
 
 
 def load_jsonl(path: str) -> list[Record]:
-    """Read a JSONL dataset; every parse failure names its line number."""
+    """Read a UTF-8 JSONL dataset, whose lines end at "\\n"; every parse
+    failure names its line number."""
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from None
     records: list[Record] = []
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path} line {lineno}: not UTF-8: {exc}") from None
             if not line:
                 continue
             try:
@@ -190,11 +194,11 @@ def save_checkpoint(model: MGTModel, path: str,
 
 def _read_manifest(path: str) -> dict:
     try:
-        with open(os.path.join(path, "manifest.json")) as fh:
+        with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or not UTF-8
         raise DataError(f"{path}: corrupt checkpoint manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: checkpoint manifest is not a JSON object")
@@ -225,10 +229,6 @@ def _manifest_shapes(path: str, manifest: dict, key: str
     return [(e["name"], e["shape"]) for e in entries]
 
 
-def _finite_number(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
-
-
 def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
     """Rebuild the model from a checkpoint directory.
 
@@ -246,8 +246,8 @@ def load_checkpoint(path: str) -> tuple[MGTModel, Normalizer | None]:
     groups = [_manifest_shapes(path, manifest, key) for key in ("params", "buffers")]
     raw = manifest.get("normalizer")
     if raw is not None and not (isinstance(raw, dict)
-                                and _finite_number(raw.get("mean"))
-                                and _finite_number(raw.get("std"))
+                                and finite_number(raw.get("mean"))
+                                and finite_number(raw.get("std"))
                                 and raw["std"] > 0):
         raise DataError(f"{path}: checkpoint normalizer must be null or "
                         f"{{mean, std}} with finite numbers and std > 0, got {raw!r}")

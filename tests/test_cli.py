@@ -289,6 +289,102 @@ class TestMalformedInputs:
         assert "cannot read atom table" in capsys.readouterr().err
 
 
+def _predict(workdir, ck=None, data=None, out=None):
+    """predict argv with a width-8 checkpoint and the toy dataset by default."""
+    if ck is None:
+        ck = workdir / "ck"
+        save_checkpoint(MGTModel(config_from_dict(SMALL)), str(ck))
+    argv = ["predict", "--from", str(ck),
+            "--data", str(data or workdir / "toy.jsonl")]
+    return argv + (["--out", str(out)] if out else [])
+
+
+def _manifest_cutoff_infinite(workdir):
+    argv = _predict(workdir)
+    manifest = json.loads((workdir / "ck" / "manifest.json").read_text())
+    manifest["config"]["cutoff"] = float("inf")
+    (workdir / "ck" / "manifest.json").write_text(json.dumps(manifest))
+    return argv, 3, [f"{workdir / 'ck'}: invalid config", "cutoff must be"]
+
+
+def _manifest_mean_beyond_float(workdir):
+    argv = _predict(workdir)
+    manifest = json.loads((workdir / "ck" / "manifest.json").read_text())
+    manifest["normalizer"] = {"mean": 10**400, "std": 1.0}
+    (workdir / "ck" / "manifest.json").write_text(json.dumps(manifest))
+    return argv, 3, [f"{workdir / 'ck'}: checkpoint normalizer must be"]
+
+
+def _dataset_not_utf8(workdir):
+    data = workdir / "utf16.jsonl"
+    # a good first line, so that the error has to name the second
+    data.write_bytes(_row(0, 3.0).encode() + b"\n\xff\xfe{}\n")
+    return _predict(workdir, data=data), 3, [f"{data} line 2: not UTF-8"]
+
+
+def _config_not_utf8(workdir):
+    cfg = workdir / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe" + json.dumps(SMALL).encode("utf-16-le"))
+    return ["check", "--config", str(cfg), "--trials", "1"], 2, [f"config {cfg}"]
+
+
+def _manifest_not_utf8(workdir):
+    argv = _predict(workdir)
+    manifest = workdir / "ck" / "manifest.json"
+    manifest.write_bytes(b"\xff\xfe" + manifest.read_text().encode("utf-16-le"))
+    return argv, 3, [f"{workdir / 'ck'}: corrupt checkpoint manifest"]
+
+
+def _out_in_missing_directory(workdir):
+    out = workdir / "absent" / "p.jsonl"
+    return _predict(workdir, out=out), 2, [f"cannot write --out {out}"]
+
+
+def _out_is_a_directory(workdir):
+    return _predict(workdir, out=workdir), 2, [f"cannot write --out {workdir}"]
+
+
+def _out_directory_is_a_file(workdir):
+    out = workdir / "taken"
+    out.write_text("")
+    return base_args(workdir, "ingest") + ["--out", str(out)], 2, [
+        f"cannot make --out {out} a directory"]
+
+
+class TestUnusableSettingsAndFiles:
+    """A malformed config or manifest value, a file that is not UTF-8 or an
+    unusable --out ends in a typed error naming the key or the path, never
+    a traceback."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("train_ratio", "0.8"), ("cutoff", float("inf")),
+        ("val_ratio", float("nan")), ("l_max", True),
+    ], ids=["string-ratio", "infinite-cutoff", "nan-ratio", "bool-l-max"])
+    def test_malformed_config_value_is_config_error(self, workdir, capsys,
+                                                    key, value):
+        cfg = workdir / "bad.json"
+        cfg.write_text(json.dumps({**SMALL, key: value}))
+        code = main(["ingest", "--config", str(cfg),
+                     "--data", str(workdir / "toy.jsonl")])
+        assert code == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        _manifest_cutoff_infinite, _manifest_mean_beyond_float,
+        _dataset_not_utf8, _config_not_utf8, _manifest_not_utf8,
+        _out_in_missing_directory, _out_is_a_directory, _out_directory_is_a_file,
+    ], ids=["manifest-infinite-cutoff", "manifest-mean-beyond-float",
+            "dataset-not-utf8", "config-not-utf8", "manifest-not-utf8",
+            "out-in-missing-directory", "out-is-a-directory",
+            "out-directory-is-a-file"])
+    def test_exit_code_names_the_path(self, workdir, capsys, case):
+        argv, want, messages = case(workdir)
+        assert main(argv) == want
+        err = capsys.readouterr().err
+        for message in messages:
+            assert message in err
+
+
 _NASTY = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300,
                           "x", None])
 

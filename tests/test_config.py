@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crysfuse.config import (
     ConfigError,
@@ -109,3 +112,28 @@ class TestOverrides:
         for key in ("seed", "precision", "trials", "data", "out",
                     "from_checkpoint"):
             assert key in names
+
+
+_JSON_VALUES = (st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                 None, True, False])
+                | st.text(max_size=4)
+                | st.lists(st.integers(-3, 3) | st.floats(), max_size=3)
+                | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+                | st.integers(-10**30, 10**30)
+                | st.floats())
+_FIELDS = dataclasses.fields(RunConfig)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(value=_JSON_VALUES)
+def test_any_json_value_gives_a_finite_config_or_config_error(value):
+    """Whatever JSON value any one field holds, `config_from_dict` returns
+    a config whose real-valued fields are finite, or raises ConfigError."""
+    for field in _FIELDS:
+        try:
+            cfg = config_from_dict({field.name: value})
+        except ConfigError:
+            continue
+        for real in _FIELDS:
+            if real.type == "float":
+                assert math.isfinite(getattr(cfg, real.name)), (field.name, real.name)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -610,6 +611,26 @@ def test_second_caller_runs_inline(split, counted):
     assert counted  # the first did, after the second had finished
     assert np.array_equal(results["first"], want)
     assert np.array_equal(results["second"], want)
+
+
+def test_smaller_scope_stops_the_threads_it_no_longer_needs(split, counted):
+    """A scope at 4 usable CPUs starts three pool threads, one at 2 needs
+    one: once the pool is idle, at most one is alive, and it serves."""
+    split(4)
+    with parallel.threads():
+        parallel.run(lambda lo, hi: None, 512)
+    split(2)
+    with parallel.threads():
+        parallel.run(lambda lo, hi: None, 512)
+    assert counted == [4, 2]
+
+    def alive():
+        return sum(t.name == "crysfuse-rows" for t in threading.enumerate())
+
+    deadline = time.monotonic() + 5
+    while alive() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert alive() <= 1
 
 
 def _child_predict(model, graphs, queue):
